@@ -14,6 +14,11 @@ Exit status: 0 success; 2 configuration error; 3 non-generic interaction
 detected by ``critical``; 4 numeric failure (overflow, factorization
 breakdown).
 
+Each subcommand is a function ``(cfg, seed) -> CommandResult`` that
+computes its tables, its stdout text and its exit status without touching
+the disk; ``main`` writes every result the same way, and ``report`` is the
+composition of the five table-producing subcommands plus a summary.
+
 Determinism: every stochastic task draws from a stream derived as a
 64-bit mix of (master seed, command id, task index), so identical
 configuration and seed reproduce byte-identical CSVs, and ``report``
@@ -28,7 +33,8 @@ import argparse
 import os
 import sys
 import tempfile
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +43,6 @@ from .errors import (
     AnderlocError,
     ConfigError,
     GridError,
-    NumericError,
     ScanRangeError,
     SizeGuardError,
 )
@@ -71,22 +76,12 @@ def _fmt(x) -> str:
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV atomically with the fixed documented header."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write a text file atomically: temp file in the same directory, then rename."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -98,6 +93,31 @@ def _write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@dataclass(frozen=True)
+class Table:
+    """One CSV artifact: file name in the output directory, fixed header, rows."""
+
+    name: str
+    header: Sequence[str]
+    rows: list
+
+
+@dataclass
+class CommandResult:
+    """Everything a subcommand produced; ``main`` writes it out.
+
+    ``tables`` and ``texts`` (file name -> contents) go to the output
+    directory, ``stdout`` to standard output, ``status`` becomes the exit
+    status, and ``data`` holds the domain objects ``report`` summarizes.
+    """
+
+    stdout: str
+    tables: list[Table] = field(default_factory=list)
+    texts: dict[str, str] = field(default_factory=dict)
+    status: int = EXIT_OK
+    data: Any = None
 
 
 def _interval_text(cfg: RunConfig) -> str:
@@ -116,74 +136,50 @@ def _interval_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_interval(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    sys.stdout.write(_interval_text(cfg))
-    return EXIT_OK
+def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
+    return CommandResult(stdout=_interval_text(cfg))
 
 
-def _certificates(cfg: RunConfig):
+def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     grid = cfg.certify.grid.resolve(cfg.model)
-    return [density_certificate(cfg.model, e, tol=cfg.certify.tol) for e in grid]
-
-
-def cmd_certify(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    certs = _certificates(cfg)
-    write_csv(
-        os.path.join(out_dir, "certificates.csv"),
+    certs = [density_certificate(cfg.model, e, tol=cfg.certify.tol) for e in grid]
+    n_cert = sum(c.certified for c in certs)
+    table = Table(
+        "certificates.csv",
         ["E", "norm_ok", "closure_dim", "target_dim", "certified"],
         [(c.energy, c.norm_condition, c.closure_dim, c.target_dim, c.certified) for c in certs],
     )
-    n_cert = sum(c.certified for c in certs)
-    print(f"certified {n_cert}/{len(certs)} energies (rho = {cfg.model.rho:.12g})")
-    return EXIT_OK
+    return CommandResult(
+        stdout=f"certified {n_cert}/{len(certs)} energies (rho = {cfg.model.rho:.12g})\n",
+        tables=[table],
+        data=certs,
+    )
 
 
-def _critical(cfg: RunConfig):
+def cmd_critical(cfg: RunConfig, seed: int) -> CommandResult:
     window = energy_interval(cfg.model)
     step = cfg.critical.grid_step
     if step is None:
         if window.is_empty:
             raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
         step = window.length / 64.0
-    return scan_critical_energies(
+    scan = scan_critical_energies(
         cfg.model, grid_step=step, tol=cfg.critical.tol, refine_iters=cfg.critical.refine_iters
     )
-
-
-def cmd_critical(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    result = _critical(cfg)
-    write_csv(
-        os.path.join(out_dir, "critical.csv"),
+    table = Table(
+        "critical.csv",
         ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"],
-        [(b.e_lo, b.e_hi, b.e_mid, b.dim_reached, result.target_dim, result.tolerance)
-         for b in result.brackets],
+        [(b.e_lo, b.e_hi, b.e_mid, b.dim_reached, scan.target_dim, scan.tolerance)
+         for b in scan.brackets],
     )
-    if result.non_generic_flag:
-        print("non-generic interaction: closure deficient at every scanned energy", file=sys.stderr)
-        return EXIT_NON_GENERIC
-    print(f"{len(result.energies)} critical energies in "
-          f"[{result.scan_range.lo:.6g}, {result.scan_range.hi:.6g}]")
-    return EXIT_OK
-
-
-def _lyapunov_rows(cfg: RunConfig, seed: int):
-    grid = cfg.lyapunov.grid.resolve(cfg.model)
-    rows = []
-    results = []
-    for i, energy in enumerate(grid):
-        task_seed = derive_seed(seed, CMD_LYAPUNOV, i)
-        est = EstimatorConfig(
-            n_steps=cfg.lyapunov.n_steps,
-            n_replicas=cfg.lyapunov.n_replicas,
-            burn_in=cfg.lyapunov.burn_in,
-            master_seed=task_seed,
-        )
-        spec = lyapunov_spectrum(cfg.model, float(energy), est)
-        rows.append(
-            (spec.energy, *spec.gammas, *spec.stderrs, est.n_steps, est.n_replicas, task_seed)
-        )
-        results.append(spec)
-    return rows, results
+    if scan.non_generic_flag:
+        return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=scan)
+    return CommandResult(
+        stdout=f"{len(scan.energies)} critical energies in "
+        f"[{scan.scan_range.lo:.6g}, {scan.scan_range.hi:.6g}]\n",
+        tables=[table],
+        data=scan,
+    )
 
 
 def _lyapunov_header(n: int) -> list[str]:
@@ -196,43 +192,52 @@ def _lyapunov_header(n: int) -> list[str]:
     )
 
 
-def cmd_lyapunov(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    rows, _ = _lyapunov_rows(cfg, seed)
-    write_csv(os.path.join(out_dir, "lyapunov.csv"), _lyapunov_header(cfg.model.n), rows)
-    print(f"estimated spectra at {len(rows)} energies")
-    return EXIT_OK
+def cmd_lyapunov(cfg: RunConfig, seed: int) -> CommandResult:
+    est = EstimatorConfig(
+        n_steps=cfg.lyapunov.n_steps,
+        n_replicas=cfg.lyapunov.n_replicas,
+        burn_in=cfg.lyapunov.burn_in,
+        master_seed=derive_seed(seed, CMD_LYAPUNOV),
+    )
+    scan = separability_scan(cfg.model, cfg.lyapunov.grid.resolve(cfg.model), est)
+    rows = [
+        (r.spectrum.energy, *r.spectrum.gammas, *r.spectrum.stderrs,
+         est.n_steps, est.n_replicas, r.spectrum.config.master_seed)
+        for r in scan
+    ]
+    return CommandResult(
+        stdout=f"estimated spectra at {len(rows)} energies\n",
+        tables=[Table("lyapunov.csv", _lyapunov_header(cfg.model.n), rows)],
+        data=scan,
+    )
 
 
-def _ids_curve(cfg: RunConfig, seed: int, threads: int):
-    grid = cfg.ids.grid.resolve(cfg.model)
+def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
     h = cfg.ids.h if cfg.ids.h is not None else cfg.model.ell / 8.0
-    return estimate_ids(
+    curve = estimate_ids(
         cfg.model,
-        grid,
+        cfg.ids.grid.resolve(cfg.model),
         length_cells=cfg.ids.length_cells,
         h=h,
         n_samples=cfg.ids.n_samples,
         master_seed=derive_seed(seed, CMD_IDS),
         boundary=cfg.ids.boundary,
-        threads=threads,
     )
-
-
-def cmd_ids(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    curve = _ids_curve(cfg, seed, threads)
-    write_csv(
-        os.path.join(out_dir, "ids.csv"),
+    table = Table(
+        "ids.csv",
         ["E", "N_hat", "stderr", "L", "h", "n_samples", "boundary"],
         [
             (e, v, s, curve.length_cells, curve.h, curve.n_samples, curve.boundary)
             for e, v, s in zip(curve.energies, curve.values, curve.stderrs)
         ],
     )
-    print(f"IDS sampled at {len(curve.energies)} energies, {curve.n_samples} disorder paths")
-    return EXIT_OK
+    return CommandResult(
+        stdout=f"IDS sampled at {len(curve.energies)} energies, {curve.n_samples} disorder paths\n",
+        tables=[table],
+    )
 
 
-def _decay_reports(cfg: RunConfig, seed: int):
+def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
     loc = cfg.localize
     window = loc.resolve_window(cfg.model)
     h = loc.h if loc.h is not None else cfg.model.ell / 8.0
@@ -248,25 +253,21 @@ def _decay_reports(cfg: RunConfig, seed: int):
         rng = stream(derive_seed(seed, CMD_LOCALIZE, 1 + path_idx))
         restriction = sample_restriction(cfg.model, loc.length_cells, h, loc.boundary, rng)
         reports.extend(eigen_decay(cfg.model, restriction, window, gamma_ref=gamma_ref))
-    return reports, window, h, gamma_ref
-
-
-def cmd_localize(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
-    reports, window, h, gamma_ref = _decay_reports(cfg, seed)
-    write_csv(
-        os.path.join(out_dir, "decay.csv"),
+    table = Table(
+        "decay.csv",
         ["eigenvalue", "center", "fitted_rate", "residual", "L", "h"],
         [
             (r.eigenvalue, r.localization_center, r.fitted_rate, r.fit_residual,
-             cfg.localize.length_cells, h)
+             loc.length_cells, h)
             for r in reports
         ],
     )
-    print(
-        f"{len(reports)} states in [{window.lo:.6g}, {window.hi:.6g}]; "
-        f"reference exponent {gamma_ref:.6g}"
+    return CommandResult(
+        stdout=f"{len(reports)} states in [{window.lo:.6g}, {window.hi:.6g}]; "
+        f"reference exponent {gamma_ref:.6g}\n",
+        tables=[table],
+        data=(reports, window, gamma_ref),
     )
-    return EXIT_OK
 
 
 _PLOT_SCRIPT = """\
@@ -319,62 +320,31 @@ print("wrote report.png")
 """
 
 
-def cmd_report(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
+def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
     interval_text = _interval_text(cfg)
-    sys.stdout.write(interval_text)
-
-    certs = _certificates(cfg)
-    write_csv(
-        os.path.join(out_dir, "certificates.csv"),
-        ["E", "norm_ok", "closure_dim", "target_dim", "certified"],
-        [(c.energy, c.norm_condition, c.closure_dim, c.target_dim, c.certified) for c in certs],
-    )
-    critical = _critical(cfg)
-    write_csv(
-        os.path.join(out_dir, "critical.csv"),
-        ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"],
-        [(b.e_lo, b.e_hi, b.e_mid, b.dim_reached, critical.target_dim, critical.tolerance)
-         for b in critical.brackets],
-    )
-    lyap_rows, lyap_specs = _lyapunov_rows(cfg, seed)
-    write_csv(os.path.join(out_dir, "lyapunov.csv"), _lyapunov_header(cfg.model.n), lyap_rows)
-    curve = _ids_curve(cfg, seed, threads)
-    write_csv(
-        os.path.join(out_dir, "ids.csv"),
-        ["E", "N_hat", "stderr", "L", "h", "n_samples", "boundary"],
-        [
-            (e, v, s, curve.length_cells, curve.h, curve.n_samples, curve.boundary)
-            for e, v, s in zip(curve.energies, curve.values, curve.stderrs)
-        ],
-    )
-    reports, window, h, gamma_ref = _decay_reports(cfg, seed)
-    write_csv(
-        os.path.join(out_dir, "decay.csv"),
-        ["eigenvalue", "center", "fitted_rate", "residual", "L", "h"],
-        [
-            (r.eigenvalue, r.localization_center, r.fitted_rate, r.fit_residual,
-             cfg.localize.length_cells, h)
-            for r in reports
-        ],
-    )
+    commands = (cmd_certify, cmd_critical, cmd_lyapunov, cmd_ids, cmd_localize)
+    parts = [command(cfg, seed) for command in commands]
+    certify, critical, lyapunov, _, localize = parts
+    critical_scan = critical.data
+    reports, window, gamma_ref = localize.data
 
     n = cfg.model.n
     lines = ["run summary", "===========", "", interval_text.rstrip(), ""]
     lines.append("critical energies: " + (
-        "non-generic interaction (deficient everywhere)" if critical.non_generic_flag
-        else (", ".join(f"{e:.9g}" for e in critical.energies) or "none detected")
+        "non-generic interaction (deficient everywhere)" if critical_scan.non_generic_flag
+        else (", ".join(f"{e:.9g}" for e in critical_scan.energies) or "none detected")
     ))
     lines.append("")
-    lines.append(f"{'E':>14}  {'certified':>9}  {'gamma_1':>12}  {'gap_min':>12}  {'gamma_N>0':>9}")
-    cert_by_e = {c.energy: c for c in certs}
-    for spec in lyap_specs:
-        g = spec.gammas
+    lines.append(f"{'E':>14}  {'certified':>9}  {'gamma_1':>12}  {'gap_min':>12}  {'separated':>9}")
+    cert_by_e = {c.energy: c for c in certify.data}
+    for result in lyapunov.data:
+        g = result.spectrum.gammas
         gaps = [g[k] - g[k + 1] for k in range(n - 1)] or [float("nan")]
-        cert = cert_by_e.get(spec.energy)
+        cert = cert_by_e.get(result.energy)
         cert_str = ("yes" if cert.certified else "no") if cert is not None else "-"
         lines.append(
-            f"{spec.energy:>14.6g}  {cert_str:>9}  {g[0]:>12.6g}  "
-            f"{min(gaps):>12.6g}  {('yes' if g[n-1] > 0 else 'no'):>9}"
+            f"{result.energy:>14.6g}  {cert_str:>9}  {g[0]:>12.6g}  "
+            f"{min(gaps):>12.6g}  {('yes' if result.separated else 'no'):>9}"
         )
     lines.append("")
     if reports:
@@ -388,13 +358,12 @@ def cmd_report(cfg: RunConfig, out_dir: str, seed: int, threads: int) -> int:
     else:
         lines.append(f"decay: no states found in [{window.lo:.6g}, {window.hi:.6g}]")
     lines.append("")
-    _write_text(os.path.join(out_dir, "summary.txt"), "\n".join(lines))
-    _write_text(os.path.join(out_dir, "plot_results.py"), _PLOT_SCRIPT)
-
-    if critical.non_generic_flag:
-        print("non-generic interaction: closure deficient at every scanned energy", file=sys.stderr)
-        return EXIT_NON_GENERIC
-    return EXIT_OK
+    return CommandResult(
+        stdout=interval_text,
+        tables=[table for part in parts for table in part.tables],
+        texts={"summary.txt": "\n".join(lines), "plot_results.py": _PLOT_SCRIPT},
+        status=critical.status,
+    )
 
 
 _COMMANDS = {
@@ -420,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default="out", help="output directory for CSV artifacts")
         p.add_argument("--seed", type=int, default=None, help="override the configured master seed")
-        p.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
     return parser
 
 
@@ -428,8 +396,6 @@ def exit_code_for(exc: AnderlocError) -> int:
     """Map package errors onto the documented exit statuses."""
     if isinstance(exc, (ConfigError, GridError, ScanRangeError, SizeGuardError)):
         return EXIT_CONFIG
-    if isinstance(exc, NumericError):
-        return EXIT_NUMERIC
     return EXIT_NUMERIC
 
 
@@ -447,10 +413,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else cfg.seed
     try:
-        return _COMMANDS[args.command][0](cfg, args.out, seed, args.threads)
+        result = _COMMANDS[args.command][0](cfg, seed)
     except AnderlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    for table in result.tables:
+        write_csv(os.path.join(args.out, table.name), table.header, table.rows)
+    for name, text in result.texts.items():
+        _write_text(os.path.join(args.out, name), text)
+    sys.stdout.write(result.stdout)
+    if result.status == EXIT_NON_GENERIC:
+        print("non-generic interaction: closure deficient at every scanned energy", file=sys.stderr)
+    return result.status
 
 
 if __name__ == "__main__":

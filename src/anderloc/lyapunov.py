@@ -40,6 +40,10 @@ __all__ = [
 
 _UNDERFLOW = 1e-290
 _ORACLE_LOG_GUARD = 300.0
+_GROWTH_ADVICE = (
+    "the per-cell growth exceeds double precision; decrease ell, "
+    "or move E closer to [lambda_min, lambda_max]"
+)
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,7 @@ class SeparabilityResult:
 
 def _check_diag(d: np.ndarray) -> None:
     if np.min(d) <= _UNDERFLOW:
-        raise InstabilityError(
-            "R diagonal underflow during QR accumulation; "
-            "take fewer steps between renormalizations (smaller per-step growth)"
-        )
+        raise InstabilityError(f"R diagonal underflow during QR accumulation: {_GROWTH_ADVICE}")
 
 
 def _qr_step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +101,7 @@ def _qr_step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return qr_pos(z)
     except SingularMatrixError as exc:
         raise InstabilityError(
-            "propagated frame became numerically singular; "
-            "take fewer steps between renormalizations"
+            f"propagated frame became numerically singular: {_GROWTH_ADVICE}"
         ) from exc
 
 

@@ -19,8 +19,6 @@ fits for the localization diagnostic.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,34 +268,23 @@ def estimate_ids(
     n_samples: int,
     master_seed: int = 0,
     boundary: str = "dirichlet",
-    threads: int = 1,
 ) -> IDSCurve:
     """Disorder-averaged counting function over 2*ell*L at each grid energy.
 
-    Each sample draws one path from the stream (master_seed, sample
-    index), builds the restriction once and counts at every grid energy,
-    so the curve is nondecreasing sample by sample.  Samples are
-    independent tasks; ``threads`` > 1 (or 0 for auto) runs them on a
-    thread pool with results merged by index.
+    Sample s draws one path from the stream (master_seed, s), builds the
+    restriction once and counts at every grid energy, so the curve is
+    nondecreasing sample by sample and each sample is independent of the
+    others.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     grid = np.sort(np.asarray(energy_grid, dtype=float))
-    norm = 2.0 * params.ell * length_cells
-
-    def one_sample(s: int) -> np.ndarray:
+    counts = []
+    for s in range(n_samples):
         rng = stream(derive_seed(master_seed, s))
-        restriction = sample_restriction(params, length_cells, h, boundary, rng)
-        mat = discretize(params, restriction)
-        return np.array([count_below(mat, e) for e in grid], dtype=float) / norm
-
-    workers = min(max(threads if threads > 0 else _auto_workers(), 1), n_samples)
-    if workers == 1:
-        per_sample = [one_sample(s) for s in range(n_samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_sample = list(pool.map(one_sample, range(n_samples)))
-    values = np.stack(per_sample)
+        mat = discretize(params, sample_restriction(params, length_cells, h, boundary, rng))
+        counts.append([count_below(mat, e) for e in grid])
+    values = np.array(counts, dtype=float) / (2.0 * params.ell * length_cells)
     mean = values.mean(axis=0)
     stderr = (
         values.std(axis=0, ddof=1) / math.sqrt(n_samples)
@@ -313,10 +300,6 @@ def estimate_ids(
         n_samples=n_samples,
         boundary=boundary,
     )
-
-
-def _auto_workers() -> int:
-    return os.cpu_count() or 1
 
 
 def ids_modulus(curve: IDSCurve, interval: EnergyInterval) -> list[tuple[float, float]]:

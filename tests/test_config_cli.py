@@ -1,13 +1,15 @@
 """Configuration parsing and command-line driver behavior."""
 
+import argparse
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from anderloc.cli import exit_code_for, main, write_csv
+from anderloc.cli import build_parser, exit_code_for, main, write_csv
 from anderloc.config import parse_config
 from anderloc.errors import (
     ConfigError,
@@ -212,14 +214,42 @@ class TestCommandLine:
         path = write_config(tmp_path, **SMALL_BLOCKS)
         solo = str(tmp_path / "solo")
         combo = str(tmp_path / "combo")
-        assert main(["lyapunov", "--config", path, "--out", solo]) == 0
-        assert main(["ids", "--config", path, "--out", solo]) == 0
-        assert main(["localize", "--config", path, "--out", solo]) == 0
+        for command in ("certify", "critical", "lyapunov", "ids", "localize"):
+            assert main([command, "--config", path, "--out", solo]) == 0
         assert main(["report", "--config", path, "--out", combo]) == 0
-        for name in ("lyapunov.csv", "ids.csv", "decay.csv"):
-            assert open(os.path.join(solo, name)).read() == open(os.path.join(combo, name)).read()
-        assert os.path.exists(os.path.join(combo, "summary.txt"))
-        assert os.path.exists(os.path.join(combo, "plot_results.py"))
-        assert os.path.exists(os.path.join(combo, "certificates.csv"))
-        assert os.path.exists(os.path.join(combo, "critical.csv"))
-        assert os.path.exists(os.path.join(combo, "decay.csv"))
+        tables = ["certificates.csv", "critical.csv", "lyapunov.csv", "ids.csv", "decay.csv"]
+        assert sorted(os.listdir(solo)) == sorted(tables)
+        assert sorted(os.listdir(combo)) == sorted(tables + ["summary.txt", "plot_results.py"])
+        for name in tables:
+            with open(os.path.join(solo, name), "rb") as a:
+                with open(os.path.join(combo, name), "rb") as b:
+                    assert a.read() == b.read(), name
+
+    def test_summary_prints_the_separation_verdict(self, tmp_path, capsys):
+        # gamma_1 > 0 here, but 200 steps cannot clear the 3 sigma bar at E = 2
+        blocks = dict(SMALL_BLOCKS, lyapunov={"energies": [2.0], "n_steps": 200, "n_replicas": 4})
+        path = write_config(tmp_path, **blocks)
+        out = str(tmp_path / "out")
+        assert main(["report", "--config", path, "--out", out]) == 0
+        lines = open(os.path.join(out, "summary.txt")).read().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.split()[:1] == ["E"])
+        assert lines[header].split()[-1] == "separated"
+        row = lines[header + 1].split()
+        assert float(row[0]) == 2.0 and float(row[2]) > 0.0
+        assert row[-1] == "no"
+
+
+def test_readme_flags_match_the_parser():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    paragraph = readme[readme.index("Flags:"):].split("\n\n", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    actions = build_parser()._actions
+    subparsers = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert documented == options - {"--help", "--version"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anderloc.errors import InstabilityError, OracleRangeError
+from anderloc.furstenberg import tridiagonal_witness
 from anderloc.lyapunov import (
     EstimatorConfig,
     exterior_log_norm,
@@ -154,6 +155,12 @@ class TestQrVersusOracle:
         tiny = np.diag([1e-295, 1e295])
         with pytest.raises(InstabilityError):
             qr_log_diag_sums([tiny])
+
+    def test_instability_advice_names_ell(self):
+        # far below the spectrum the per-cell growth exp(ell * 1000) swamps the frame
+        params = make_params(n=2, v=tridiagonal_witness(2), c=np.ones(2))
+        with pytest.raises(InstabilityError, match="decrease ell"):
+            lyapunov_spectrum(params, -1e6, EstimatorConfig(n_steps=10, n_replicas=2))
 
 
 class TestSeparabilityScan:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anderloc.errors import GridError, InstabilityError, ScanRangeError
-from anderloc.model import DisorderSpec, EnergyInterval, ModelParams
+from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, sample_path
 from anderloc.spectrum import (
     BandedSymmetric,
     FiniteRestriction,
@@ -20,7 +20,7 @@ from anderloc.spectrum import (
     sample_restriction,
     shooting_singularity,
 )
-from anderloc.seeding import stream
+from anderloc.seeding import derive_seed, stream
 
 
 def make_params(n=1, v=None, c=None, ell=1.0, disorder=None):
@@ -218,12 +218,18 @@ class TestEstimateIds:
         assert np.all(np.diff(a.values) >= 0)
         assert a.stderrs.shape == a.values.shape
 
-    def test_threads_do_not_change_results(self):
+    def test_each_sample_draws_from_its_own_stream(self):
+        # sample s is the path drawn from stream(derive_seed(master_seed, s))
         params = make_params(disorder=DisorderSpec.bernoulli())
         grid = np.linspace(0.5, 6.0, 5)
-        seq = estimate_ids(params, grid, 8, 0.25, n_samples=4, master_seed=3, threads=1)
-        par = estimate_ids(params, grid, 8, 0.25, n_samples=4, master_seed=3, threads=4)
-        assert np.array_equal(seq.values, par.values)
+        curve = estimate_ids(params, grid, 8, 0.25, n_samples=4, master_seed=3)
+        counts = []
+        for s in range(4):
+            path = sample_path(params, 16, stream(derive_seed(3, s)))
+            mat = discretize(params, FiniteRestriction(8, "dirichlet", 0.25, path))
+            counts.append([count_below(mat, e) for e in grid])
+        per_sample = np.array(counts, dtype=float) / (2.0 * params.ell * 8)
+        assert np.array_equal(curve.values, per_sample.mean(axis=0))
 
     def test_boundary_conditions_agree_at_scale(self):
         # Dirichlet and Neumann counts differ by a bounded interface term
