@@ -50,6 +50,7 @@ from .model import (
     sample_path,
     spectral_bounds,
     transfer,
+    transfer_table,
 )
 from .furstenberg import (
     ClosureReport,

@@ -66,6 +66,9 @@ class DensityCertificate:
     the symplectic group, conditional on the configured ``rho`` being a
     valid radius for the identity neighborhood of the density criterion;
     ``rho`` is echoed so consumers can re-audit that premise.
+    ``smallest_retained_norm`` and ``depth_exceeded`` are the closure
+    sweep's rank-gap margin and depth-guard flag (see ``ClosureReport``),
+    which say how close the closure decision came to flipping.
     """
 
     energy: float
@@ -76,6 +79,8 @@ class DensityCertificate:
     closure_dim: int
     target_dim: int
     rho: float
+    smallest_retained_norm: float
+    depth_exceeded: bool
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,8 @@ def density_certificate(params: ModelParams, energy: float, tol: float = 1e-8) -
         closure_dim=closure.dim_reached,
         target_dim=closure.target_dim,
         rho=params.rho,
+        smallest_retained_norm=closure.smallest_retained_norm,
+        depth_exceeded=closure.depth_exceeded,
     )
 
 

@@ -7,6 +7,10 @@ matrix M of order 2N is symplectic when t(M) J M = J and a matrix X is
 Hamiltonian when J X is symmetric, i.e. X = [[A, B], [C, -t(A)]] with B
 and C symmetric.  The space of Hamiltonian matrices of order 2N has
 dimension 2N^2 + N.
+
+``exp_matrix`` is the general Pade exponential.  No production path calls
+it: transfer matrices come from the closed form in ``model.transfer_table``,
+and ``exp_matrix`` is the independent oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -61,7 +65,10 @@ def _even_order(m: np.ndarray, what: str) -> int:
 
 
 def exp_matrix(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(scale * x) via scaling-and-squaring Pade."""
+    """Matrix exponential exp(scale * x) via scaling-and-squaring Pade.
+
+    Test oracle for ``model.transfer_table``; no production path calls it.
+    """
     x = _square(x, "exponent")
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")

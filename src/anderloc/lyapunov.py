@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
-from .linalg import exp_matrix, qr_pos
-from .model import ModelParams, generator
+from .linalg import qr_pos
+from .model import _GROWTH_ADVICE, ModelParams, transfer_table
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -40,10 +40,6 @@ __all__ = [
 
 _UNDERFLOW = 1e-290
 _ORACLE_LOG_GUARD = 300.0
-_GROWTH_ADVICE = (
-    "the per-cell growth exceeds double precision; decrease ell, "
-    "or move E closer to [lambda_min, lambda_max]"
-)
 
 
 @dataclass(frozen=True)
@@ -105,14 +101,6 @@ def _qr_step(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def _transfer_table(params: ModelParams, energy: float, configs: np.ndarray) -> np.ndarray:
-    """Transfer matrices for each distinct cell configuration (rows of ``configs``)."""
-    mats = np.empty((configs.shape[0], 2 * params.n, 2 * params.n))
-    for k, omega in enumerate(configs):
-        mats[k] = exp_matrix(generator(params, omega, energy).matrix, params.ell)
-    return mats
-
-
 def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfig) -> LyapunovSpectrum:
     """Estimate all 2N exponents at one energy by the QR recursion.
 
@@ -138,7 +126,7 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
         axis=1,
     )
     uniq, inverse = np.unique(idx.reshape(-1, params.n), axis=0, return_inverse=True)
-    table = _transfer_table(params, energy, values[uniq])
+    table = transfer_table(params, values[uniq], energy)
     inverse = inverse.reshape(total, config.n_replicas)
 
     q = np.broadcast_to(np.eye(two_n), (config.n_replicas, two_n, two_n)).copy()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InstabilityError, SizeGuardError
-from .linalg import SpElement, as_symmetric, exp_matrix, is_symplectic, sym_eigenvalues
+from .linalg import SpElement, as_symmetric, is_symplectic, sym_eigenvalues
 
 __all__ = [
     "DEFAULT_RHO",
@@ -34,6 +34,7 @@ __all__ = [
     "cell_matrix",
     "generator",
     "transfer",
+    "transfer_table",
     "generator_norm",
     "spectral_bounds",
     "energy_interval",
@@ -47,6 +48,11 @@ __all__ = [
 DEFAULT_RHO = math.log(2.0)
 
 _BINARY_GUARD = 20
+
+_GROWTH_ADVICE = (
+    "the per-cell growth exceeds double precision; decrease ell, "
+    "or move E closer to [lambda_min, lambda_max]"
+)
 
 
 @dataclass(frozen=True)
@@ -199,9 +205,45 @@ def generator(params: ModelParams, omega: np.ndarray, energy: float) -> SpElemen
 
 def transfer(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:
     """Transfer matrix exp(ell * X) across one disorder cell."""
-    t = exp_matrix(generator(params, omega, energy).matrix, params.ell)
-    if not is_symplectic(t, 1e-12 * np.linalg.norm(t) ** 2):
-        raise InstabilityError("transfer matrix failed the symplecticity check")
+    return transfer_table(params, np.atleast_2d(omega), energy)[0]
+
+
+def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> np.ndarray:
+    """Transfer matrices exp(ell * X) for each cell configuration (rows of ``configs``).
+
+    Closed form: with U diag(mu) t(U) the eigendecomposition of the cell
+    matrix at energy zero and kappa = mu - E, X^2 = diag(M, M) gives
+
+        T = [[U C t(U), U S t(U)], [U kappa S t(U), U C t(U)]],
+
+    where, channel by channel with x = ell sqrt|kappa|, C is cosh x or
+    cos x and S is ell sinh(x)/x or ell sin(x)/x as kappa is positive or
+    not.  Returns shape (K, 2N, 2N) for K rows.
+
+    Raises
+    ------
+    InstabilityError
+        If a matrix overflows or fails the symplecticity check.
+    """
+    n = params.n
+    mu, u = np.linalg.eigh(np.array([cell_matrix(params, omega, 0.0) for omega in configs]))
+    kappa = mu - energy
+    x = params.ell * np.sqrt(np.abs(kappa))
+    grow = kappa > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.where(grow, np.cosh(x), np.cos(x))
+        x_safe = np.where(x == 0, 1.0, x)
+        s = params.ell * np.where(x == 0, 1.0, np.where(grow, np.sinh(x), np.sin(x)) / x_safe)
+        ut = np.swapaxes(u, 1, 2)
+        t = np.empty((len(mu), 2 * n, 2 * n))
+        t[:, :n, :n] = t[:, n:, n:] = (u * c[:, None, :]) @ ut
+        t[:, :n, n:] = (u * s[:, None, :]) @ ut
+        t[:, n:, :n] = (u * (kappa * s)[:, None, :]) @ ut
+    for tk in t:
+        if not (np.all(np.isfinite(tk)) and is_symplectic(tk, 1e-12 * np.linalg.norm(tk) ** 2)):
+            raise InstabilityError(
+                f"transfer matrix at E={energy:g} is not finite or not symplectic: {_GROWTH_ADVICE}"
+            )
     return t
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError
-from .model import EnergyInterval, ModelParams, sample_path, transfer
+from .model import EnergyInterval, ModelParams, sample_path, transfer_table
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -244,9 +244,11 @@ def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -
     """
     path = np.atleast_2d(np.asarray(omega_path, dtype=float))
     n = params.n
+    cells, index = np.unique(path, axis=0, return_inverse=True)
+    table = transfer_table(params, cells, energy)
     prod = np.eye(2 * n)
-    for omega in path:
-        prod = transfer(params, omega, energy) @ prod
+    for k in index.ravel():
+        prod = table[k] @ prod
         if np.max(np.abs(prod)) > _OVERFLOW_ENTRY:
             raise InstabilityError(
                 "transfer product overflow; use a shorter restriction or shift the energy"

@@ -134,6 +134,13 @@ class TestDensityCertificate:
         assert cert.closure_dim == 6
         assert not cert.certified
 
+    def test_closure_margin_matches_lie_closure(self):
+        for params, e in ((make_params(2, tridiagonal_witness(2)), 0.4), (make_params(2, np.zeros((2, 2))), 0.7)):
+            cert = density_certificate(params, e)
+            report = lie_closure(binary_generators(params, e))
+            assert cert.smallest_retained_norm == report.smallest_retained_norm
+            assert cert.depth_exceeded == report.depth_exceeded
+
     def test_verdict_stable_under_small_energy_shift(self):
         params = make_params(2, tridiagonal_witness(2))
         for e in (-2.0, 0.4, 3.1):

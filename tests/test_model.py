@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from anderloc.errors import DimensionError, SizeGuardError
-from anderloc.linalg import is_hamiltonian, is_symplectic
+from anderloc.errors import DimensionError, InstabilityError, SizeGuardError
+from anderloc.linalg import exp_matrix, is_hamiltonian, is_symplectic
 from anderloc.model import (
     DEFAULT_RHO,
     DisorderSpec,
@@ -21,6 +21,7 @@ from anderloc.model import (
     sample_path,
     spectral_bounds,
     transfer,
+    transfer_table,
 )
 from anderloc.seeding import stream
 
@@ -33,6 +34,16 @@ def make_params(n=1, v=None, c=None, ell=0.1, rho=DEFAULT_RHO, disorder=None):
 
 
 V0_2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+THREE_ATOMS = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.5, 0.4)))
+
+
+def assert_matches_expm(params, configs, energy):
+    table = transfer_table(params, configs, energy)
+    assert table.shape == (len(configs), 2 * params.n, 2 * params.n)
+    for t, omega in zip(table, configs):
+        want = exp_matrix(generator(params, omega, energy).matrix, params.ell)
+        assert np.linalg.norm(t - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        assert np.array_equal(transfer(params, omega, energy), t)
 
 
 class TestDisorderSpec:
@@ -134,6 +145,48 @@ class TestTransfer:
             p = make_params(n=n, v=v + v.T, c=rng.uniform(0.5, 2.0, n), ell=rng.uniform(0.05, 1.0))
             t = transfer(p, rng.integers(0, 2, n).astype(float), rng.uniform(-3, 3))
             assert is_symplectic(t, 1e-10 * np.linalg.norm(t) ** 2)
+
+
+class TestTransferTable:
+    """The closed-form kernel against the Pade exponential of the generator."""
+
+    def test_random_models_against_expm(self):
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            n = int(rng.integers(1, 5))
+            v = rng.standard_normal((n, n))
+            law = THREE_ATOMS if rng.random() < 0.5 else DisorderSpec.bernoulli()
+            p = make_params(n=n, v=v + v.T, c=rng.uniform(0.5, 2.0, n), ell=rng.uniform(0.05, 1.0),
+                            disorder=law)
+            assert_matches_expm(p, sample_path(p, 5, rng), rng.uniform(-4, 4))
+
+    def test_zero_kappa_is_a_shear(self):
+        p = make_params(ell=0.7, disorder=DisorderSpec.point(0.0))
+        assert np.array_equal(transfer(p, [0.0], 0.0), [[1.0, 0.7], [0.0, 1.0]])
+        assert_matches_expm(p, np.zeros((1, 1)), 0.0)
+
+    def test_kappa_next_to_zero(self):
+        # |kappa| ell^2 = 1e-20 on either side: x = 1e-10 in cosh/cos and sinh(x)/x
+        ell = 0.5
+        p = make_params(ell=ell, disorder=DisorderSpec.point(0.0))
+        for energy in (1e-20 / ell**2, -1e-20 / ell**2):
+            assert_matches_expm(p, np.zeros((1, 1)), energy)
+
+    def test_mixed_sign_kappa(self):
+        # kappa = (-2, 0 up to rounding, 3) in a rotated basis
+        q, _ = np.linalg.qr(np.random.default_rng(27).standard_normal((3, 3)))
+        p = make_params(n=3, v=q @ np.diag([-2.0, 0.0, 3.0]) @ q.T, ell=0.8)
+        assert_matches_expm(p, np.zeros((1, 3)), 0.0)
+        assert_matches_expm(p, binary_cells(3), 0.5)
+
+    def test_overflow_raises_instead_of_returning_inf(self):
+        p = ModelParams(n=1, v=[[0.0]], c=[1.0], ell=1.0)
+        with pytest.raises(InstabilityError):
+            transfer(p, [0.0], -1e6)
+
+    def test_wrong_cell_length_rejected(self):
+        with pytest.raises(DimensionError):
+            transfer_table(make_params(n=2, v=V0_2, c=np.ones(2)), np.zeros((3, 3)), 0.0)
 
 
 class TestGeneratorNorm:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from anderloc.errors import GridError, InstabilityError, ScanRangeError
-from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, sample_path
+from anderloc.linalg import exp_matrix
+from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path
 from anderloc.spectrum import (
     BandedSymmetric,
     FiniteRestriction,
@@ -183,6 +184,17 @@ class TestShooting:
         path = np.zeros((60, 1))
         with pytest.raises(InstabilityError):
             boundary_block(params, path, 0.0)
+
+    def test_product_matches_expm_transfers(self):
+        law = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.5, 0.4)))
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), c=np.array([1.0, 1.5]),
+                             ell=0.5, disorder=law)
+        path = sample_path(params, 20, stream(67))
+        for e in (-2.0, 0.0, 0.9, 4.0):
+            prod = np.eye(4)
+            for omega in path:
+                prod = exp_matrix(generator(params, omega, e).matrix, params.ell) @ prod
+            np.testing.assert_allclose(boundary_block(params, path, e), prod[:2, 2:], rtol=1e-10)
 
     def test_zero_count_matches_inertia_after_refinement(self):
         # disordered two-channel instance on a short box
