@@ -23,7 +23,6 @@ from .errors import (
     SizeGuardError,
 )
 from .linalg import (
-    SpElement,
     as_symmetric,
     bracket,
     exp_matrix,

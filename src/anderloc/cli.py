@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else cfg.seed

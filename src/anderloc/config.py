@@ -334,9 +334,9 @@ def parse_config(text: str) -> RunConfig:
             not isinstance(window, list)
             or len(window) != 2
             or not all(_is_number(x) for x in window)
-            or window[0] > window[1]
+            or window[0] >= window[1]
         ):
-            violations.append("localize.window must be [lo, hi] with lo <= hi")
+            violations.append("localize.window must be [lo, hi] with lo < hi")
             window = None
         else:
             window = (float(window[0]), float(window[1]))

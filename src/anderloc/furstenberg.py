@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ScanRangeError
-from .linalg import SpElement, bracket, sp_dim
+from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
 from .model import EnergyInterval, ModelParams, binary_cells, energy_interval, generator, generator_norm
 
 __all__ = [
@@ -107,11 +107,11 @@ class CriticalEnergySet:
 
 
 def lie_closure(
-    generators: list[SpElement],
+    generators: list[np.ndarray],
     tol: float = 1e-8,
     max_depth: int | None = None,
 ) -> ClosureReport:
-    """Span of all iterated brackets of the generators, by numerical rank.
+    """Span of all iterated brackets of Hamiltonian generators, by numerical rank.
 
     Breadth-first: the span is seeded with the generators, then every
     basis representative is bracketed against the newest frontier; a
@@ -122,21 +122,27 @@ def lie_closure(
     generating set since the dimension grows along productive sweeps).
 
     The reached dimension is independent of generator order and scaling;
-    the basis itself is not.
+    the basis itself is not.  Generators must be Hamiltonian matrices of
+    one even order, within 1e-10 * max(1, ||x||_F), else ``DimensionError``.
     """
-    if not generators:
+    if len(generators) == 0:
         raise ValueError("need at least one generator")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = generators[0].order
-    if any(g.order != n for g in generators):
+    for g in generators:  # is_hamiltonian itself rejects non-square and odd orders
+        if not is_hamiltonian(g, 1e-10 * max(1.0, float(np.linalg.norm(g)))):
+            raise DimensionError("generator is not Hamiltonian within tolerance")
+    two_n = np.shape(generators[0])[0]
+    if any(np.shape(g) != (two_n, two_n) for g in generators):
         raise DimensionError("generators must share one order")
-    target = sp_dim(n)
+    target = sp_dim(two_n // 2)
     if max_depth is None:
         max_depth = 2 * target
 
-    basis: list[np.ndarray] = []
-    reps: list[SpElement] = []
+    # rows [:dim] hold the orthonormal coordinates and unit-norm representatives
+    basis = np.empty((target, target))
+    reps = np.empty((target, two_n, two_n))
+    dim = 0
     smallest_retained = np.inf
 
     # Brackets of unit-norm representatives that cancel to roundoff scale are
@@ -144,54 +150,55 @@ def lie_closure(
     # perturbed at 1e-16 would contribute pure noise as a "new" basis vector.
     zero_floor = 1e-12
 
-    def try_add(elem: SpElement, floor: float = 0.0) -> bool:
-        nonlocal smallest_retained
-        vec = elem.coords
+    def try_add(elem: np.ndarray, vec: np.ndarray, floor: float = 0.0) -> bool:
+        nonlocal dim, smallest_retained
         own = float(np.linalg.norm(vec))
-        if own <= floor or not np.isfinite(own):
+        if dim == target or own <= floor or not np.isfinite(own):
             return False
-        r = vec.copy()
-        for b in basis:  # two Gram-Schmidt passes for orthogonality to ~1e-15
-            r -= (b @ r) * b
-        for b in basis:
-            r -= (b @ r) * b
+        b = basis[:dim]
+        r = vec - (b @ vec) @ b  # two Gram-Schmidt passes for orthogonality to ~1e-15
+        r -= (b @ r) @ b
         res = float(np.linalg.norm(r))
         if res <= tol * own:
             return False
-        basis.append(r / res)
-        reps.append(SpElement(elem.a / own, elem.b / own, elem.c / own))
+        basis[dim] = r / res
+        reps[dim] = elem / own
+        dim += 1
         smallest_retained = min(smallest_retained, res / own)
         return True
 
-    frontier: list[SpElement] = []
+    frontier: list[int] = []  # indices into reps
     for g in generators:
-        if try_add(g):
-            frontier.append(reps[-1])
+        if try_add(g, vectorize_sp(g)):
+            frontier.append(dim - 1)
 
     depth = 0
-    while frontier and len(basis) < target and depth < max_depth:
+    while frontier and dim < target and depth < max_depth:
         depth += 1
-        snapshot = list(reps)
-        new_frontier: list[SpElement] = []
-        for y in frontier:
-            for x in snapshot:
-                if len(basis) >= target:
-                    break
-                if try_add(bracket(x, y), floor=zero_floor):
-                    new_frontier.append(reps[-1])
-            if len(basis) >= target:
+        snapshot = reps[:dim]
+        new_frontier: list[int] = []
+        for k in frontier:
+            if dim == target:
                 break
+            candidates = bracket(snapshot, reps[k])  # [x, y] for every x in the snapshot
+            for elem, vec in zip(candidates, vectorize_sp(candidates)):
+                if try_add(elem, vec, floor=zero_floor):
+                    new_frontier.append(dim - 1)
         frontier = new_frontier
 
-    exceeded = bool(frontier) and len(basis) < target and depth >= max_depth
     return ClosureReport(
-        dim_reached=len(basis),
+        dim_reached=dim,
         target_dim=target,
-        basis=np.array(basis) if basis else np.zeros((0, target)),
+        basis=basis[:dim].copy(),
         depth_used=depth,
         smallest_retained_norm=float(smallest_retained),
-        depth_exceeded=exceeded,
+        depth_exceeded=bool(frontier) and dim < target and depth >= max_depth,
     )
+
+
+def _binary_generators(params: ModelParams, energy: float) -> list[np.ndarray]:
+    """Hamiltonian generators X_omega(E) of all 2^N binary cells."""
+    return [generator(params, omega, energy) for omega in binary_cells(params.n)]
 
 
 def density_certificate(params: ModelParams, energy: float, tol: float = 1e-8) -> DensityCertificate:
@@ -202,11 +209,9 @@ def density_certificate(params: ModelParams, energy: float, tol: float = 1e-8) -
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
     """
-    configs = binary_cells(params.n)
-    norms = tuple(generator_norm(params, omega, energy) for omega in configs)
+    norms = tuple(generator_norm(params, omega, energy) for omega in binary_cells(params.n))
     norm_ok = all(params.ell * nu <= params.rho for nu in norms)
-    gens = [generator(params, omega, energy) for omega in configs]
-    closure = lie_closure(gens, tol=tol)
+    closure = lie_closure(_binary_generators(params, energy), tol=tol)
     return DensityCertificate(
         energy=float(energy),
         norm_condition=norm_ok,
@@ -265,14 +270,12 @@ def scan_critical_energies(
     if interval.is_empty:
         raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
 
-    configs = binary_cells(params.n)
     target = sp_dim(params.n)
     dims: dict[float, int] = {}
 
     def closure_dim(e: float) -> int:
         if e not in dims:
-            gens = [generator(params, omega, e) for omega in configs]
-            dims[e] = lie_closure(gens, tol=tol).dim_reached
+            dims[e] = lie_closure(_binary_generators(params, e), tol=tol).dim_reached
         return dims[e]
 
     def deficient(e: float) -> bool:
@@ -282,21 +285,11 @@ def scan_critical_energies(
     grid = interval.lo + grid_step * np.arange(n_pts)
     grid = np.unique(np.append(grid[grid <= interval.hi], interval.hi))
     flags = np.array([deficient(e) for e in grid])
-
-    if flags.all():
-        return CriticalEnergySet(
-            energies=(),
-            scan_range=interval,
-            grid_step=grid_step,
-            tolerance=tol,
-            non_generic_flag=True,
-            brackets=(),
-            target_dim=target,
-        )
+    non_generic = bool(flags.all())  # no full point to bisect against
 
     brackets: list[CriticalBracket] = []
     i = 0
-    while i < len(grid):
+    while i < len(grid) and not non_generic:
         if not flags[i]:
             i += 1
             continue
@@ -322,7 +315,7 @@ def scan_critical_energies(
         scan_range=interval,
         grid_step=grid_step,
         tolerance=tol,
-        non_generic_flag=False,
+        non_generic_flag=non_generic,
         brackets=tuple(brackets),
         target_dim=target,
     )

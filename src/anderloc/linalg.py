@@ -15,8 +15,6 @@ and ``exp_matrix`` is the independent oracle the tests compare it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm as _expm
 
@@ -31,7 +29,6 @@ __all__ = [
     "as_symmetric",
     "sym_eigenvalues",
     "qr_pos",
-    "SpElement",
     "bracket",
     "vectorize_sp",
 ]
@@ -132,87 +129,28 @@ def qr_pos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * s[..., None, :], r * s[..., :, None]
 
 
-@dataclass(frozen=True, eq=False)
-class SpElement:
-    """Hamiltonian matrix [[a, b], [c, -t(a)]] with b, c symmetric.
-
-    The blocks are stored explicitly so that membership in the Lie algebra
-    is exact by construction; ``b`` and ``c`` are symmetrized on entry.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        a = _square(self.a, "block a")
-        n = a.shape[0]
-        b = _square(self.b, "block b")
-        c = _square(self.c, "block c")
-        if b.shape[0] != n or c.shape[0] != n:
-            raise DimensionError("blocks a, b, c must share one order")
-        b = 0.5 * (b + b.T)
-        c = 0.5 * (c + c.T)
-        for arr, name in ((a, "a"), (b, "b"), (c, "c")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        n = self.order
-        x = np.zeros((2 * n, 2 * n))
-        x[:n, :n] = self.a
-        x[:n, n:] = self.b
-        x[n:, :n] = self.c
-        x[n:, n:] = -self.a.T
-        return x
-
-    @property
-    def coords(self) -> np.ndarray:
-        return vectorize_sp(self)
-
-    @classmethod
-    def zero(cls, n: int) -> "SpElement":
-        z = np.zeros((n, n))
-        return cls(z, z, z)
-
-    @classmethod
-    def from_matrix(cls, x: np.ndarray, tol: float = 1e-10) -> "SpElement":
-        """Split a 2N x 2N Hamiltonian matrix into blocks.
-
-        The Hamiltonian residual is checked relative to max(1, ||x||_F);
-        small rounding asymmetry in the b, c blocks is absorbed by the
-        constructor's symmetrization.
-        """
-        n = _even_order(x, "Hamiltonian matrix")
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if not is_hamiltonian(x, tol * scale):
-            raise DimensionError("matrix is not Hamiltonian within tolerance")
-        return cls(x[:n, :n], x[:n, n:], x[n:, :n])
+def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Commutator [x, y] = xy - yx; broadcasts over stacks of matrices."""
+    if np.shape(x)[-1] != np.shape(y)[-1]:
+        raise DimensionError(f"order mismatch: {np.shape(x)[-1]} vs {np.shape(y)[-1]}")
+    return x @ y - y @ x
 
 
-def bracket(x: SpElement, y: SpElement) -> SpElement:
-    """Commutator [x, y] = xy - yx, re-expressed in block form."""
-    if x.order != y.order:
-        raise DimensionError(f"order mismatch: {x.order} vs {y.order}")
-    xm, ym = x.matrix, y.matrix
-    z = xm @ ym - ym @ xm
-    n = x.order
-    return SpElement(z[:n, :n], z[:n, n:], z[n:, :n])
-
-
-def vectorize_sp(x: SpElement) -> np.ndarray:
-    """Coordinates of x in the canonical basis, length 2N^2 + N.
+def vectorize_sp(x: np.ndarray) -> np.ndarray:
+    """Coordinates of a Hamiltonian matrix (or stack) in the canonical basis.
 
     The basis is: all entries of the a block (row-major), then the upper
-    triangles (i <= j) of b and of c.  The map is linear and injective on
-    the Hamiltonian matrices, and sends the canonical basis elements to
-    standard unit vectors.
+    triangles (i <= j) of b and of c, for x = [[a, b], [c, -t(a)]].  The
+    map is linear and injective on the Hamiltonian matrices, sends the
+    canonical basis elements to standard unit vectors, and returns shape
+    (..., 2N^2 + N).
     """
-    n = x.order
-    iu = np.triu_indices(n)
-    return np.concatenate([x.a.ravel(), x.b[iu], x.c[iu]])
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x.shape[-2] != x.shape[-1] or x.shape[-1] % 2:
+        raise DimensionError(f"need square matrices of even order, got shape {x.shape}")
+    two_n = x.shape[-1]
+    n = two_n // 2
+    i, j = np.triu_indices(n)
+    a = np.arange(n)[:, None] * two_n + np.arange(n)
+    idx = np.concatenate([a.ravel(), i * two_n + n + j, (n + i) * two_n + j])
+    return x.reshape(*x.shape[:-2], two_n * two_n)[..., idx]

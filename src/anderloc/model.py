@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InstabilityError, SizeGuardError
-from .linalg import SpElement, as_symmetric, is_symplectic, sym_eigenvalues
+from .linalg import as_symmetric, is_symplectic, sym_eigenvalues
 
 __all__ = [
     "DEFAULT_RHO",
@@ -197,10 +197,13 @@ def cell_matrix(params: ModelParams, omega: np.ndarray, energy: float) -> np.nda
     return params.v + np.diag(params.c * omega) - energy * np.eye(params.n)
 
 
-def generator(params: ModelParams, omega: np.ndarray, energy: float) -> SpElement:
+def generator(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:
     """Hamiltonian generator [[0, I], [M, 0]] of the cell's transfer matrix."""
     n = params.n
-    return SpElement(np.zeros((n, n)), np.eye(n), cell_matrix(params, omega, energy))
+    x = np.zeros((2 * n, 2 * n))
+    x[:n, n:] = np.eye(n)
+    x[n:, :n] = cell_matrix(params, omega, energy)
+    return x
 
 
 def transfer(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:

@@ -346,10 +346,13 @@ def eigen_decay(
     norm squared) is computed, the maximal-mass cell taken as the
     localization center, and a line fitted to log p_n against distance
     from the center over cells with p_n above 1e-24.  The amplitude rate
-    is half the mass rate.  An empty window yields an empty list.
+    is half the mass rate.  An empty window yields an empty list; a
+    zero-width window raises ``ScanRangeError``.
     """
     if window.is_empty:
         return []
+    if window.lo == window.hi:
+        raise ScanRangeError(f"decay window [{window.lo:g}, {window.hi:g}] has zero width")
     mat = discretize(params, restriction)
     w, vecs = eig_banded(mat.ab, lower=True, select="v", select_range=(window.lo, window.hi))
     n = params.n

@@ -18,7 +18,7 @@ import pytest
 from anderloc.cli import main
 from anderloc.errors import SizeGuardError
 from anderloc.furstenberg import lie_closure, tridiagonal_witness
-from anderloc.linalg import SpElement, is_symplectic, sp_dim
+from anderloc.linalg import is_symplectic, sp_dim
 from anderloc.lyapunov import (
     EstimatorConfig,
     exterior_log_norm,
@@ -97,7 +97,7 @@ def test_criterion_02_norm_formula():
         omega = rng.integers(0, 2, params.n).astype(float)
         e = float(rng.uniform(-4, 4))
         closed = generator_norm(params, omega, e)
-        oracle = float(np.linalg.svd(generator(params, omega, e).matrix, compute_uv=False)[0])
+        oracle = float(np.linalg.svd(generator(params, omega, e), compute_uv=False)[0])
         worst = max(worst, abs(closed - oracle))
     elapsed = time.perf_counter() - t0
     report(2, "generator norm formula against the SVD oracle",
@@ -141,12 +141,12 @@ def test_criterion_04_lie_closure(tmp_path, capsys):
     rng = stream(404)
 
     # (a) single generator never grows past itself
-    single_ok = all(
-        lie_closure([SpElement(rng.standard_normal((n, n)),
-                               np.eye(n),
-                               rng.standard_normal((n, n)) + np.eye(n))]).dim_reached == 1
-        for n in (1, 2, 3)
-    )
+    def single(n):
+        a = rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n)) + np.eye(n)
+        return np.block([[a, np.eye(n)], [0.5 * (c + c.T), -a.T]])
+
+    single_ok = all(lie_closure([single(n)]).dim_reached == 1 for n in (1, 2, 3))
 
     # (b) one-channel binary family reaches dimension 3 for 100 random draws
     pair_ok = True

@@ -92,6 +92,8 @@ class TestParseConfig:
             parse_config(config_with(ids={"boundary": "periodic"}))
         with pytest.raises(ConfigError):
             parse_config(config_with(localize={"window": [2.0, 1.0]}))
+        with pytest.raises(ConfigError):
+            parse_config(config_with(localize={"window": [1.0, 1.0]}))
 
 
 class TestExitCodeMapping:
@@ -135,6 +137,13 @@ class TestCommandLine:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["interval", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        rc = main(["interval", "--config", str(path)])
+        assert rc == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_config_violations_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, c=[0.0])

@@ -1,5 +1,8 @@
 """Closure rank tests, density certificates, critical-energy scan."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from anderloc.furstenberg import (
     tridiagonal_witness,
     _refine_edge,
 )
-from anderloc.linalg import SpElement, exp_matrix, sp_dim
+from anderloc.linalg import exp_matrix, sp_dim
 from anderloc.model import DisorderSpec, ModelParams, binary_cells, generator
 
 
@@ -26,11 +29,13 @@ def binary_generators(params, energy):
     return [generator(params, omega, energy) for omega in binary_cells(params.n)]
 
 
+def hamiltonian(a, b, c):
+    """[[a, b], [c, -t(a)]]; b and c must be symmetric."""
+    return np.block([[a, b], [c, -a.T]])
+
+
 def order_one_pair(a, b):
-    return [
-        SpElement(np.zeros((1, 1)), np.eye(1), np.array([[a]])),
-        SpElement(np.zeros((1, 1)), np.eye(1), np.array([[b]])),
-    ]
+    return [np.array([[0.0, 1.0], [a, 0.0]]), np.array([[0.0, 1.0], [b, 0.0]])]
 
 
 class TestLieClosure:
@@ -39,7 +44,7 @@ class TestLieClosure:
         for n in (1, 2, 3):
             a = rng.standard_normal((n, n))
             s = rng.standard_normal((n, n))
-            report = lie_closure([SpElement(a, s + s.T, np.eye(n))])
+            report = lie_closure([hamiltonian(a, s + s.T, np.eye(n))])
             assert report.dim_reached == 1
 
     def test_order_one_pair_fills_the_algebra(self):
@@ -83,8 +88,7 @@ class TestLieClosure:
         base = lie_closure(gens).dim_reached
         perm = [gens[i] for i in rng.permutation(len(gens))]
         assert lie_closure(perm).dim_reached == base
-        scaled = [SpElement(s * g.a, s * g.b, s * g.c)
-                  for g, s in zip(gens, rng.choice([-3.0, 0.25, 7.0], len(gens)))]
+        scaled = [s * g for g, s in zip(gens, rng.choice([-3.0, 0.25, 7.0], len(gens)))]
         assert lie_closure(scaled).dim_reached == base
 
     def test_invariance_under_symplectic_conjugation(self):
@@ -92,14 +96,30 @@ class TestLieClosure:
         params = make_params(2, np.zeros((2, 2)))  # deficient case, dimension 6
         gens = binary_generators(params, 0.3)
         w = rng.standard_normal((2, 2))
-        conj = exp_matrix(SpElement(rng.standard_normal((2, 2)), w + w.T, np.eye(2)).matrix, 0.3)
+        a = rng.standard_normal((2, 2))
+        conj = exp_matrix(hamiltonian(a, w + w.T, np.eye(2)), 0.3)
         conj_inv = np.linalg.inv(conj)
-        conjugated = [SpElement.from_matrix(conj @ g.matrix @ conj_inv, tol=1e-8) for g in gens]
+        conjugated = [conj @ g @ conj_inv for g in gens]
         assert lie_closure(conjugated).dim_reached == lie_closure(gens).dim_reached
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(DimensionError):
-            lie_closure([SpElement.zero(1), SpElement.zero(2)])
+            lie_closure([np.zeros((2, 2)), np.zeros((4, 4))])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (4,)])
+    def test_non_square_or_odd_order_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            lie_closure([np.zeros(shape)])
+
+    def test_non_hamiltonian_generator_rejected(self):
+        params = make_params(2, tridiagonal_witness(2))
+        gens = binary_generators(params, 0.3)
+        with pytest.raises(DimensionError):
+            lie_closure(gens + [np.eye(4)])
+        bent = gens[1].copy()
+        bent[2, 3] += 1e-6  # c block no longer symmetric
+        with pytest.raises(DimensionError):
+            lie_closure([gens[0], bent])
 
     def test_depth_guard_flags_unfinished_sweep(self):
         params = make_params(2, tridiagonal_witness(2))
@@ -110,6 +130,119 @@ class TestLieClosure:
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
             lie_closure([])
+
+
+def exact_binary_generators(v, c, energy):
+    """Binary generators [[0, I], [M, 0]] over Q, in ``binary_cells`` order."""
+    n = len(v)
+    gens = []
+    for omega in itertools.product((0, 1), repeat=n):
+        x = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            x[i][n + i] = Fraction(1)
+            for j in range(n):
+                x[n + i][j] = v[i][j] + (c[i] * omega[i] - energy if i == j else 0)
+        gens.append(x)
+    return gens
+
+
+def exact_bracket(x, y):
+    cols = list(zip(*y))
+    xy = [[sum(p * q for p, q in zip(row, col) if p and q) for col in cols] for row in x]
+    cols = list(zip(*x))
+    yx = [[sum(p * q for p, q in zip(row, col) if p and q) for col in cols] for row in y]
+    return [[p - q for p, q in zip(r, s)] for r, s in zip(xy, yx)]
+
+
+def exact_closure_dim(generators):
+    """Dimension over Q of the Lie algebra the Fraction matrices generate.
+
+    The same breadth-first sweep as ``lie_closure``, with the rank decided
+    by exact Gaussian elimination on the flattened matrices.
+    """
+    target = sp_dim(len(generators[0]) // 2)
+    rows = []  # (pivot, reduced row), each zero at every earlier pivot
+    reps = []
+
+    def add(x):
+        vec = [e for row in x for e in row]
+        for pivot, row in rows:
+            if vec[pivot]:
+                f = vec[pivot] / row[pivot]
+                vec = [p - f * q for p, q in zip(vec, row)]
+        pivot = next((k for k, e in enumerate(vec) if e), None)
+        if pivot is None:
+            return False
+        rows.append((pivot, vec))
+        reps.append(x)
+        return True
+
+    frontier = [g for g in generators if add(g)]
+    while frontier and len(reps) < target:
+        snapshot = list(reps)
+        new_frontier = []
+        for y in frontier:
+            for x in snapshot:
+                z = exact_bracket(x, y)
+                if add(z):
+                    new_frontier.append(z)
+        frontier = new_frontier
+    return len(reps)
+
+
+class TestExactClosureOracle:
+    """``lie_closure`` at tol 1e-8 against exact rank over Q.
+
+    Every input is a dyadic rational, so the float generators equal the
+    exact ones and the two closures see the same matrices.
+    """
+
+    @staticmethod
+    def numeric_dim(v, c, energy):
+        n = len(v)
+        params = ModelParams(n=n, v=np.array(v, dtype=float), c=np.array(c, dtype=float), ell=0.1)
+        return lie_closure(binary_generators(params, float(energy))).dim_reached
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_witness(self, n):
+        v = [[Fraction(int(abs(i - j) == 1)) for j in range(n)] for i in range(n)]
+        c = [Fraction(1)] * n
+        for energy in (Fraction(-3, 2), Fraction(5, 8)):
+            exact = exact_closure_dim(exact_binary_generators(v, c, energy))
+            assert exact == sp_dim(n)
+            assert self.numeric_dim(v, c, energy) == exact
+
+    def test_decoupled_interaction(self):
+        v = [[Fraction(0)] * 2 for _ in range(2)]
+        c = [Fraction(1)] * 2
+        for energy in (Fraction(-1), Fraction(3, 4)):
+            exact = exact_closure_dim(exact_binary_generators(v, c, energy))
+            assert exact == 6
+            assert self.numeric_dim(v, c, energy) == exact
+
+    def test_order_one_pairs(self):
+        rng = np.random.default_rng(36)
+        pairs = [(Fraction(1, 2), Fraction(1, 2))]
+        pairs += [(Fraction(int(a), 8), Fraction(int(b), 8)) for a, b in rng.integers(-24, 25, (20, 2))]
+        for a, b in pairs:
+            exact_gens = [[[Fraction(0), Fraction(1)], [x, Fraction(0)]] for x in (a, b)]
+            exact = exact_closure_dim(exact_gens)
+            assert exact == (1 if a == b else 3)
+            assert lie_closure(order_one_pair(float(a), float(b))).dim_reached == exact
+
+    def test_random_rational_models(self):
+        # coupled interactions fill the algebra; diagonal ones stall at 3N
+        rng = np.random.default_rng(37)
+        for n, diagonal in ((2, False), (2, False), (2, False), (3, False), (3, False), (2, True), (3, True)):
+            upper = rng.integers(-4, 5, (n, n))
+            if diagonal:
+                upper = np.diag(np.diag(upper))
+            v = [[Fraction(int(upper[min(i, j), max(i, j)]), 4) for j in range(n)] for i in range(n)]
+            c = [Fraction(int(k) * int(sign), 2) for k, sign in zip(rng.integers(1, 5, n), rng.choice([-1, 1], n))]
+            energy = Fraction(int(rng.integers(-24, 25)), 8)
+            exact = exact_closure_dim(exact_binary_generators(v, c, energy))
+            assert exact == (3 * n if diagonal else sp_dim(n))
+            assert self.numeric_dim(v, c, energy) == exact
 
 
 class TestDensityCertificate:
@@ -193,7 +326,7 @@ class TestCriticalScan:
 
         def fake_closure(generators, tol=1e-8, max_depth=None):
             # energy is recoverable from the generator's c block: c = v - E with v = 0
-            e = -float(generators[0].c[0, 0])
+            e = -float(generators[0][1, 0])
             dim = target - 1 if abs(e - e_star) <= w else target
             return ClosureReport(dim, target, np.zeros((dim, target)), 1, 1.0)
 

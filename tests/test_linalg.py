@@ -7,7 +7,6 @@ import pytest
 
 from anderloc.errors import DimensionError, SingularMatrixError
 from anderloc.linalg import (
-    SpElement,
     as_symmetric,
     bracket,
     exp_matrix,
@@ -21,11 +20,16 @@ from anderloc.linalg import (
 )
 
 
-def random_sp_element(rng, n):
+def hamiltonian(a, b, c):
+    """[[a, b], [c, -t(a)]]; b and c must be symmetric."""
+    return np.block([[a, b], [c, -a.T]])
+
+
+def random_hamiltonian(rng, n):
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
     c = rng.standard_normal((n, n))
-    return SpElement(a, b + b.T, c + c.T)
+    return hamiltonian(a, b + b.T, c + c.T)
 
 
 class TestExpMatrix:
@@ -67,9 +71,9 @@ class TestExpMatrix:
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 5))
-            x = random_sp_element(rng, n)
+            x = random_hamiltonian(rng, n)
             ell = rng.uniform(1e-3, 10.0)
-            t = exp_matrix(x.matrix, ell)
+            t = exp_matrix(x, ell)
             assert is_symplectic(t, 1e-10 * np.linalg.norm(t) ** 2)
 
     def test_small_exponents_pass_the_absolute_check(self):
@@ -78,9 +82,9 @@ class TestExpMatrix:
         rng = np.random.default_rng(4)
         for _ in range(30):
             n = int(rng.integers(1, 4))
-            x = random_sp_element(rng, n)
-            ell = rng.uniform(1e-3, 1.0) / max(np.linalg.norm(x.matrix, 2), 1.0)
-            assert is_symplectic(exp_matrix(x.matrix, ell), 1e-10)
+            x = random_hamiltonian(rng, n)
+            ell = rng.uniform(1e-3, 1.0) / max(np.linalg.norm(x, 2), 1.0)
+            assert is_symplectic(exp_matrix(x, ell), 1e-10)
 
 
 class TestSymplecticPredicate:
@@ -115,8 +119,8 @@ class TestHamiltonianPredicate:
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            z = bracket(random_sp_element(rng, n), random_sp_element(rng, n))
-            assert is_hamiltonian(z.matrix, 1e-10 * max(1.0, np.linalg.norm(z.matrix)))
+            z = bracket(random_hamiltonian(rng, n), random_hamiltonian(rng, n))
+            assert is_hamiltonian(z, 1e-10 * max(1.0, np.linalg.norm(z)))
 
     def test_odd_order_rejected(self):
         with pytest.raises(DimensionError):
@@ -126,82 +130,116 @@ class TestHamiltonianPredicate:
 class TestBracket:
     def test_self_bracket_vanishes(self):
         rng = np.random.default_rng(7)
-        x = random_sp_element(rng, 3)
-        assert np.allclose(bracket(x, x).matrix, 0.0, atol=1e-12)
+        x = random_hamiltonian(rng, 3)
+        assert np.allclose(bracket(x, x), 0.0, atol=1e-12)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(8)
-        x, y = random_sp_element(rng, 2), random_sp_element(rng, 2)
-        assert np.allclose(bracket(x, y).matrix, -bracket(y, x).matrix, atol=1e-12)
+        x, y = random_hamiltonian(rng, 2), random_hamiltonian(rng, 2)
+        assert np.allclose(bracket(x, y), -bracket(y, x), atol=1e-12)
 
     def test_hand_computed_example(self):
         # order 1: [[0,1],[a,0]] against [[0,1],[b,0]] gives diag(b-a, a-b)
         a, b = 0.7, -1.3
-        xa = SpElement(np.zeros((1, 1)), np.eye(1), np.array([[a]]))
-        xb = SpElement(np.zeros((1, 1)), np.eye(1), np.array([[b]]))
-        assert np.allclose(bracket(xa, xb).matrix, [[b - a, 0.0], [0.0, a - b]], atol=1e-15)
+        xa = np.array([[0.0, 1.0], [a, 0.0]])
+        xb = np.array([[0.0, 1.0], [b, 0.0]])
+        assert np.allclose(bracket(xa, xb), [[b - a, 0.0], [0.0, a - b]], atol=1e-15)
 
     def test_jacobi_identity(self):
         rng = np.random.default_rng(9)
-        x, y, z = (random_sp_element(rng, 2) for _ in range(3))
-        total = (
-            bracket(x, bracket(y, z)).matrix
-            + bracket(y, bracket(z, x)).matrix
-            + bracket(z, bracket(x, y)).matrix
-        )
+        x, y, z = (random_hamiltonian(rng, 2) for _ in range(3))
+        total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
         assert np.allclose(total, 0.0, atol=1e-10)
+
+    def test_stack_brackets_each_matrix(self):
+        rng = np.random.default_rng(16)
+        xs = np.array([random_hamiltonian(rng, 3) for _ in range(5)])
+        y = random_hamiltonian(rng, 3)
+        batch = bracket(xs, y)
+        assert batch.shape == xs.shape
+        for x, z in zip(xs, batch):
+            assert np.array_equal(z, bracket(x, y))
 
     def test_order_mismatch(self):
         with pytest.raises(DimensionError):
-            bracket(SpElement.zero(1), SpElement.zero(2))
+            bracket(np.zeros((2, 2)), np.zeros((4, 4)))
 
 
 class TestVectorize:
     def test_zero_element(self):
-        v = vectorize_sp(SpElement.zero(3))
+        v = vectorize_sp(np.zeros((6, 6)))
         assert v.shape == (sp_dim(3),)
         assert np.all(v == 0.0)
 
     def test_dimension_count(self):
         assert sp_dim(2) == 10
-        assert vectorize_sp(SpElement.zero(2)).shape == (10,)
+        assert vectorize_sp(np.zeros((4, 4))).shape == (10,)
 
     def test_canonical_basis_is_orthonormal(self):
         # basis elements map to unit vectors; Gram rank is full
         n = 2
+        zero = np.zeros((n, n))
         vecs = []
         for i in range(n):
             for j in range(n):
                 a = np.zeros((n, n))
                 a[i, j] = 1.0
-                vecs.append(vectorize_sp(SpElement(a, np.zeros((n, n)), np.zeros((n, n)))))
+                vecs.append(vectorize_sp(hamiltonian(a, zero, zero)))
         for block in ("b", "c"):
             for i in range(n):
                 for j in range(i, n):
                     s = np.zeros((n, n))
                     s[i, j] = s[j, i] = 1.0
-                    zero = np.zeros((n, n))
-                    elem = SpElement(zero, s, zero) if block == "b" else SpElement(zero, zero, s)
+                    elem = hamiltonian(zero, s, zero) if block == "b" else hamiltonian(zero, zero, s)
                     vecs.append(vectorize_sp(elem))
         gram = np.array(vecs)
         assert gram.shape == (sp_dim(n), sp_dim(n))
         assert np.linalg.matrix_rank(gram) == sp_dim(n)
         assert all(np.count_nonzero(v) == 1 for v in gram)
 
+    def test_coordinate_order(self):
+        # a row-major, then the upper triangles of b and of c
+        rng = np.random.default_rng(17)
+        n = 3
+        x = random_hamiltonian(rng, n)
+        iu = np.triu_indices(n)
+        want = np.concatenate([x[:n, :n].ravel(), x[:n, n:][iu], x[n:, :n][iu]])
+        assert np.array_equal(vectorize_sp(x), want)
+
     def test_linearity(self):
         rng = np.random.default_rng(10)
-        x, y = random_sp_element(rng, 3), random_sp_element(rng, 3)
+        x, y = random_hamiltonian(rng, 3), random_hamiltonian(rng, 3)
         a, b = rng.standard_normal(2)
-        combo = SpElement(a * x.a + b * y.a, a * x.b + b * y.b, a * x.c + b * y.c)
         assert np.allclose(
-            vectorize_sp(combo), a * vectorize_sp(x) + b * vectorize_sp(y), atol=1e-12
+            vectorize_sp(a * x + b * y), a * vectorize_sp(x) + b * vectorize_sp(y), atol=1e-12
         )
 
     def test_roundtrip_through_matrix(self):
+        # coordinates determine the Hamiltonian matrix: rebuild it from them
         rng = np.random.default_rng(12)
-        x = random_sp_element(rng, 3)
-        y = SpElement.from_matrix(x.matrix)
-        assert np.allclose(vectorize_sp(x), vectorize_sp(y), atol=1e-14)
+        n = 3
+        x = random_hamiltonian(rng, n)
+        v = vectorize_sp(x)
+        iu = np.triu_indices(n)
+        a = v[: n * n].reshape(n, n)
+        b = np.zeros((n, n))
+        c = np.zeros((n, n))
+        b[iu] = v[n * n : n * n + len(iu[0])]
+        c[iu] = v[n * n + len(iu[0]) :]
+        assert np.array_equal(hamiltonian(a, b + np.triu(b, 1).T, c + np.triu(c, 1).T), x)
+
+    def test_stack_gives_rowwise_coordinates(self):
+        rng = np.random.default_rng(18)
+        xs = np.array([[random_hamiltonian(rng, 2) for _ in range(3)] for _ in range(2)])
+        vs = vectorize_sp(xs)
+        assert vs.shape == (2, 3, sp_dim(2))
+        for x_row, v_row in zip(xs, vs):
+            for x, v in zip(x_row, v_row):
+                assert np.array_equal(v, vectorize_sp(x))
+
+    def test_odd_order_rejected(self):
+        with pytest.raises(DimensionError):
+            vectorize_sp(np.zeros((3, 3)))
 
 
 class TestSymEigenvalues:

@@ -41,7 +41,7 @@ def assert_matches_expm(params, configs, energy):
     table = transfer_table(params, configs, energy)
     assert table.shape == (len(configs), 2 * params.n, 2 * params.n)
     for t, omega in zip(table, configs):
-        want = exp_matrix(generator(params, omega, energy).matrix, params.ell)
+        want = exp_matrix(generator(params, omega, energy), params.ell)
         assert np.linalg.norm(t - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
         assert np.array_equal(transfer(params, omega, energy), t)
 
@@ -103,14 +103,16 @@ class TestGenerator:
     def test_order_one_block_layout(self):
         p = make_params()
         x = generator(p, [0.0], 0.0)
-        assert np.allclose(x.matrix, [[0.0, 1.0], [0.0, 0.0]], atol=0)
+        assert np.allclose(x, [[0.0, 1.0], [0.0, 0.0]], atol=0)
 
     def test_block_structure(self):
         p = make_params(n=2, v=V0_2, c=np.ones(2))
         x = generator(p, [1.0, 1.0], 0.3)
-        assert np.all(x.a == 0.0)
-        assert np.array_equal(x.b, np.eye(2))
-        assert is_hamiltonian(x.matrix, 0.0)
+        assert x.shape == (4, 4)
+        assert np.all(x[:2, :2] == 0.0) and np.all(x[2:, 2:] == 0.0)
+        assert np.array_equal(x[:2, 2:], np.eye(2))
+        assert np.array_equal(x[2:, :2], cell_matrix(p, [1.0, 1.0], 0.3))
+        assert is_hamiltonian(x, 0.0)
 
 
 class TestTransfer:
@@ -118,7 +120,7 @@ class TestTransfer:
         p = make_params(ell=1e-4)
         x = generator(p, [1.0], 0.0)
         t = transfer(p, [1.0], 0.0)
-        assert np.linalg.norm(t - np.eye(2)) <= 2 * p.ell * np.linalg.norm(x.matrix, 2)
+        assert np.linalg.norm(t - np.eye(2)) <= 2 * p.ell * np.linalg.norm(x, 2)
 
     def test_hyperbolic_closed_form(self):
         # one channel, cell matrix m > 0: blocks cosh, sinh/sqrt(m), sqrt(m)*sinh
@@ -207,7 +209,7 @@ class TestGeneratorNorm:
             p = make_params(n=n, v=v + v.T, c=rng.uniform(0.5, 2.0, n))
             omega = rng.integers(0, 2, n).astype(float)
             e = rng.uniform(-4, 4)
-            x = generator(p, omega, e).matrix
+            x = generator(p, omega, e)
             oracle = np.linalg.svd(x, compute_uv=False)[0]
             assert abs(generator_norm(p, omega, e) - oracle) <= 1e-10 * max(1.0, oracle)
 

@@ -193,7 +193,7 @@ class TestShooting:
         for e in (-2.0, 0.0, 0.9, 4.0):
             prod = np.eye(4)
             for omega in path:
-                prod = exp_matrix(generator(params, omega, e).matrix, params.ell) @ prod
+                prod = exp_matrix(generator(params, omega, e), params.ell) @ prod
             np.testing.assert_allclose(boundary_block(params, path, e), prod[:2, 2:], rtol=1e-10)
 
     def test_zero_count_matches_inertia_after_refinement(self):
@@ -303,6 +303,11 @@ class TestEigenDecay:
         params = make_params(ell=1.0)
         assert eigen_decay(params, free_restriction(5, 0.25), EnergyInterval(-5.0, -4.0)) == []
         assert eigen_decay(params, free_restriction(5, 0.25), EnergyInterval.empty()) == []
+
+    def test_zero_width_window_rejected(self):
+        params = make_params(ell=1.0)
+        with pytest.raises(ScanRangeError):
+            eigen_decay(params, free_restriction(5, 0.25), EnergyInterval(0.5, 0.5))
 
     def test_disordered_states_decay(self):
         params = make_params(ell=0.1, c=np.array([2.0]), disorder=DisorderSpec.bernoulli())
