@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from anderloc.errors import InstabilityError, OracleRangeError
+import anderloc.lyapunov
+from anderloc.errors import InstabilityError, OracleRangeError, SingularMatrixError
 from anderloc.furstenberg import tridiagonal_witness
+from anderloc.linalg import qr_pos
 from anderloc.lyapunov import (
     EstimatorConfig,
+    _distinct_cells,
     exterior_log_norm,
     lyapunov_spectrum,
     qr_log_diag_sums,
     separability_scan,
 )
-from anderloc.model import DisorderSpec, ModelParams, sample_cell, transfer
-from anderloc.seeding import stream
+from anderloc.model import DisorderSpec, ModelParams, sample_cell, transfer, transfer_table
+from anderloc.seeding import derive_seed, stream
 
 
 def make_params(n=1, v=None, c=None, ell=0.1, disorder=None):
@@ -28,6 +31,13 @@ def make_params(n=1, v=None, c=None, ell=0.1, disorder=None):
 def sampled_transfers(params, energy, count, seed):
     rng = stream(seed)
     return [transfer(params, sample_cell(params, rng), energy) for _ in range(count)]
+
+
+def replica_draws(params, cfg, replica):
+    """Atom indices of one replica, drawn exactly as ``lyapunov_spectrum`` draws them."""
+    total = cfg.burn_in + cfg.n_steps
+    rng = stream(derive_seed(cfg.master_seed, replica))
+    return rng.choice(len(params.disorder.atoms), size=(total, params.n), p=params.disorder.probabilities)
 
 
 class TestClosedForms:
@@ -156,11 +166,81 @@ class TestQrVersusOracle:
         with pytest.raises(InstabilityError):
             qr_log_diag_sums([tiny])
 
+    def test_singular_frame_names_energy_and_block(self, monkeypatch):
+        def singular(z):
+            raise SingularMatrixError("matrix is numerically singular in qr_pos")
+
+        monkeypatch.setattr(anderloc.lyapunov, "qr_pos", singular)
+        with pytest.raises(InstabilityError, match=r"at E=0\.3 \(blocks of \d+ cells\).*decrease ell"):
+            lyapunov_spectrum(make_params(), 0.3, EstimatorConfig(n_steps=10, n_replicas=2))
+
     def test_instability_advice_names_ell(self):
         # far below the spectrum the per-cell growth exp(ell * 1000) swamps the frame
         params = make_params(n=2, v=tridiagonal_witness(2), c=np.ones(2))
         with pytest.raises(InstabilityError, match="decrease ell"):
             lyapunov_spectrum(params, -1e6, EstimatorConfig(n_steps=10, n_replicas=2))
+
+
+class TestBlockedRecursion:
+    """The blocked driver against the per-cell recursion on the same draws."""
+
+    WITNESS = dict(n=2, v=tridiagonal_witness(2), c=np.ones(2))
+
+    @pytest.mark.parametrize(
+        "ell, energy, burn_in, n_steps, blocks",
+        [
+            (0.1, -1.0, 100, 2000, None),
+            # k = 17 here, so one block ends exactly at the burn-in and one holds all 13 steps
+            (0.1, -4.5, 7, 13, 2),
+            (0.1, 0.3, 0, 500, None),
+            # 2 ell sqrt(kappa) > 13: one cell per block
+            (1.0, -30.0, 5, 200, 205),
+        ],
+    )
+    def test_matches_per_cell_recursion(self, monkeypatch, ell, energy, burn_in, n_steps, blocks):
+        params = make_params(ell=ell, **self.WITNESS)
+        cfg = EstimatorConfig(n_steps=n_steps, n_replicas=1, burn_in=burn_in, master_seed=31)
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return qr_pos(z)
+
+        monkeypatch.setattr(anderloc.lyapunov, "qr_pos", counted)
+        spec = lyapunov_spectrum(params, energy, cfg)
+        if blocks is None:
+            assert len(calls) < (burn_in + n_steps) / 10
+        else:
+            assert len(calls) == blocks
+
+        values = params.disorder.values
+        mats = [transfer(params, values[row], energy) for row in replica_draws(params, cfg, 0)]
+        acc = qr_log_diag_sums(mats)
+        if burn_in:
+            acc = acc - qr_log_diag_sums(mats[:burn_in])
+        oracle = np.sort(acc / (n_steps * ell))[::-1]
+        assert np.all(np.abs(spec.gammas - oracle) <= 1e-10 * np.maximum(1.0, np.abs(oracle)))
+
+    def test_distinct_cells_beyond_int64_codes(self, monkeypatch):
+        # 3**41 > 2**63: a positional code over all channels would overflow
+        params = make_params(n=41, disorder=DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4))))
+        cfg = EstimatorConfig(n_steps=3, n_replicas=3, burn_in=2, master_seed=8)
+        idx = np.stack([replica_draws(params, cfg, r) for r in range(cfg.n_replicas)], axis=1)
+        flat = idx.reshape(-1, params.n)
+        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+        got_uniq, got_inverse = _distinct_cells(flat)
+        assert np.array_equal(got_uniq, uniq)
+        assert np.array_equal(got_inverse.ravel(), inverse.ravel())
+
+        seen = []
+
+        def recorded(p, configs, energy):
+            seen.append(configs)
+            return transfer_table(p, configs, energy)
+
+        monkeypatch.setattr(anderloc.lyapunov, "transfer_table", recorded)
+        lyapunov_spectrum(params, 0.5, cfg)
+        assert len(seen) == 1 and np.array_equal(seen[0], params.disorder.values[uniq])
 
 
 class TestSeparabilityScan:
@@ -175,6 +255,21 @@ class TestSeparabilityScan:
         params = make_params()
         results = separability_scan(params, [2.0], EstimatorConfig(200, 4, master_seed=4))
         assert not results[0].separated
+
+    def test_single_replica_is_inconclusive(self):
+        # one replica has no spread to measure, so a positive estimate proves nothing
+        params = make_params()
+        results = separability_scan(params, [2.0], EstimatorConfig(200, 1, master_seed=4))
+        assert results[0].spectrum.gammas[0] > 0
+        assert not results[0].separated
+
+    def test_grid_neighbours_leave_an_energy_unchanged(self):
+        params = make_params(n=2, v=tridiagonal_witness(2), c=np.ones(2))
+        cfg = EstimatorConfig(1000, master_seed=6)
+        alone = separability_scan(params, [0.3], cfg)[0].spectrum
+        paired = separability_scan(params, [0.3, 0.5], cfg)[0].spectrum
+        assert np.array_equal(alone.gammas, paired.gammas)
+        assert np.array_equal(alone.stderrs, paired.stderrs)
 
     def test_energies_use_independent_streams(self):
         params = make_params()
