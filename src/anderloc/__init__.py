@@ -3,8 +3,9 @@
 The package turns the transfer-matrix machinery of matrix-valued random
 Schroedinger operators on the line into executable computations: density
 certificates for the group generated by the binary transfer matrices,
-critical-energy scans, Lyapunov spectrum estimation, and finite-volume
-spectral statistics (integrated density of states, eigenfunction decay).
+a genericity check of the interaction, Lyapunov spectrum estimation,
+and finite-volume spectral statistics (integrated density of states,
+eigenfunction decay).
 """
 
 __version__ = "0.1.0"
@@ -53,11 +54,11 @@ from .model import (
 )
 from .furstenberg import (
     ClosureReport,
-    CriticalBracket,
     CriticalEnergySet,
     DensityCertificate,
     density_certificate,
     lie_closure,
+    model_closure,
     scan_critical_energies,
     tridiagonal_witness,
 )
@@ -80,7 +81,6 @@ from .spectrum import (
     discretize,
     eigen_decay,
     estimate_ids,
-    ids_modulus,
     sample_restriction,
     shooting_singularity,
 )

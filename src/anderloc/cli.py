@@ -4,7 +4,7 @@ Subcommands
 -----------
 interval   print the spectral bounds and the certified energy window
 certify    density certificates over an energy grid          -> certificates.csv
-critical   critical-energy scan of the certified window      -> critical.csv
+critical   genericity check: one energy-free closure         -> critical.csv
 lyapunov   Lyapunov spectra over an energy grid              -> lyapunov.csv
 ids        integrated density of states curve                -> ids.csv
 localize   eigenfunction decay diagnostic                    -> decay.csv
@@ -46,7 +46,7 @@ from .errors import (
     ScanRangeError,
     SizeGuardError,
 )
-from .furstenberg import density_certificate, scan_critical_energies
+from .furstenberg import density_certificate, model_closure, scan_critical_energies
 from .lyapunov import EstimatorConfig, lyapunov_spectrum, separability_scan
 from .model import energy_interval, spectral_bounds
 from .seeding import derive_seed, stream
@@ -142,7 +142,8 @@ def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
 
 def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     grid = cfg.certify.grid.resolve(cfg.model)
-    certs = [density_certificate(cfg.model, e, tol=cfg.certify.tol) for e in grid]
+    closure = model_closure(cfg.model, tol=cfg.certify.tol)
+    certs = [density_certificate(cfg.model, e, closure) for e in grid]
     n_cert = sum(c.certified for c in certs)
     table = Table(
         "certificates.csv",
@@ -157,21 +158,9 @@ def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
 
 
 def cmd_critical(cfg: RunConfig, seed: int) -> CommandResult:
-    window = energy_interval(cfg.model)
-    step = cfg.critical.grid_step
-    if step is None:
-        if window.is_empty:
-            raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
-        step = window.length / 64.0
-    scan = scan_critical_energies(
-        cfg.model, grid_step=step, tol=cfg.critical.tol, refine_iters=cfg.critical.refine_iters
-    )
-    table = Table(
-        "critical.csv",
-        ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"],
-        [(b.e_lo, b.e_hi, b.e_mid, b.dim_reached, scan.target_dim, scan.tolerance)
-         for b in scan.brackets],
-    )
+    scan = scan_critical_energies(cfg.model, tol=cfg.critical.tol)
+    # the closure is deficient everywhere or nowhere, so there is no bracket to list
+    table = Table("critical.csv", ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"], [])
     if scan.non_generic_flag:
         return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=scan)
     return CommandResult(
@@ -332,7 +321,7 @@ def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
     lines = ["run summary", "===========", "", interval_text.rstrip(), ""]
     lines.append("critical energies: " + (
         "non-generic interaction (deficient everywhere)" if critical_scan.non_generic_flag
-        else (", ".join(f"{e:.9g}" for e in critical_scan.energies) or "none detected")
+        else "none detected"
     ))
     lines.append("")
     lines.append(f"{'E':>14}  {'certified':>9}  {'gamma_1':>12}  {'gap_min':>12}  {'separated':>9}")
@@ -369,7 +358,7 @@ def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
 _COMMANDS = {
     "interval": (cmd_interval, "print the spectral constants and the certified energy window"),
     "certify": (cmd_certify, "density certificates over an energy grid -> certificates.csv"),
-    "critical": (cmd_critical, "critical-energy scan of the certified window -> critical.csv"),
+    "critical": (cmd_critical, "genericity check: one energy-free closure -> critical.csv"),
     "lyapunov": (cmd_lyapunov, "Lyapunov spectra over an energy grid -> lyapunov.csv"),
     "ids": (cmd_ids, "integrated density of states curve -> ids.csv"),
     "localize": (cmd_localize, "eigenfunction decay diagnostic -> decay.csv"),
@@ -423,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         _write_text(os.path.join(args.out, name), text)
     sys.stdout.write(result.stdout)
     if result.status == EXIT_NON_GENERIC:
-        print("non-generic interaction: closure deficient at every scanned energy", file=sys.stderr)
+        print("non-generic interaction: closure deficient at every energy", file=sys.stderr)
     return result.status
 
 

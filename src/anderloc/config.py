@@ -17,7 +17,10 @@ Each subcommand reads an optional block of the same name ("certify",
 "critical", "lyapunov", "ids", "localize").  Energy grids are given
 either as an explicit list ``"energies": [...]`` or as
 ``"grid": {"lo":, "hi":, "count":}``; when absent they default to 21
-evenly spaced points across the certified energy window.
+evenly spaced points across the certified energy window.  Unknown keys
+are ignored, among them ``critical.grid_step`` and
+``critical.refine_iters``: they are accepted but have no effect, since
+the genericity check that ``critical`` runs needs no energy grid.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -80,9 +83,7 @@ class CertifySettings:
 
 @dataclass(frozen=True)
 class CriticalSettings:
-    grid_step: float | None = None  # default: window length / 64
     tol: float = 1e-8
-    refine_iters: int = 40
 
 
 @dataclass(frozen=True)
@@ -303,9 +304,7 @@ def parse_config(text: str) -> RunConfig:
         tol=_positive_float(cert_block, "tol", 1e-8, "certify", violations) or 1e-8,
     )
     critical = CriticalSettings(
-        grid_step=_positive_float(crit_block, "grid_step", None, "critical", violations),
         tol=_positive_float(crit_block, "tol", 1e-8, "critical", violations) or 1e-8,
-        refine_iters=_positive_int(crit_block, "refine_iters", 40, "critical", violations, minimum=0),
     )
     lyap = LyapunovSettings(
         grid=_parse_grid(lyap_block, "lyapunov", violations),

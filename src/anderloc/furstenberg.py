@@ -5,13 +5,18 @@ E is dense in the full symplectic group when (i) every generator stays
 inside a certified identity neighborhood, ell * ||X|| <= rho, and (ii)
 the Hamiltonian logarithms {X_omega(E)} generate the whole Lie algebra,
 i.e. the span of their iterated brackets reaches dimension 2N^2 + N.
-Condition (ii) fails only on an algebraic set of energies: for fixed
-(V, c) the deficiency locus is the zero set of a polynomial in E, hence
-either everything (a non-generic interaction) or a finite set of
-critical energies.  This module implements the rank test, the resulting
-per-energy certificate, a grid scan with bisection refinement for the
-critical set, and the tridiagonal interaction that witnesses genericity
-at every energy.
+
+Condition (ii), as implemented here, does not depend on E.  Write D_i
+for the Hamiltonian matrix whose only non-zero entry is c_i at row N+i,
+column i.  Then X_omega(E) = X_0(0) + sum_i (omega_i - E/c_i) D_i, and
+the binary cells include 0 and every unit vector e_i, so the span of
+{X_omega(E)} is span{X_0(0), D_1, ..., D_N} at every E.  The generated
+algebra is one per model, and its deficiency locus is either every
+energy (a non-generic interaction) or none.  This module implements the
+rank test, that energy-free closure, the per-energy certificate (whose
+only energy dependence is the norm condition), the critical-energy scan
+that reduces to one closure, and the tridiagonal interaction that
+witnesses genericity.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from .model import EnergyInterval, ModelParams, binary_cells, energy_interval, g
 __all__ = [
     "ClosureReport",
     "DensityCertificate",
-    "CriticalBracket",
     "CriticalEnergySet",
     "lie_closure",
+    "model_closure",
     "density_certificate",
     "scan_critical_energies",
     "tridiagonal_witness",
@@ -62,9 +67,11 @@ class ClosureReport:
 class DensityCertificate:
     """Checked pair of density conditions at one energy.
 
-    A true certificate asserts density of the binary-generator group in
-    the symplectic group, conditional on the configured ``rho`` being a
-    valid radius for the identity neighborhood of the density criterion;
+    Only the norm condition depends on the energy; the closure fields are
+    copied from the model's energy-free ``ClosureReport``.  A true
+    certificate asserts density of the binary-generator group in the
+    symplectic group, conditional on the configured ``rho`` being a valid
+    radius for the identity neighborhood of the density criterion;
     ``rho`` is echoed so consumers can re-audit that premise.
     ``smallest_retained_norm`` and ``depth_exceeded`` are the closure
     sweep's rank-gap margin and depth-guard flag (see ``ClosureReport``),
@@ -83,26 +90,19 @@ class DensityCertificate:
     depth_exceeded: bool
 
 
-@dataclass(frozen=True)
-class CriticalBracket:
-    """One refined deficiency bracket [e_lo, e_hi] around a critical energy."""
-
-    e_lo: float
-    e_hi: float
-    e_mid: float
-    dim_reached: int
-
-
 @dataclass
 class CriticalEnergySet:
-    """Result of a critical-energy scan over the certified window."""
+    """Result of a critical-energy scan over the certified window.
+
+    The implemented closure condition is deficient at every energy or at
+    none, so ``energies`` is always empty: a deficient model is reported
+    through ``non_generic_flag`` instead.
+    """
 
     energies: tuple[float, ...]
     scan_range: EnergyInterval
-    grid_step: float
     tolerance: float
     non_generic_flag: bool
-    brackets: tuple[CriticalBracket, ...]
     target_dim: int
 
 
@@ -196,22 +196,32 @@ def lie_closure(
     )
 
 
-def _binary_generators(params: ModelParams, energy: float) -> list[np.ndarray]:
-    """Hamiltonian generators X_omega(E) of all 2^N binary cells."""
-    return [generator(params, omega, energy) for omega in binary_cells(params.n)]
+def model_closure(params: ModelParams, tol: float = 1e-8) -> ClosureReport:
+    """Bracket closure of the binary family, the same at every energy.
+
+    Generated by X_0(0) and D_1, ..., D_N (see the module docstring), whose
+    span is the span of the 2^N binary generators X_omega(E) at any E.
+    """
+    n = params.n
+    generators = [generator(params, np.zeros(n), 0.0)]
+    for i, c in enumerate(params.c):
+        d = np.zeros((2 * n, 2 * n))
+        d[n + i, i] = c
+        generators.append(d)
+    return lie_closure(generators, tol=tol)
 
 
-def density_certificate(params: ModelParams, energy: float, tol: float = 1e-8) -> DensityCertificate:
+def density_certificate(params: ModelParams, energy: float, closure: ClosureReport) -> DensityCertificate:
     """Check both density conditions for the binary family at one energy.
 
     ``norm_condition`` is ell * ||X_omega|| <= rho for all 2^N binary
-    cells; ``closure_full`` is the bracket closure reaching 2N^2 + N.  A
+    cells; ``closure_full`` is the bracket closure reaching 2N^2 + N, read
+    from ``closure``, the energy-free report of ``model_closure``.  A
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
     """
     norms = tuple(generator_norm(params, omega, energy) for omega in binary_cells(params.n))
     norm_ok = all(params.ell * nu <= params.rho for nu in norms)
-    closure = lie_closure(_binary_generators(params, energy), tol=tol)
     return DensityCertificate(
         energy=float(energy),
         norm_condition=norm_ok,
@@ -226,98 +236,23 @@ def density_certificate(params: ModelParams, energy: float, tol: float = 1e-8) -
     )
 
 
-def _refine_edge(
-    deficient: "callable",
-    inside: float,
-    outside: float,
-    iters: int,
-) -> float:
-    """Bisect the deficiency indicator between a deficient point and a full one.
+def scan_critical_energies(params: ModelParams, tol: float = 1e-8) -> CriticalEnergySet:
+    """Closure-deficient energies inside the certified window.
 
-    Returns the boundary estimate on the deficient side of the final
-    bracket, so that [left_edge, right_edge] always contains the
-    deficiency region.
+    The closure does not depend on E, so one ``model_closure`` decides the
+    whole window: a deficient closure sets the non-generic flag, a full one
+    leaves no critical energy.
     """
-    for _ in range(iters):
-        mid = 0.5 * (inside + outside)
-        if mid == inside or mid == outside:
-            break
-        if deficient(mid):
-            inside = mid
-        else:
-            outside = mid
-    return inside
-
-
-def scan_critical_energies(
-    params: ModelParams,
-    grid_step: float,
-    tol: float = 1e-8,
-    refine_iters: int = 40,
-) -> CriticalEnergySet:
-    """Locate closure-deficient energies inside the certified window.
-
-    The deficiency indicator is evaluated on a regular grid; each run of
-    deficient grid points is bracketed by bisecting the indicator against
-    the adjacent full points (``refine_iters`` halvings per edge) and
-    reported through its midpoint.  When every grid point is deficient
-    the interaction itself is non-generic and the scan reports the flag
-    instead of energies.
-    """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     interval = energy_interval(params)
     if interval.is_empty:
         raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
-
-    target = sp_dim(params.n)
-    dims: dict[float, int] = {}
-
-    def closure_dim(e: float) -> int:
-        if e not in dims:
-            dims[e] = lie_closure(_binary_generators(params, e), tol=tol).dim_reached
-        return dims[e]
-
-    def deficient(e: float) -> bool:
-        return closure_dim(e) < target
-
-    n_pts = max(2, int(np.floor(interval.length / grid_step)) + 1)
-    grid = interval.lo + grid_step * np.arange(n_pts)
-    grid = np.unique(np.append(grid[grid <= interval.hi], interval.hi))
-    flags = np.array([deficient(e) for e in grid])
-    non_generic = bool(flags.all())  # no full point to bisect against
-
-    brackets: list[CriticalBracket] = []
-    i = 0
-    while i < len(grid) and not non_generic:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(grid) and flags[j + 1]:
-            j += 1
-        # edges of the deficiency run, bisected against the adjacent full points
-        if i > 0:
-            lo = _refine_edge(deficient, float(grid[i]), float(grid[i - 1]), refine_iters)
-        else:
-            lo = float(grid[i])
-        if j + 1 < len(grid):
-            hi = _refine_edge(deficient, float(grid[j]), float(grid[j + 1]), refine_iters)
-        else:
-            hi = float(grid[j])
-        run_dim = min(closure_dim(float(e)) for e in grid[i : j + 1])
-        brackets.append(CriticalBracket(lo, hi, 0.5 * (lo + hi), run_dim))
-        i = j + 1
-
-    brackets.sort(key=lambda b: b.e_mid)
+    closure = model_closure(params, tol=tol)
     return CriticalEnergySet(
-        energies=tuple(b.e_mid for b in brackets),
+        energies=(),
         scan_range=interval,
-        grid_step=grid_step,
         tolerance=tol,
-        non_generic_flag=non_generic,
-        brackets=tuple(brackets),
-        target_dim=target,
+        non_generic_flag=not closure.full,
+        target_dim=closure.target_dim,
     )
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "boundary_block",
     "shooting_singularity",
     "estimate_ids",
-    "ids_modulus",
     "eigen_decay",
 ]
 
@@ -302,35 +301,6 @@ def estimate_ids(
         n_samples=n_samples,
         boundary=boundary,
     )
-
-
-def ids_modulus(curve: IDSCurve, interval: EnergyInterval) -> list[tuple[float, float]]:
-    """Empirical modulus of continuity of the curve on an interval.
-
-    For each dyadic spacing s (the interval width halved repeatedly down
-    to twice the grid resolution), reports the maximal increment of the
-    curve over sub-intervals of length s.  Purely diagnostic; no
-    continuity exponent is claimed.
-    """
-    if interval.is_empty:
-        raise ScanRangeError("modulus interval is empty")
-    e = curve.energies
-    if e[0] > interval.lo or e[-1] < interval.hi:
-        raise ScanRangeError("curve does not cover the requested interval")
-    mask = (e >= interval.lo) & (e <= interval.hi)
-    e = e[mask]
-    v = curve.values[mask]
-    if len(e) < 2:
-        raise ScanRangeError("fewer than two curve points inside the interval")
-    resolution = float(np.max(np.diff(e)))
-    width = float(e[-1] - e[0])
-    table: list[tuple[float, float]] = []
-    s = width
-    while s >= 2.0 * resolution and len(table) < 32:
-        right = np.searchsorted(e, e + s, side="right") - 1
-        table.append((s, float(np.max(v[right] - v))))
-        s *= 0.5
-    return table
 
 
 def eigen_decay(

@@ -95,6 +95,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(config_with(localize={"window": [1.0, 1.0]}))
 
+    def test_grid_scan_keys_are_accepted_without_effect(self):
+        # critical needs no energy grid, so these keys are ignored rather than rejected
+        for block in ({"grid_step": 0.05, "refine_iters": 40}, {"grid_step": -1, "refine_iters": "x"}):
+            cfg = parse_config(config_with(critical=dict(block, tol=1e-9)))
+            assert vars(cfg.critical) == {"tol": 1e-9}
+
 
 class TestExitCodeMapping:
     def test_config_like_errors_map_to_two(self):

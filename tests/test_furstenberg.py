@@ -1,4 +1,4 @@
-"""Closure rank tests, density certificates, critical-energy scan."""
+"""Closure rank tests, the energy-free model closure, certificates, critical scan."""
 
 import itertools
 from fractions import Fraction
@@ -6,18 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import anderloc.furstenberg as fb
 from anderloc.errors import DimensionError, ScanRangeError
 from anderloc.furstenberg import (
-    ClosureReport,
     density_certificate,
     lie_closure,
+    model_closure,
     scan_critical_energies,
     tridiagonal_witness,
-    _refine_edge,
 )
 from anderloc.linalg import exp_matrix, sp_dim
-from anderloc.model import DisorderSpec, ModelParams, binary_cells, generator
+from anderloc.model import ModelParams, binary_cells, energy_interval, generator
 
 
 def make_params(n, v, c=None, ell=0.1):
@@ -146,12 +144,51 @@ def exact_binary_generators(v, c, energy):
     return gens
 
 
+def exact_energy_free_generators(v, c):
+    """X_0(0) = [[0, I], [V, 0]] and each D_i (c_i at row N+i, column i), over Q."""
+    n = len(v)
+    x0 = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        x0[i][n + i] = Fraction(1)
+        x0[n + i][:n] = v[i]
+    gens = [x0]
+    for i in range(n):
+        d = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+        d[n + i][i] = c[i]
+        gens.append(d)
+    return gens
+
+
 def exact_bracket(x, y):
     cols = list(zip(*y))
     xy = [[sum(p * q for p, q in zip(row, col) if p and q) for col in cols] for row in x]
     cols = list(zip(*x))
     yx = [[sum(p * q for p, q in zip(row, col) if p and q) for col in cols] for row in y]
     return [[p - q for p, q in zip(r, s)] for r, s in zip(xy, yx)]
+
+
+def exact_extend(rows, x):
+    """Reduce the flattened Fraction matrix x against ``rows``; append it if independent.
+
+    ``rows`` holds (pivot, reduced row) pairs, each zero at every earlier
+    pivot.  Returns whether x was independent of them over Q.
+    """
+    vec = [e for row in x for e in row]
+    for pivot, row in rows:
+        if vec[pivot]:
+            f = vec[pivot] / row[pivot]
+            vec = [p - f * q for p, q in zip(vec, row)]
+    pivot = next((k for k, e in enumerate(vec) if e), None)
+    if pivot is None:
+        return False
+    rows.append((pivot, vec))
+    return True
+
+
+def exact_rank(matrices):
+    """Rank over Q of the span of the Fraction matrices."""
+    rows = []
+    return sum(exact_extend(rows, x) for x in matrices)
 
 
 def exact_closure_dim(generators):
@@ -161,19 +198,12 @@ def exact_closure_dim(generators):
     by exact Gaussian elimination on the flattened matrices.
     """
     target = sp_dim(len(generators[0]) // 2)
-    rows = []  # (pivot, reduced row), each zero at every earlier pivot
+    rows = []
     reps = []
 
     def add(x):
-        vec = [e for row in x for e in row]
-        for pivot, row in rows:
-            if vec[pivot]:
-                f = vec[pivot] / row[pivot]
-                vec = [p - f * q for p, q in zip(vec, row)]
-        pivot = next((k for k, e in enumerate(vec) if e), None)
-        if pivot is None:
+        if not exact_extend(rows, x):
             return False
-        rows.append((pivot, vec))
         reps.append(x)
         return True
 
@@ -194,31 +224,50 @@ class TestExactClosureOracle:
     """``lie_closure`` at tol 1e-8 against exact rank over Q.
 
     Every input is a dyadic rational, so the float generators equal the
-    exact ones and the two closures see the same matrices.
+    exact ones and the two closures see the same matrices.  Each model is
+    also checked against the energy-free generators {X_0(0), D_i} of
+    ``model_closure``: at every energy they span the same space over Q as
+    the binary generators, and they generate the same algebra.
     """
 
     @staticmethod
-    def numeric_dim(v, c, energy):
+    def params(v, c):
         n = len(v)
-        params = ModelParams(n=n, v=np.array(v, dtype=float), c=np.array(c, dtype=float), ell=0.1)
-        return lie_closure(binary_generators(params, float(energy))).dim_reached
+        return ModelParams(n=n, v=np.array(v, dtype=float), c=np.array(c, dtype=float), ell=0.1)
+
+    def numeric_dim(self, v, c, energy):
+        return lie_closure(binary_generators(self.params(v, c), float(energy))).dim_reached
+
+    def check_model(self, v, c, energies, closure_energies):
+        """Exact closure dimension of the model, after checking that it is energy-free.
+
+        The span identity is checked at every energy in ``energies``; the
+        exact and numeric binary closures at those in ``closure_energies``.
+        """
+        free = exact_energy_free_generators(v, c)
+        assert exact_rank(free) == len(v) + 1
+        for energy in energies:
+            binary = exact_binary_generators(v, c, energy)
+            assert exact_rank(binary) == exact_rank(binary + free) == len(v) + 1
+        exact = exact_closure_dim(free)
+        assert model_closure(self.params(v, c)).dim_reached == exact
+        for energy in closure_energies:
+            assert exact_closure_dim(exact_binary_generators(v, c, energy)) == exact
+            assert self.numeric_dim(v, c, energy) == exact
+        return exact
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_witness(self, n):
         v = [[Fraction(int(abs(i - j) == 1)) for j in range(n)] for i in range(n)]
         c = [Fraction(1)] * n
-        for energy in (Fraction(-3, 2), Fraction(5, 8)):
-            exact = exact_closure_dim(exact_binary_generators(v, c, energy))
-            assert exact == sp_dim(n)
-            assert self.numeric_dim(v, c, energy) == exact
+        energies = (Fraction(-3, 2), Fraction(5, 8))
+        assert self.check_model(v, c, energies + (Fraction(0), Fraction(1000001, 4)), energies) == sp_dim(n)
 
     def test_decoupled_interaction(self):
         v = [[Fraction(0)] * 2 for _ in range(2)]
         c = [Fraction(1)] * 2
-        for energy in (Fraction(-1), Fraction(3, 4)):
-            exact = exact_closure_dim(exact_binary_generators(v, c, energy))
-            assert exact == 6
-            assert self.numeric_dim(v, c, energy) == exact
+        energies = (Fraction(-1), Fraction(3, 4))
+        assert self.check_model(v, c, energies + (Fraction(7, 3),), energies) == 6
 
     def test_order_one_pairs(self):
         rng = np.random.default_rng(36)
@@ -240,107 +289,110 @@ class TestExactClosureOracle:
             v = [[Fraction(int(upper[min(i, j), max(i, j)]), 4) for j in range(n)] for i in range(n)]
             c = [Fraction(int(k) * int(sign), 2) for k, sign in zip(rng.integers(1, 5, n), rng.choice([-1, 1], n))]
             energy = Fraction(int(rng.integers(-24, 25)), 8)
-            exact = exact_closure_dim(exact_binary_generators(v, c, energy))
-            assert exact == (3 * n if diagonal else sp_dim(n))
-            assert self.numeric_dim(v, c, energy) == exact
+            energies = (energy, Fraction(-5, 3), Fraction(11, 7))
+            assert self.check_model(v, c, energies, (energy,)) == (3 * n if diagonal else sp_dim(n))
+
+    def test_model_closure_matches_binary_closures(self):
+        # seeded sweep over coupled, diagonal and partly decoupled interactions
+        rng = np.random.default_rng(38)
+        for n in range(1, 7):
+            for kind in ("coupled", "diagonal", "two blocks"):
+                v = rng.uniform(-1, 1, (n, n))
+                v = v + v.T
+                if kind == "diagonal":
+                    v = np.diag(np.diag(v))
+                elif kind == "two blocks":
+                    v[: n // 2, n // 2 :] = v[n // 2 :, : n // 2] = 0.0
+                c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+                params = ModelParams(n=n, v=v, c=c, ell=0.1)
+                dim = model_closure(params).dim_reached
+                for e in rng.uniform(-5.0, 5.0, 2):
+                    assert lie_closure(binary_generators(params, e)).dim_reached == dim
+
+
+def certificate(params, energy):
+    return density_certificate(params, energy, model_closure(params))
 
 
 class TestDensityCertificate:
     def test_single_channel_certified(self):
         params = make_params(1, np.zeros((1, 1)), ell=0.1)
-        cert = density_certificate(params, 0.0)
+        cert = certificate(params, 0.0)
         assert cert.per_config_norms == (1.0, 1.0)
         assert cert.norm_condition and cert.closure_full and cert.certified
         assert cert.closure_dim == 3
 
     def test_norm_failure_is_indeterminate(self):
         params = make_params(1, np.zeros((1, 1)), ell=0.1)
-        cert = density_certificate(params, 50.0)
+        cert = certificate(params, 50.0)
         assert not cert.norm_condition
         assert cert.closure_full  # the algebra is still full there
         assert not cert.certified
 
     def test_decoupled_interaction_never_certifies(self):
         params = make_params(2, np.zeros((2, 2)))
-        cert = density_certificate(params, 0.7)
+        cert = certificate(params, 0.7)
         assert not cert.closure_full
         assert cert.closure_dim == 6
         assert not cert.certified
 
     def test_closure_margin_matches_lie_closure(self):
         for params, e in ((make_params(2, tridiagonal_witness(2)), 0.4), (make_params(2, np.zeros((2, 2))), 0.7)):
-            cert = density_certificate(params, e)
-            report = lie_closure(binary_generators(params, e))
+            report = model_closure(params)
+            cert = density_certificate(params, e, report)
             assert cert.smallest_retained_norm == report.smallest_retained_norm
             assert cert.depth_exceeded == report.depth_exceeded
+            assert cert.closure_dim == lie_closure(binary_generators(params, e)).dim_reached
 
     def test_verdict_stable_under_small_energy_shift(self):
         params = make_params(2, tridiagonal_witness(2))
         for e in (-2.0, 0.4, 3.1):
-            verdicts = {density_certificate(params, e + d).certified for d in (-1e-4, 0.0, 1e-4)}
+            verdicts = {certificate(params, e + d).certified for d in (-1e-4, 0.0, 1e-4)}
             assert len(verdicts) == 1
+
+    def test_closure_does_not_collapse_at_large_energy(self):
+        # a closure of the binary generators at |E| = 1e6 loses every bracket
+        # to rounding and reports dimension 2; the algebra does not depend on E
+        params = make_params(2, tridiagonal_witness(2))
+        for e in (-1e6, 1e6):
+            cert = certificate(params, e)
+            assert cert.closure_dim == 10 and cert.closure_full
+            assert not cert.norm_condition
 
 
 class TestCriticalScan:
     def test_single_channel_has_no_critical_energies(self):
-        result = scan_critical_energies(make_params(1, np.array([[0.3]])), grid_step=0.5)
+        params = make_params(1, np.array([[0.3]]))
+        result = scan_critical_energies(params)
         assert result.energies == ()
         assert not result.non_generic_flag
+        assert result.scan_range == energy_interval(params)
+        assert result.target_dim == 3
 
     def test_tridiagonal_witness_clean(self):
-        result = scan_critical_energies(make_params(2, tridiagonal_witness(2)), grid_step=0.25)
+        result = scan_critical_energies(make_params(2, tridiagonal_witness(2)), tol=1e-9)
         assert result.energies == ()
         assert not result.non_generic_flag
+        assert result.tolerance == 1e-9
 
     def test_decoupled_interaction_sets_flag(self):
-        result = scan_critical_energies(make_params(2, np.zeros((2, 2))), grid_step=0.5)
+        result = scan_critical_energies(make_params(2, np.zeros((2, 2))))
         assert result.non_generic_flag
         assert result.energies == ()
 
     def test_empty_window_rejected(self):
         params = make_params(1, np.zeros((1, 1)), c=np.array([2.0]), ell=0.9)
         with pytest.raises(ScanRangeError):
-            scan_critical_energies(params, grid_step=0.1)
+            scan_critical_energies(params)
 
     def test_random_interactions_are_generic(self):
         rng = np.random.default_rng(35)
         for n in (2, 3):
             v = rng.uniform(-1, 1, (n, n))
             params = make_params(n, v + v.T)
-            result = scan_critical_energies(params, grid_step=0.5)
+            result = scan_critical_energies(params)
             assert not result.non_generic_flag
             assert result.energies == ()
-
-    def test_refine_edge_brackets_transition(self):
-        edge = 1.254
-        deficient = lambda e: e < edge  # noqa: E731
-        found = _refine_edge(deficient, inside=1.2, outside=1.4, iters=40)
-        assert found < edge
-        assert edge - found <= 0.2 * 2.0 ** -38
-
-    def test_isolated_deficiency_is_bracketed(self, monkeypatch):
-        # synthetic deficiency on |E - e_star| <= w exercises detection + refinement;
-        # the region is wider than the grid step so it cannot slip between points
-        e_star, w = 0.8375, 0.03
-        target = sp_dim(1)
-
-        def fake_closure(generators, tol=1e-8, max_depth=None):
-            # energy is recoverable from the generator's c block: c = v - E with v = 0
-            e = -float(generators[0][1, 0])
-            dim = target - 1 if abs(e - e_star) <= w else target
-            return ClosureReport(dim, target, np.zeros((dim, target)), 1, 1.0)
-
-        monkeypatch.setattr(fb, "lie_closure", fake_closure)
-        result = scan_critical_energies(make_params(1, np.zeros((1, 1))), grid_step=0.05,
-                                        refine_iters=45)
-        assert len(result.energies) == 1
-        bracket = result.brackets[0]
-        # edges converge to the deficiency-region boundary from the inside
-        assert bracket.e_lo <= e_star <= bracket.e_hi
-        assert abs(bracket.e_lo - (e_star - w)) <= 1e-9
-        assert abs(bracket.e_hi - (e_star + w)) <= 1e-9
-        assert abs(result.energies[0] - e_star) <= 1e-6
-        assert bracket.dim_reached == target - 1
 
 
 class TestWitness:

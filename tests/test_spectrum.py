@@ -11,13 +11,11 @@ from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator,
 from anderloc.spectrum import (
     BandedSymmetric,
     FiniteRestriction,
-    IDSCurve,
     boundary_block,
     count_below,
     discretize,
     eigen_decay,
     estimate_ids,
-    ids_modulus,
     sample_restriction,
     shooting_singularity,
 )
@@ -251,44 +249,6 @@ class TestEstimateIds:
         n = estimate_ids(params, grid, 40, 0.25, n_samples=1, master_seed=0, boundary="neumann")
         norm = 2.0 * params.ell * 40
         assert np.all(np.abs(d.values - n.values) <= 4.0 / norm)
-
-
-class TestIdsModulus:
-    def synthetic_curve(self, energies, values):
-        energies = np.asarray(energies, dtype=float)
-        values = np.asarray(values, dtype=float)
-        return IDSCurve(energies, values, np.zeros_like(values), 1, 0.1, 1, "dirichlet")
-
-    def test_constant_curve_has_zero_increments(self):
-        curve = self.synthetic_curve(np.linspace(0, 1, 65), np.full(65, 0.7))
-        table = ids_modulus(curve, EnergyInterval(0.0, 1.0))
-        assert table
-        assert all(inc == 0.0 for _, inc in table)
-
-    def test_free_curve_reproduces_the_local_slope(self):
-        energies = np.linspace(0.95, 1.05, 129)
-        curve = self.synthetic_curve(energies, np.sqrt(energies) / math.pi)
-        table = ids_modulus(curve, EnergyInterval(0.95, 1.05))
-        spacing, inc = table[-1]
-        assert abs(inc / spacing - 1.0 / (2.0 * math.pi)) <= 0.08 / (2.0 * math.pi)
-
-    def test_coverage_gap_rejected(self):
-        curve = self.synthetic_curve(np.linspace(0, 1, 11), np.linspace(0, 1, 11))
-        with pytest.raises(ScanRangeError):
-            ids_modulus(curve, EnergyInterval(0.5, 2.0))
-
-    def test_disordered_two_channel_table_is_emitted(self):
-        # diagnostic contract only: a table with halving spacings, no claims
-        v = np.array([[0.0, 1.0], [1.0, 0.0]])
-        params = ModelParams(n=2, v=v, c=np.ones(2), ell=0.5,
-                             disorder=DisorderSpec.bernoulli())
-        grid = np.linspace(0.5, 4.5, 33)
-        curve = estimate_ids(params, grid, 10, 0.125, n_samples=2, master_seed=5)
-        table = ids_modulus(curve, EnergyInterval(0.5, 4.5))
-        assert len(table) >= 3
-        spacings = [s for s, _ in table]
-        assert all(abs(a / b - 2.0) < 1e-9 for a, b in zip(spacings, spacings[1:]))
-        assert all(inc >= 0.0 for _, inc in table)
 
 
 class TestEigenDecay:
