@@ -42,6 +42,7 @@ from .model import (
     ModelParams,
     SpectralBounds,
     binary_cells,
+    binary_spectra,
     cell_matrix,
     energy_interval,
     generator,

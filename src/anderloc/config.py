@@ -29,6 +29,7 @@ the first.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -138,23 +139,28 @@ class RunConfig:
 
 
 def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that is a finite float.
+
+    ``json`` also reads NaN, Infinity and integers beyond the float range;
+    the comparison is false for all three.
+    """
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
     if "energies" in block:
         energies = block["energies"]
         if not isinstance(energies, list) or not energies or not all(_is_number(e) for e in energies):
-            violations.append(f"{where}.energies must be a non-empty list of numbers")
+            violations.append(f"{where}.energies must be a non-empty list of finite numbers")
             return GridSpec()
         return GridSpec(energies=tuple(float(e) for e in energies))
     if "grid" in block:
         g = block["grid"]
         if not isinstance(g, dict) or not all(_is_number(g.get(k)) for k in ("lo", "hi")):
-            violations.append(f"{where}.grid must carry numeric 'lo' and 'hi'")
+            violations.append(f"{where}.grid must carry finite numeric 'lo' and 'hi'")
             return GridSpec()
         count = g.get("count", DEFAULT_GRID_COUNT)
-        if not isinstance(count, int) or count < 1:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             violations.append(f"{where}.grid.count must be a positive integer")
             return GridSpec()
         if g["lo"] > g["hi"]:
@@ -177,7 +183,7 @@ def _positive_float(block: dict, key: str, default: float | None, where: str, vi
     if val is None:
         return None
     if not _is_number(val) or val <= 0:
-        violations.append(f"{where}.{key} must be a positive number")
+        violations.append(f"{where}.{key} must be a positive finite number")
         return default
     return float(val)
 
@@ -214,6 +220,8 @@ def parse_config(text: str) -> RunConfig:
         if v_arr is not None:
             if v_arr.shape != (n, n):
                 violations.append(f"V must be {n}x{n}, got shape {list(v_arr.shape)}")
+            elif not np.all(np.isfinite(v_arr)):
+                violations.append("V entries must be finite numbers")
             else:
                 scale = max(float(np.linalg.norm(v_arr)), 1e-300)
                 asym = np.abs(v_arr - v_arr.T)
@@ -235,7 +243,7 @@ def parse_config(text: str) -> RunConfig:
         or len(c_raw) != n
         or not all(_is_number(x) for x in c_raw)
     ):
-        violations.append(f"c must be a numeric array of length {n}")
+        violations.append(f"c must be a list of N = {n} finite numbers")
     else:
         c_arr = np.asarray(c_raw, dtype=float)
         zeros = np.nonzero(c_arr == 0.0)[0]
@@ -247,7 +255,7 @@ def parse_config(text: str) -> RunConfig:
             c = c_arr
 
     ell = doc.get("ell")
-    if not _is_number(ell) or ell <= 0 or not np.isfinite(ell):
+    if not _is_number(ell) or ell <= 0:
         violations.append("ell must be a positive finite number")
         ell = 1.0
 
@@ -335,7 +343,7 @@ def parse_config(text: str) -> RunConfig:
             or not all(_is_number(x) for x in window)
             or window[0] >= window[1]
         ):
-            violations.append("localize.window must be [lo, hi] with lo < hi")
+            violations.append("localize.window must be [lo, hi] with finite lo < hi")
             window = None
         else:
             window = (float(window[0]), float(window[1]))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, ScanRangeError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import EnergyInterval, ModelParams, binary_cells, energy_interval, generator, generator_norm
+from .model import EnergyInterval, ModelParams, energy_interval, generator
 
 __all__ = [
     "ClosureReport",
@@ -211,7 +211,9 @@ def model_closure(params: ModelParams, tol: float = 1e-8) -> ClosureReport:
     return lie_closure(generators, tol=tol)
 
 
-def density_certificate(params: ModelParams, energy: float, closure: ClosureReport) -> DensityCertificate:
+def density_certificate(
+    params: ModelParams, energy: float, closure: ClosureReport, spectra: np.ndarray
+) -> DensityCertificate:
     """Check both density conditions for the binary family at one energy.
 
     ``norm_condition`` is ell * ||X_omega|| <= rho for all 2^N binary
@@ -219,8 +221,12 @@ def density_certificate(params: ModelParams, energy: float, closure: ClosureRepo
     from ``closure``, the energy-free report of ``model_closure``.  A
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
+
+    The norms use the closed form of ``model.generator_norm``,
+    max(1, max_i |lambda_i - E|), on ``spectra``, the energy-free
+    ``binary_spectra(params)``, so one array serves every energy.
     """
-    norms = tuple(generator_norm(params, omega, energy) for omega in binary_cells(params.n))
+    norms = tuple(float(nu) for nu in np.maximum(1.0, np.max(np.abs(spectra - energy), axis=1)))
     norm_ok = all(params.ell * nu <= params.rho for nu in norms)
     return DensityCertificate(
         energy=float(energy),

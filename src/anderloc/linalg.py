@@ -11,12 +11,13 @@ dimension 2N^2 + N.
 ``exp_matrix`` is the general Pade exponential.  No production path calls
 it: transfer matrices come from the closed form in ``model.transfer_table``,
 and ``exp_matrix`` is the independent oracle the tests compare it against.
+It imports ``scipy.linalg`` when called, so importing this module loads
+numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -66,10 +67,12 @@ def exp_matrix(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
     Test oracle for ``model.transfer_table``; no production path calls it.
     """
+    from scipy.linalg import expm
+
     x = _square(x, "exponent")
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
-    return _expm(scale * x)
+    return expm(scale * x)
 
 
 def is_symplectic(m: np.ndarray, tol: float = 1e-10) -> bool:

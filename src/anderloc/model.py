@@ -36,6 +36,7 @@ __all__ = [
     "transfer",
     "transfer_table",
     "generator_norm",
+    "binary_spectra",
     "spectral_bounds",
     "energy_interval",
     "sample_cell",
@@ -128,7 +129,10 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        v = as_symmetric(np.asarray(self.v, dtype=float))
+        v = np.asarray(self.v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("all entries of v must be finite")
+        v = as_symmetric(v)
         if v.shape != (self.n, self.n):
             raise DimensionError(f"v must be {self.n}x{self.n}, got {v.shape}")
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -261,18 +265,25 @@ def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> flo
     return max(1.0, float(np.max(np.abs(lams - energy))))
 
 
+def binary_spectra(params: ModelParams) -> np.ndarray:
+    """Eigenvalues of every binary cell matrix at energy zero, shape (2^N, N).
+
+    Rows follow ``binary_cells`` and are ascending.  They do not depend on
+    the energy (the cell matrix at E has eigenvalues lambda_i - E), so one
+    array serves every energy of a model.
+    """
+    return np.array([sym_eigenvalues(cell_matrix(params, omega, 0.0)) for omega in binary_cells(params.n)])
+
+
 def spectral_bounds(params: ModelParams) -> SpectralBounds:
     """Eigenvalue extremes over all binary cells and the critical cell length.
 
     ``ell_c = min(1, rho / delta)`` with the convention ell_c = 1 when
     delta = 0 (all binary cells sharing one eigenvalue set).
     """
-    lo = math.inf
-    hi = -math.inf
-    for omega in binary_cells(params.n):
-        lams = sym_eigenvalues(cell_matrix(params, omega, 0.0))
-        lo = min(lo, float(lams[0]))
-        hi = max(hi, float(lams[-1]))
+    spectra = binary_spectra(params)
+    lo = float(spectra[:, 0].min())
+    hi = float(spectra[:, -1].max())
     delta = 0.5 * (hi - lo)
     ell_c = 1.0 if delta == 0.0 else min(1.0, params.rho / delta)
     return SpectralBounds(lo, hi, delta, ell_c)

@@ -13,7 +13,10 @@ law); the integrated density of states is the disorder average of that
 count over 2*ell*L.  A shooting oracle built from exact transfer-matrix
 products provides an independent count for cross-checks, and a
 cell-resolved mass profile of eigenvectors yields exponential-decay
-fits for the localization diagnostic.
+fits for the localization diagnostic.  Those eigenpairs come from
+scipy's banded solver, which ``eigen_decay`` imports when called.  It is
+the only scipy routine the commands use, so only ``localize`` (alone or
+inside ``report``) loads scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError
 from .model import EnergyInterval, ModelParams, sample_path, transfer_table
@@ -323,6 +325,8 @@ def eigen_decay(
         return []
     if window.lo == window.hi:
         raise ScanRangeError(f"decay window [{window.lo:g}, {window.hi:g}] has zero width")
+    from scipy.linalg import eig_banded
+
     mat = discretize(params, restriction)
     w, vecs = eig_banded(mat.ab, lower=True, select="v", select_range=(window.lo, window.hi))
     n = params.n

@@ -5,10 +5,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import anderloc
 from anderloc.cli import build_parser, exit_code_for, main, write_csv
 from anderloc.config import parse_config
 from anderloc.errors import (
@@ -100,6 +103,38 @@ class TestParseConfig:
         for block in ({"grid_step": 0.05, "refine_iters": 40}, {"grid_step": -1, "refine_iters": "x"}):
             cfg = parse_config(config_with(critical=dict(block, tol=1e-9)))
             assert vars(cfg.critical) == {"tol": 1e-9}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, violation",
+    [
+        ({"certify": {"energies": [NAN, 1.0]}}, "certify.energies"),
+        ({"N": 2, "V": [[0.0, NAN], [NAN, 0.0]], "c": [1.0, 1.0]}, "V entries"),
+        ({"N": 2, "V": [[INF, 0.0], [0.0, 0.0]], "c": [1.0, 1.0]}, "V entries"),
+        ({"c": [INF]}, "c must be"),
+        ({"certify": {"tol": NAN}}, "certify.tol"),
+        ({"critical": {"tol": INF}}, "critical.tol"),
+        ({"lyapunov": {"grid": {"lo": 0.0, "hi": INF}}}, "lyapunov.grid"),
+        ({"localize": {"window": [NAN, 1.0]}}, "localize.window"),
+        ({"ids": {"h": INF}}, "ids.h"),
+        ({"disorder": {"atoms": [[0.0, NAN], [1.0, 0.5]]}}, "disorder.atoms"),
+        ({"ids": {"grid": {"lo": 0.0, "hi": 1.0, "count": True}}}, "ids.grid.count"),
+    ],
+)
+def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, overrides, violation):
+    text = config_with(**overrides)  # json.dumps writes NaN and Infinity, which json.loads reads back
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any(v.startswith(violation) for v in exc.value.violations)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    for command in ("interval", "certify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert violation in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
 class TestExitCodeMapping:
@@ -239,6 +274,24 @@ class TestCommandLine:
             with open(os.path.join(solo, name), "rb") as a:
                 with open(os.path.join(combo, name), "rb") as b:
                     assert a.read() == b.read(), name
+
+    def test_only_localize_imports_scipy(self, tmp_path):
+        script = "\n".join([
+            "import json, sys",
+            "from anderloc.cli import main",
+            "cfg, out = sys.argv[1:]",
+            "for command in ('interval', 'certify', 'critical', 'lyapunov'):",
+            "    assert main([command, '--config', cfg, '--out', out]) == 0, command",
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "assert main(['localize', '--config', cfg, '--out', out]) == 0",
+            "print(json.dumps([before, 'scipy.linalg' in sys.modules]))",
+        ])
+        src = os.path.dirname(os.path.dirname(anderloc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-c", script, write_config(tmp_path, **SMALL_BLOCKS), str(tmp_path / "out")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], True]
 
     def test_summary_prints_the_separation_verdict(self, tmp_path, capsys):
         # gamma_1 > 0 here, but 200 steps cannot clear the 3 sigma bar at E = 2

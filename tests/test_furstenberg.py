@@ -15,7 +15,14 @@ from anderloc.furstenberg import (
     tridiagonal_witness,
 )
 from anderloc.linalg import exp_matrix, sp_dim
-from anderloc.model import ModelParams, binary_cells, energy_interval, generator
+from anderloc.model import (
+    ModelParams,
+    binary_cells,
+    binary_spectra,
+    energy_interval,
+    generator,
+    generator_norm,
+)
 
 
 def make_params(n, v, c=None, ell=0.1):
@@ -311,7 +318,7 @@ class TestExactClosureOracle:
 
 
 def certificate(params, energy):
-    return density_certificate(params, energy, model_closure(params))
+    return density_certificate(params, energy, model_closure(params), binary_spectra(params))
 
 
 class TestDensityCertificate:
@@ -339,7 +346,7 @@ class TestDensityCertificate:
     def test_closure_margin_matches_lie_closure(self):
         for params, e in ((make_params(2, tridiagonal_witness(2)), 0.4), (make_params(2, np.zeros((2, 2))), 0.7)):
             report = model_closure(params)
-            cert = density_certificate(params, e, report)
+            cert = density_certificate(params, e, report, binary_spectra(params))
             assert cert.smallest_retained_norm == report.smallest_retained_norm
             assert cert.depth_exceeded == report.depth_exceeded
             assert cert.closure_dim == lie_closure(binary_generators(params, e)).dim_reached
@@ -349,6 +356,18 @@ class TestDensityCertificate:
         for e in (-2.0, 0.4, 3.1):
             verdicts = {certificate(params, e + d).certified for d in (-1e-4, 0.0, 1e-4)}
             assert len(verdicts) == 1
+
+    def test_shared_spectra_give_the_per_cell_norms_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 4):
+            v = rng.uniform(-1, 1, (n, n))
+            params = make_params(n, v + v.T, c=rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
+            closure = model_closure(params)
+            spectra = binary_spectra(params)
+            for e in np.linspace(-6.0, 6.0, 7):
+                cert = density_certificate(params, e, closure, spectra)
+                expected = tuple(generator_norm(params, omega, e) for omega in binary_cells(n))
+                assert cert.per_config_norms == expected
 
     def test_closure_does_not_collapse_at_large_energy(self):
         # a closure of the binary generators at |E| = 1e6 loses every bracket

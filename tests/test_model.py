@@ -13,6 +13,7 @@ from anderloc.model import (
     EnergyInterval,
     ModelParams,
     binary_cells,
+    binary_spectra,
     cell_matrix,
     energy_interval,
     generator,
@@ -71,6 +72,11 @@ class TestModelParams:
     def test_asymmetric_v_rejected(self):
         with pytest.raises(DimensionError):
             make_params(n=2, v=np.array([[0.0, 1.0], [1.1, 0.0]]), c=np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_v_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_params(n=2, v=np.array([[0.0, bad], [bad, 0.0]]), c=np.ones(2))
 
     def test_rho_range(self):
         with pytest.raises(ValueError):
@@ -225,6 +231,17 @@ class TestSpectralBounds:
         assert abs(b.lambda_min + 1.0) <= 1e-12
         assert abs(b.lambda_max - 2.0) <= 1e-12
         assert abs(b.delta - 1.5) <= 1e-12
+
+    def test_bounds_are_the_extremes_of_the_binary_spectra(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((3, 3))
+        p = make_params(n=3, v=v + v.T, c=rng.uniform(0.5, 2.0, 3))
+        spectra = binary_spectra(p)
+        assert spectra.shape == (8, 3)
+        for omega, lams in zip(binary_cells(3), spectra):
+            assert np.array_equal(lams, np.linalg.eigvalsh(cell_matrix(p, omega, 0.0)))
+        b = spectral_bounds(p)
+        assert (b.lambda_min, b.lambda_max) == (spectra.min(), spectra.max())
 
     def test_scalar_shift_structure(self):
         lam = -0.7
