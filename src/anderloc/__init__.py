@@ -55,12 +55,10 @@ from .model import (
 )
 from .furstenberg import (
     ClosureReport,
-    CriticalEnergySet,
     DensityCertificate,
     density_certificate,
     lie_closure,
     model_closure,
-    scan_critical_energies,
     tridiagonal_witness,
 )
 from .lyapunov import (

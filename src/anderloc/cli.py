@@ -46,7 +46,7 @@ from .errors import (
     ScanRangeError,
     SizeGuardError,
 )
-from .furstenberg import density_certificate, model_closure, scan_critical_energies
+from .furstenberg import density_certificate, model_closure
 from .lyapunov import EstimatorConfig, lyapunov_spectrum, separability_scan
 from .model import binary_spectra, energy_interval, spectral_bounds
 from .seeding import derive_seed, stream
@@ -149,7 +149,8 @@ def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     table = Table(
         "certificates.csv",
         ["E", "norm_ok", "closure_dim", "target_dim", "certified"],
-        [(c.energy, c.norm_condition, c.closure_dim, c.target_dim, c.certified) for c in certs],
+        [(c.energy, c.norm_condition, c.closure.dim_reached, c.closure.target_dim, c.certified)
+         for c in certs],
     )
     return CommandResult(
         stdout=f"certified {n_cert}/{len(certs)} energies (rho = {cfg.model.rho:.12g})\n",
@@ -159,16 +160,18 @@ def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
 
 
 def cmd_critical(cfg: RunConfig, seed: int) -> CommandResult:
-    scan = scan_critical_energies(cfg.model, tol=cfg.critical.tol)
+    window = energy_interval(cfg.model)
+    if window.is_empty:
+        raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
+    closure = model_closure(cfg.model, tol=cfg.critical.tol)
     # the closure is deficient everywhere or nowhere, so there is no bracket to list
     table = Table("critical.csv", ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"], [])
-    if scan.non_generic_flag:
-        return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=scan)
+    if not closure.full:
+        return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=closure)
     return CommandResult(
-        stdout=f"{len(scan.energies)} critical energies in "
-        f"[{scan.scan_range.lo:.6g}, {scan.scan_range.hi:.6g}]\n",
+        stdout=f"0 critical energies in [{window.lo:.6g}, {window.hi:.6g}]\n",
         tables=[table],
-        data=scan,
+        data=closure,
     )
 
 
@@ -315,14 +318,13 @@ def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
     commands = (cmd_certify, cmd_critical, cmd_lyapunov, cmd_ids, cmd_localize)
     parts = [command(cfg, seed) for command in commands]
     certify, critical, lyapunov, _, localize = parts
-    critical_scan = critical.data
     reports, window, gamma_ref = localize.data
 
     n = cfg.model.n
     lines = ["run summary", "===========", "", interval_text.rstrip(), ""]
     lines.append("critical energies: " + (
-        "non-generic interaction (deficient everywhere)" if critical_scan.non_generic_flag
-        else "none detected"
+        "none detected" if critical.data.full
+        else "non-generic interaction (deficient everywhere)"
     ))
     lines.append("")
     lines.append(f"{'E':>14}  {'certified':>9}  {'gamma_1':>12}  {'gap_min':>12}  {'separated':>9}")
@@ -367,6 +369,20 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """``--seed`` value: an unsigned 64-bit integer, like the configured ``seed``.
+
+    ``derive_seed`` reduces seeds modulo 2^64, so -1 would alias 2^64 - 1.
+    """
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anderloc",
@@ -378,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default="out", help="output directory for CSV artifacts")
-        p.add_argument("--seed", type=int, default=None, help="override the configured master seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the configured master seed")
     return parser
 
 

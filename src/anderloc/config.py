@@ -214,13 +214,14 @@ def parse_config(text: str) -> RunConfig:
     else:
         try:
             v_arr = np.asarray(v_raw, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             violations.append("V must be a numeric N x N array")
             v_arr = None
         if v_arr is not None:
             if v_arr.shape != (n, n):
                 violations.append(f"V must be {n}x{n}, got shape {list(v_arr.shape)}")
-            elif not np.all(np.isfinite(v_arr)):
+            elif not all(_is_number(x) for row in v_raw for x in row):
+                # asarray also converts strings, booleans and null
                 violations.append("V entries must be finite numbers")
             else:
                 scale = max(float(np.linalg.norm(v_arr)), 1e-300)

@@ -8,6 +8,20 @@ statuses.
 
 from __future__ import annotations
 
+__all__ = [
+    "AnderlocError",
+    "DimensionError",
+    "SingularMatrixError",
+    "SizeGuardError",
+    "GridError",
+    "ScanRangeError",
+    "NumericError",
+    "InstabilityError",
+    "OracleRangeError",
+    "FactorizationError",
+    "ConfigError",
+]
+
 
 class AnderlocError(Exception):
     """Base class for all package errors."""

@@ -12,10 +12,11 @@ column i.  Then X_omega(E) = X_0(0) + sum_i (omega_i - E/c_i) D_i, and
 the binary cells include 0 and every unit vector e_i, so the span of
 {X_omega(E)} is span{X_0(0), D_1, ..., D_N} at every E.  The generated
 algebra is one per model, and its deficiency locus is either every
-energy (a non-generic interaction) or none.  This module implements the
-rank test, that energy-free closure, the per-energy certificate (whose
-only energy dependence is the norm condition), the critical-energy scan
-that reduces to one closure, and the tridiagonal interaction that
+energy (a non-generic interaction) or none, so the model's one
+``ClosureReport`` is also its critical-energy verdict: ``full`` means no
+critical energy.  This module implements the rank test, that
+energy-free closure, the per-energy certificate (whose only energy
+dependence is the norm condition), and the tridiagonal interaction that
 witnesses genericity.
 """
 
@@ -25,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ScanRangeError
+from .errors import DimensionError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import EnergyInterval, ModelParams, energy_interval, generator
+from .model import ModelParams, generator
 
 __all__ = [
     "ClosureReport",
     "DensityCertificate",
-    "CriticalEnergySet",
     "lie_closure",
     "model_closure",
     "density_certificate",
-    "scan_critical_energies",
     "tridiagonal_witness",
 ]
 
@@ -67,43 +66,21 @@ class ClosureReport:
 class DensityCertificate:
     """Checked pair of density conditions at one energy.
 
-    Only the norm condition depends on the energy; the closure fields are
-    copied from the model's energy-free ``ClosureReport``.  A true
-    certificate asserts density of the binary-generator group in the
-    symplectic group, conditional on the configured ``rho`` being a valid
-    radius for the identity neighborhood of the density criterion;
+    Only the norm condition depends on the energy; ``closure`` is the
+    model's energy-free ``ClosureReport``, whose rank-gap margin and
+    depth-guard flag say how close the closure decision came to flipping.
+    A true certificate asserts density of the binary-generator group in
+    the symplectic group, conditional on the configured ``rho`` being a
+    valid radius for the identity neighborhood of the density criterion;
     ``rho`` is echoed so consumers can re-audit that premise.
-    ``smallest_retained_norm`` and ``depth_exceeded`` are the closure
-    sweep's rank-gap margin and depth-guard flag (see ``ClosureReport``),
-    which say how close the closure decision came to flipping.
     """
 
     energy: float
     norm_condition: bool
-    closure_full: bool
     certified: bool
     per_config_norms: tuple[float, ...]
-    closure_dim: int
-    target_dim: int
+    closure: ClosureReport
     rho: float
-    smallest_retained_norm: float
-    depth_exceeded: bool
-
-
-@dataclass
-class CriticalEnergySet:
-    """Result of a critical-energy scan over the certified window.
-
-    The implemented closure condition is deficient at every energy or at
-    none, so ``energies`` is always empty: a deficient model is reported
-    through ``non_generic_flag`` instead.
-    """
-
-    energies: tuple[float, ...]
-    scan_range: EnergyInterval
-    tolerance: float
-    non_generic_flag: bool
-    target_dim: int
 
 
 def lie_closure(
@@ -217,8 +194,8 @@ def density_certificate(
     """Check both density conditions for the binary family at one energy.
 
     ``norm_condition`` is ell * ||X_omega|| <= rho for all 2^N binary
-    cells; ``closure_full`` is the bracket closure reaching 2N^2 + N, read
-    from ``closure``, the energy-free report of ``model_closure``.  A
+    cells; the closure condition is ``closure.full``, the bracket closure
+    of ``model_closure`` reaching 2N^2 + N at every energy.  A
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
 
@@ -231,34 +208,10 @@ def density_certificate(
     return DensityCertificate(
         energy=float(energy),
         norm_condition=norm_ok,
-        closure_full=closure.full,
         certified=norm_ok and closure.full,
         per_config_norms=norms,
-        closure_dim=closure.dim_reached,
-        target_dim=closure.target_dim,
+        closure=closure,
         rho=params.rho,
-        smallest_retained_norm=closure.smallest_retained_norm,
-        depth_exceeded=closure.depth_exceeded,
-    )
-
-
-def scan_critical_energies(params: ModelParams, tol: float = 1e-8) -> CriticalEnergySet:
-    """Closure-deficient energies inside the certified window.
-
-    The closure does not depend on E, so one ``model_closure`` decides the
-    whole window: a deficient closure sets the non-generic flag, a full one
-    leaves no critical energy.
-    """
-    interval = energy_interval(params)
-    if interval.is_empty:
-        raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
-    closure = model_closure(params, tol=tol)
-    return CriticalEnergySet(
-        energies=(),
-        scan_range=interval,
-        tolerance=tol,
-        non_generic_flag=not closure.full,
-        target_dim=closure.target_dim,
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
-from .model import _GROWTH_ADVICE, ModelParams, transfer_table
+from .model import _GROWTH_ADVICE, ModelParams, _distinct_cells, transfer_table
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -118,20 +118,6 @@ def _qr_step(z: np.ndarray, where: str = "") -> tuple[np.ndarray, np.ndarray]:
         raise InstabilityError(
             f"propagated frame became numerically singular{where}: {_GROWTH_ADVICE}"
         ) from exc
-
-
-def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (M, N) atom-index array, sorted, and each row's position among them.
-
-    Equal to ``np.unique(idx, axis=0, return_inverse=True)``, but built from
-    1-D integer codes: after each channel the codes are renumbered to their
-    rank, so they stay below M * n_atoms for any N.
-    """
-    base = int(idx.max()) + 1
-    code = np.zeros(len(idx), dtype=np.int64)
-    for column in idx.T:
-        _, first, code = np.unique(code * base + column, return_index=True, return_inverse=True)
-    return idx[first], code
 
 
 def _block_length(table: np.ndarray) -> int:

@@ -254,6 +254,20 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
     return t
 
 
+def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (M, N) array of non-negative integers, sorted, and each row's position.
+
+    Equal to ``np.unique(idx, axis=0, return_inverse=True)``, but built from
+    1-D integer codes: after each channel the codes are renumbered to their
+    rank, so they stay below M * (max(idx) + 1) for any N.
+    """
+    base = int(idx.max()) + 1
+    code = np.zeros(len(idx), dtype=np.int64)
+    for column in idx.T:
+        _, first, code = np.unique(code * base + column, return_index=True, return_inverse=True)
+    return idx[first], code
+
+
 def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> float:
     """Induced 2-norm of the generator via its closed form.
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["derive_seed", "stream"]
+
 _MASK64 = (1 << 64) - 1
 
 

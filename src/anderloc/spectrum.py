@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError
-from .model import EnergyInterval, ModelParams, sample_path, transfer_table
+from .model import EnergyInterval, ModelParams, _distinct_cells, sample_path, transfer_table
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -144,34 +144,39 @@ def _steps_per_cell(params: ModelParams, h: float) -> int:
     return m
 
 
+def _point_cells(params: ModelParams, restriction: FiniteRestriction) -> np.ndarray:
+    """Cell of every grid point: k steps from the left edge lie in cell k // (ell/h).
+
+    Dirichlet drops both boundary points, Neumann keeps them, and the right
+    edge stays in the last cell; integer arithmetic is exact at boundaries.
+    """
+    m = _steps_per_cell(params, restriction.h)
+    cells = 2 * restriction.length_cells
+    k = np.arange(1, cells * m) if restriction.boundary == "dirichlet" else np.arange(cells * m + 1)
+    return np.clip(k // m, 0, cells - 1)
+
+
 def discretize(params: ModelParams, restriction: FiniteRestriction) -> BandedSymmetric:
     """Central-difference matrix of the restriction, half-bandwidth N.
 
     Dirichlet drops the boundary points; Neumann keeps them with mirrored
     ghost points (reflection across the half grid step), which preserves
-    symmetry.  Grid point k steps from the left edge belongs to cell
-    k // (ell/h), matching the half-open cell convention.
+    symmetry.  Grid points map to cells as in ``_point_cells``.
     """
     n = params.n
     big_l = restriction.length_cells
     if restriction.omega_path.shape[1] != n:
         raise GridError(f"omega_path has {restriction.omega_path.shape[1]} channels, model has {n}")
-    m = _steps_per_cell(params, restriction.h)
+    cell = _point_cells(params, restriction)
+    n_pts = len(cell)
     h2 = restriction.h * restriction.h
-    dirichlet = restriction.boundary == "dirichlet"
-    n_pts = 2 * big_l * m - 1 if dirichlet else 2 * big_l * m + 1
-    k_offset = 1 if dirichlet else 0  # steps from the left edge of point 0
-
-    # per-point cell index (integer arithmetic, exact at cell boundaries)
-    k = k_offset + np.arange(n_pts)
-    cell = np.clip(k // m, 0, 2 * big_l - 1)
 
     blocks = np.empty((2 * big_l, n, n))
     for c in range(2 * big_l):
         blocks[c] = params.v + np.diag(params.c * restriction.omega_path[c])
 
     kinetic = np.full(n_pts, 2.0 / h2)
-    if not dirichlet:
+    if restriction.boundary != "dirichlet":
         kinetic[0] = kinetic[-1] = 1.0 / h2
 
     order = n * n_pts
@@ -245,10 +250,11 @@ def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -
     """
     path = np.atleast_2d(np.asarray(omega_path, dtype=float))
     n = params.n
-    cells, index = np.unique(path, axis=0, return_inverse=True)
-    table = transfer_table(params, cells, energy)
+    values, codes = np.unique(path, return_inverse=True)
+    rows, index = _distinct_cells(codes.reshape(path.shape))
+    table = transfer_table(params, values[rows], energy)
     prod = np.eye(2 * n)
-    for k in index.ravel():
+    for k in index:
         prod = table[k] @ prod
         if np.max(np.abs(prod)) > _OVERFLOW_ENTRY:
             raise InstabilityError(
@@ -331,11 +337,8 @@ def eigen_decay(
     w, vecs = eig_banded(mat.ab, lower=True, select="v", select_range=(window.lo, window.hi))
     n = params.n
     big_l = restriction.length_cells
-    m = _steps_per_cell(params, restriction.h)
-    dirichlet = restriction.boundary == "dirichlet"
-    n_pts = mat.order // n
-    k = (1 if dirichlet else 0) + np.arange(n_pts)
-    cell = np.clip(k // m, 0, 2 * big_l - 1)
+    cell = _point_cells(params, restriction)
+    n_pts = len(cell)
     centers_x = -params.ell * big_l + (np.arange(2 * big_l) + 0.5) * params.ell
 
     reports: list[DecayReport] = []

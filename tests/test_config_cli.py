@@ -1,9 +1,12 @@
 """Configuration parsing and command-line driver behavior."""
 
 import argparse
+import ast
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -122,6 +125,9 @@ NAN, INF = float("nan"), float("inf")
         ({"ids": {"h": INF}}, "ids.h"),
         ({"disorder": {"atoms": [[0.0, NAN], [1.0, 0.5]]}}, "disorder.atoms"),
         ({"ids": {"grid": {"lo": 0.0, "hi": 1.0, "count": True}}}, "ids.grid.count"),
+        ({"N": 2, "V": [["0", "1"], [True, 0]], "c": [1.0, 1.0]}, "V entries"),
+        ({"N": 2, "V": [[0.0, None], [None, 0.0]], "c": [1.0, 1.0]}, "V entries"),
+        ({"V": [[10**400]]}, "V must be a numeric"),
     ],
 )
 def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, overrides, violation):
@@ -260,6 +266,17 @@ class TestCommandLine:
         b = open(os.path.join(out2, "lyapunov.csv")).read()
         assert a != b
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), str((1 << 65) - 1)])
+    def test_seed_flag_outside_64_bits_exits_two(self, tmp_path, capsys, seed):
+        # reduced modulo 2^64 these would alias 2^64 - 1, 0 and 2^64 - 1
+        path = write_config(tmp_path, **SMALL_BLOCKS)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["lyapunov", "--config", path, "--out", str(out), "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_composes_subcommands(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)
         solo = str(tmp_path / "solo")
@@ -321,3 +338,19 @@ def test_readme_flags_match_the_parser():
         if option.startswith("--")
     }
     assert documented == options - {"--help", "--version"}
+
+
+def test_exports_resolve():
+    # every __all__ name exists, and every name the package imports is in its module's __all__
+    modules = {}
+    for info in pkgutil.iter_modules(anderloc.__path__):
+        module = importlib.import_module(f"anderloc.{info.name}")
+        modules[info.name] = module
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"anderloc.{info.name}.__all__ lists missing {name}"
+    tree = ast.parse(open(anderloc.__file__).read())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = modules[node.module].__all__
+            for alias in node.names:
+                assert alias.name in exported, f"anderloc imports {alias.name}, not in {node.module}.__all__"

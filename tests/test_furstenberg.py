@@ -1,4 +1,4 @@
-"""Closure rank tests, the energy-free model closure, certificates, critical scan."""
+"""Closure rank tests, the energy-free model closure, certificates, the critical command."""
 
 import itertools
 from fractions import Fraction
@@ -6,12 +6,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import anderloc.cli
+from anderloc.cli import EXIT_CONFIG, EXIT_NON_GENERIC, EXIT_OK, cmd_critical, exit_code_for
+from anderloc.config import (
+    CertifySettings,
+    CriticalSettings,
+    IdsSettings,
+    LocalizeSettings,
+    LyapunovSettings,
+    RunConfig,
+)
 from anderloc.errors import DimensionError, ScanRangeError
 from anderloc.furstenberg import (
     density_certificate,
     lie_closure,
     model_closure,
-    scan_critical_energies,
     tridiagonal_witness,
 )
 from anderloc.linalg import exp_matrix, sp_dim
@@ -326,30 +335,29 @@ class TestDensityCertificate:
         params = make_params(1, np.zeros((1, 1)), ell=0.1)
         cert = certificate(params, 0.0)
         assert cert.per_config_norms == (1.0, 1.0)
-        assert cert.norm_condition and cert.closure_full and cert.certified
-        assert cert.closure_dim == 3
+        assert cert.norm_condition and cert.closure.full and cert.certified
+        assert cert.closure.dim_reached == 3
 
     def test_norm_failure_is_indeterminate(self):
         params = make_params(1, np.zeros((1, 1)), ell=0.1)
         cert = certificate(params, 50.0)
         assert not cert.norm_condition
-        assert cert.closure_full  # the algebra is still full there
+        assert cert.closure.full  # the algebra is still full there
         assert not cert.certified
 
     def test_decoupled_interaction_never_certifies(self):
         params = make_params(2, np.zeros((2, 2)))
         cert = certificate(params, 0.7)
-        assert not cert.closure_full
-        assert cert.closure_dim == 6
+        assert not cert.closure.full
+        assert cert.closure.dim_reached == 6
         assert not cert.certified
 
     def test_closure_margin_matches_lie_closure(self):
         for params, e in ((make_params(2, tridiagonal_witness(2)), 0.4), (make_params(2, np.zeros((2, 2))), 0.7)):
             report = model_closure(params)
             cert = density_certificate(params, e, report, binary_spectra(params))
-            assert cert.smallest_retained_norm == report.smallest_retained_norm
-            assert cert.depth_exceeded == report.depth_exceeded
-            assert cert.closure_dim == lie_closure(binary_generators(params, e)).dim_reached
+            assert cert.closure is report
+            assert report.dim_reached == lie_closure(binary_generators(params, e)).dim_reached
 
     def test_verdict_stable_under_small_energy_shift(self):
         params = make_params(2, tridiagonal_witness(2))
@@ -375,43 +383,68 @@ class TestDensityCertificate:
         params = make_params(2, tridiagonal_witness(2))
         for e in (-1e6, 1e6):
             cert = certificate(params, e)
-            assert cert.closure_dim == 10 and cert.closure_full
+            assert cert.closure.dim_reached == 10 and cert.closure.full
             assert not cert.norm_condition
 
 
+def critical(params, tol=1e-8):
+    """``cmd_critical`` on a run configuration holding ``params``."""
+    cfg = RunConfig(
+        model=params,
+        seed=0,
+        certify=CertifySettings(),
+        critical=CriticalSettings(tol=tol),
+        lyapunov=LyapunovSettings(),
+        ids=IdsSettings(),
+        localize=LocalizeSettings(),
+    )
+    return cmd_critical(cfg, cfg.seed)
+
+
 class TestCriticalScan:
+    """``critical`` is one ``model_closure``: full means no critical energy."""
+
     def test_single_channel_has_no_critical_energies(self):
         params = make_params(1, np.array([[0.3]]))
-        result = scan_critical_energies(params)
-        assert result.energies == ()
-        assert not result.non_generic_flag
-        assert result.scan_range == energy_interval(params)
-        assert result.target_dim == 3
+        result = critical(params)
+        window = energy_interval(params)
+        assert result.status == EXIT_OK
+        assert result.data.full and result.data.target_dim == 3
+        assert [t.rows for t in result.tables] == [[]]
+        assert result.stdout == f"0 critical energies in [{window.lo:.6g}, {window.hi:.6g}]\n"
 
-    def test_tridiagonal_witness_clean(self):
-        result = scan_critical_energies(make_params(2, tridiagonal_witness(2)), tol=1e-9)
-        assert result.energies == ()
-        assert not result.non_generic_flag
-        assert result.tolerance == 1e-9
+    def test_tridiagonal_witness_clean(self, monkeypatch):
+        tols = []
+
+        def recorded(params, tol):
+            tols.append(tol)
+            return model_closure(params, tol=tol)
+
+        monkeypatch.setattr(anderloc.cli, "model_closure", recorded)
+        result = critical(make_params(2, tridiagonal_witness(2)), tol=1e-9)
+        assert result.status == EXIT_OK and result.data.full
+        assert tols == [1e-9]
 
     def test_decoupled_interaction_sets_flag(self):
-        result = scan_critical_energies(make_params(2, np.zeros((2, 2))))
-        assert result.non_generic_flag
-        assert result.energies == ()
+        result = critical(make_params(2, np.zeros((2, 2))))
+        assert result.status == EXIT_NON_GENERIC
+        assert not result.data.full and result.data.dim_reached == 6
+        assert [t.rows for t in result.tables] == [[]]
+        assert result.stdout == ""
 
     def test_empty_window_rejected(self):
         params = make_params(1, np.zeros((1, 1)), c=np.array([2.0]), ell=0.9)
-        with pytest.raises(ScanRangeError):
-            scan_critical_energies(params)
+        with pytest.raises(ScanRangeError, match="certified energy window is empty") as exc:
+            critical(params)
+        assert exit_code_for(exc.value) == EXIT_CONFIG
 
     def test_random_interactions_are_generic(self):
         rng = np.random.default_rng(35)
         for n in (2, 3):
             v = rng.uniform(-1, 1, (n, n))
             params = make_params(n, v + v.T)
-            result = scan_critical_energies(params)
-            assert not result.non_generic_flag
-            assert result.energies == ()
+            result = critical(params)
+            assert result.status == EXIT_OK and result.data.full
 
 
 class TestWitness:

@@ -11,13 +11,12 @@ from anderloc.furstenberg import tridiagonal_witness
 from anderloc.linalg import qr_pos
 from anderloc.lyapunov import (
     EstimatorConfig,
-    _distinct_cells,
     exterior_log_norm,
     lyapunov_spectrum,
     qr_log_diag_sums,
     separability_scan,
 )
-from anderloc.model import DisorderSpec, ModelParams, sample_cell, transfer, transfer_table
+from anderloc.model import DisorderSpec, ModelParams, _distinct_cells, sample_cell, transfer, transfer_table
 from anderloc.seeding import derive_seed, stream
 
 
