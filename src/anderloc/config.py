@@ -14,13 +14,16 @@ A run configuration is a single JSON document.  Model block (top level):
     }
 
 Each subcommand reads an optional block of the same name ("certify",
-"critical", "lyapunov", "ids", "localize").  Energy grids are given
-either as an explicit list ``"energies": [...]`` or as
-``"grid": {"lo":, "hi":, "count":}``; when absent they default to 21
-evenly spaced points across the certified energy window.  Unknown keys
-are ignored, among them ``critical.grid_step`` and
-``critical.refine_iters``: they are accepted but have no effect, since
-the genericity check that ``critical`` runs needs no energy grid.
+"critical", "lyapunov", "ids", "localize"), whose keys ``_BLOCKS`` lists;
+a key left out takes the default of its ``*Settings`` field.  Energy
+grids ("certify", "lyapunov", "ids") are given either as an explicit
+list ``"energies": [...]`` or as ``"grid": {"lo":, "hi":, "count":}``,
+not both; when absent they default to 21 evenly spaced points across the
+certified energy window.  Unknown keys are rejected at every level,
+except ``critical.grid_step`` and ``critical.refine_iters``: they are
+accepted but have no effect, since the genericity check that
+``critical`` runs needs no energy grid.  ``null`` is rejected wherever a
+value belongs.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -148,44 +151,98 @@ def _is_number(x: Any) -> bool:
 
 
 def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
+    """The grid of a block that holds "energies" or "grid"."""
+    if "energies" in block and "grid" in block:
+        violations.append(f"{where} takes 'energies' or 'grid', not both")
+        return GridSpec()
     if "energies" in block:
         energies = block["energies"]
         if not isinstance(energies, list) or not energies or not all(_is_number(e) for e in energies):
             violations.append(f"{where}.energies must be a non-empty list of finite numbers")
             return GridSpec()
         return GridSpec(energies=tuple(float(e) for e in energies))
-    if "grid" in block:
-        g = block["grid"]
-        if not isinstance(g, dict) or not all(_is_number(g.get(k)) for k in ("lo", "hi")):
-            violations.append(f"{where}.grid must carry finite numeric 'lo' and 'hi'")
-            return GridSpec()
-        count = g.get("count", DEFAULT_GRID_COUNT)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            violations.append(f"{where}.grid.count must be a positive integer")
-            return GridSpec()
-        if g["lo"] > g["hi"]:
-            violations.append(f"{where}.grid needs lo <= hi")
-            return GridSpec()
-        return GridSpec(lo=float(g["lo"]), hi=float(g["hi"]), count=count)
-    return GridSpec()
+    g = block["grid"]
+    if not isinstance(g, dict) or not all(_is_number(g.get(k)) for k in ("lo", "hi")):
+        violations.append(f"{where}.grid must carry finite numeric 'lo' and 'hi'")
+        return GridSpec()
+    violations.extend(f"{where}.grid.{key} is not a known key" for key in sorted(g.keys() - {"lo", "hi", "count"}))
+    count = g.get("count", DEFAULT_GRID_COUNT)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        violations.append(f"{where}.grid.count must be a positive integer")
+        return GridSpec()
+    if g["lo"] > g["hi"]:
+        violations.append(f"{where}.grid needs lo <= hi")
+        return GridSpec()
+    return GridSpec(lo=float(g["lo"]), hi=float(g["hi"]), count=count)
 
 
-def _positive_int(block: dict, key: str, default: int, where: str, violations: list[str], minimum: int = 1) -> int:
-    val = block.get(key, default)
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        violations.append(f"{where}.{key} must be an integer >= {minimum}")
-        return default
+def _count(minimum: int) -> Callable[[Any], int]:
+    def check(val: Any) -> int:
+        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+            raise ValueError(f"must be an integer >= {minimum}")
+        return val
+    return check
+
+
+def _positive(val: Any) -> float:
+    if not _is_number(val) or val <= 0:
+        raise ValueError("must be a positive finite number")
+    return float(val)
+
+
+def _boundary(val: Any) -> str:
+    if val not in ("dirichlet", "neumann"):
+        raise ValueError("must be 'dirichlet' or 'neumann'")
     return val
 
 
-def _positive_float(block: dict, key: str, default: float | None, where: str, violations: list[str]) -> float | None:
-    val = block.get(key, default)
-    if val is None:
-        return None
-    if not _is_number(val) or val <= 0:
-        violations.append(f"{where}.{key} must be a positive finite number")
-        return default
-    return float(val)
+def _window(val: Any) -> tuple[float, float]:
+    if not isinstance(val, list) or len(val) != 2 or not all(_is_number(x) for x in val) or val[0] >= val[1]:
+        raise ValueError("must be [lo, hi] with finite lo < hi")
+    return (float(val[0]), float(val[1]))
+
+
+# Per command block: its settings type and, for each config key, the settings
+# field and a check that returns the parsed value or raises ValueError with the
+# tail of the violation message; None marks a key accepted without effect.
+# Blocks whose settings have a ``grid`` field also take "energies" or "grid".
+_BLOCKS: dict[str, tuple[type, dict[str, tuple[str, Callable[[Any], Any]] | None]]] = {
+    "certify": (CertifySettings, {"tol": ("tol", _positive)}),
+    "critical": (CriticalSettings, {"tol": ("tol", _positive), "grid_step": None, "refine_iters": None}),
+    "lyapunov": (LyapunovSettings, {"n_steps": ("n_steps", _count(1)), "n_replicas": ("n_replicas", _count(1)),
+                                    "burn_in": ("burn_in", _count(0))}),
+    "ids": (IdsSettings, {"boundary": ("boundary", _boundary), "L": ("length_cells", _count(1)),
+                          "h": ("h", _positive), "n_samples": ("n_samples", _count(1))}),
+    "localize": (LocalizeSettings, {"boundary": ("boundary", _boundary), "window": ("window", _window),
+                                    "L": ("length_cells", _count(1)), "h": ("h", _positive),
+                                    "n_paths": ("n_paths", _count(1)), "ref_steps": ("ref_steps", _count(1))}),
+}
+_GRID_KEYS = {"energies", "grid"}
+_MODEL_KEYS = {"N", "V", "c", "ell", "rho", "disorder", "seed"}
+
+
+def _block_keys(name: str) -> set[str]:
+    """Every key that the command block ``name`` accepts."""
+    settings, table = _BLOCKS[name]
+    return table.keys() | (_GRID_KEYS if "grid" in settings.__dataclass_fields__ else set())
+
+
+def _parse_block(name: str, block: dict, violations: list[str]) -> Any:
+    """Settings of one command block; every key left out keeps its dataclass default."""
+    settings, table = _BLOCKS[name]
+    known = _block_keys(name)
+    violations.extend(f"{name}.{key} is not a known key" for key in sorted(block.keys() - known))
+    values = {}
+    if known & block.keys() & _GRID_KEYS:
+        values["grid"] = _parse_grid(block, name, violations)
+    for key, entry in table.items():
+        if entry is not None and key in block:
+            attr, check = entry
+            try:
+                values[attr] = check(block[key])
+            except ValueError as exc:
+                violations.append(f"{name}.{key} {exc}")
+    return settings(**values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -201,6 +258,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top-level JSON value must be an object"])
+    violations.extend(f"{key} is not a known key" for key in sorted(doc.keys() - _MODEL_KEYS - _BLOCKS.keys()))
 
     n = doc.get("N")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -266,9 +324,11 @@ def parse_config(text: str) -> RunConfig:
         rho = DEFAULT_RHO
 
     disorder = DisorderSpec.bernoulli()
-    d_raw = doc.get("disorder")
-    if d_raw is not None:
+    if "disorder" in doc:
+        d_raw = doc["disorder"]
         atoms_raw = d_raw.get("atoms") if isinstance(d_raw, dict) else None
+        if isinstance(d_raw, dict):
+            violations.extend(f"disorder.{key} is not a known key" for key in sorted(d_raw.keys() - {"atoms"}))
         if (
             not isinstance(atoms_raw, list)
             or not atoms_raw
@@ -292,70 +352,12 @@ def parse_config(text: str) -> RunConfig:
         violations.append("seed must be an unsigned 64-bit integer")
         seed = 0
 
-    cert_block = doc.get("certify", {})
-    crit_block = doc.get("critical", {})
-    lyap_block = doc.get("lyapunov", {})
-    ids_block = doc.get("ids", {})
-    loc_block = doc.get("localize", {})
-    for name, block in (("certify", cert_block), ("critical", crit_block),
-                        ("lyapunov", lyap_block), ("ids", ids_block), ("localize", loc_block)):
+    blocks = {name: doc.get(name, {}) for name in _BLOCKS}
+    for name, block in blocks.items():
         if not isinstance(block, dict):
             violations.append(f"'{name}' block must be a JSON object")
-
-    cert_block = cert_block if isinstance(cert_block, dict) else {}
-    crit_block = crit_block if isinstance(crit_block, dict) else {}
-    lyap_block = lyap_block if isinstance(lyap_block, dict) else {}
-    ids_block = ids_block if isinstance(ids_block, dict) else {}
-    loc_block = loc_block if isinstance(loc_block, dict) else {}
-
-    certify = CertifySettings(
-        grid=_parse_grid(cert_block, "certify", violations),
-        tol=_positive_float(cert_block, "tol", 1e-8, "certify", violations) or 1e-8,
-    )
-    critical = CriticalSettings(
-        tol=_positive_float(crit_block, "tol", 1e-8, "critical", violations) or 1e-8,
-    )
-    lyap = LyapunovSettings(
-        grid=_parse_grid(lyap_block, "lyapunov", violations),
-        n_steps=_positive_int(lyap_block, "n_steps", 20000, "lyapunov", violations),
-        n_replicas=_positive_int(lyap_block, "n_replicas", 8, "lyapunov", violations),
-        burn_in=_positive_int(lyap_block, "burn_in", 100, "lyapunov", violations, minimum=0),
-    )
-    ids_boundary = ids_block.get("boundary", "dirichlet")
-    if ids_boundary not in ("dirichlet", "neumann"):
-        violations.append("ids.boundary must be 'dirichlet' or 'neumann'")
-        ids_boundary = "dirichlet"
-    ids = IdsSettings(
-        grid=_parse_grid(ids_block, "ids", violations),
-        length_cells=_positive_int(ids_block, "L", 50, "ids", violations),
-        h=_positive_float(ids_block, "h", None, "ids", violations),
-        n_samples=_positive_int(ids_block, "n_samples", 4, "ids", violations),
-        boundary=ids_boundary,
-    )
-    loc_boundary = loc_block.get("boundary", "dirichlet")
-    if loc_boundary not in ("dirichlet", "neumann"):
-        violations.append("localize.boundary must be 'dirichlet' or 'neumann'")
-        loc_boundary = "dirichlet"
-    window = loc_block.get("window")
-    if window is not None:
-        if (
-            not isinstance(window, list)
-            or len(window) != 2
-            or not all(_is_number(x) for x in window)
-            or window[0] >= window[1]
-        ):
-            violations.append("localize.window must be [lo, hi] with finite lo < hi")
-            window = None
-        else:
-            window = (float(window[0]), float(window[1]))
-    localize = LocalizeSettings(
-        window=window,
-        length_cells=_positive_int(loc_block, "L", 200, "localize", violations),
-        h=_positive_float(loc_block, "h", None, "localize", violations),
-        boundary=loc_boundary,
-        n_paths=_positive_int(loc_block, "n_paths", 1, "localize", violations),
-        ref_steps=_positive_int(loc_block, "ref_steps", 20000, "localize", violations),
-    )
+    settings = {name: _parse_block(name, block if isinstance(block, dict) else {}, violations)
+                for name, block in blocks.items()}
 
     model = None
     if not violations:
@@ -365,15 +367,7 @@ def parse_config(text: str) -> RunConfig:
             violations.append(str(exc))
     if violations:
         raise ConfigError(violations)
-    return RunConfig(
-        model=model,
-        seed=seed,
-        certify=certify,
-        critical=critical,
-        lyapunov=lyap,
-        ids=ids,
-        localize=localize,
-    )
+    return RunConfig(model=model, seed=seed, **settings)
 
 
 def load_config(path: str) -> RunConfig:

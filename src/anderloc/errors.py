@@ -36,7 +36,7 @@ class SingularMatrixError(AnderlocError):
 
 
 class SizeGuardError(AnderlocError):
-    """A combinatorial enumeration would exceed its hard size limit."""
+    """A combinatorial enumeration or a dense solve would exceed its size limit."""
 
 
 class GridError(AnderlocError):

@@ -22,11 +22,12 @@ inside ``report``) loads scipy.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError
+from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
 from .model import EnergyInterval, ModelParams, _distinct_cells, sample_path, transfer_table
 from .seeding import derive_seed, stream
 
@@ -325,12 +326,23 @@ def eigen_decay(
     localization center, and a line fitted to log p_n against distance
     from the center over cells with p_n above 1e-24.  The amplitude rate
     is half the mass rate.  An empty window yields an empty list; a
-    zero-width window raises ``ScanRangeError``.
+    zero-width window raises ``ScanRangeError``, and a restriction whose
+    solve would not fit in physical memory raises ``SizeGuardError``.
     """
     if window.is_empty:
         return []
     if window.lo == window.hi:
         raise ScanRangeError(f"decay window [{window.lo:g}, {window.hi:g}] has zero width")
+    points = 2 * restriction.length_cells * _steps_per_cell(params, restriction.h)
+    order = params.n * (points - 1 if restriction.boundary == "dirichlet" else points + 1)
+    # the solver builds a dense order x order Q; measured peak RSS is about 16 bytes per entry
+    need, have = 16 * order * order, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SizeGuardError(
+            f"localize at L = {restriction.length_cells}, h = {restriction.h:g} needs about {need / 1e9:.3g} GB "
+            f"for the banded eigensolver (order {order}), more than the {have / 1e9:.3g} GB of physical "
+            "memory; decrease L or increase h"
+        )
     from scipy.linalg import eig_banded
 
     mat = discretize(params, restriction)

@@ -100,6 +100,9 @@ class TestParseConfig:
             parse_config(config_with(localize={"window": [2.0, 1.0]}))
         with pytest.raises(ConfigError):
             parse_config(config_with(localize={"window": [1.0, 1.0]}))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_with(lyapunov={"energies": [0.1], "grid": {"lo": 0.0, "hi": 1.0}}))
+        assert exc.value.violations == ["lyapunov takes 'energies' or 'grid', not both"]
 
     def test_grid_scan_keys_are_accepted_without_effect(self):
         # critical needs no energy grid, so these keys are ignored rather than rejected
@@ -128,6 +131,12 @@ NAN, INF = float("nan"), float("inf")
         ({"N": 2, "V": [["0", "1"], [True, 0]], "c": [1.0, 1.0]}, "V entries"),
         ({"N": 2, "V": [[0.0, None], [None, 0.0]], "c": [1.0, 1.0]}, "V entries"),
         ({"V": [[10**400]]}, "V must be a numeric"),
+        ({"certify": {"tol": None}}, "certify.tol"),
+        ({"critical": {"tol": None}}, "critical.tol"),
+        ({"ids": {"h": None}}, "ids.h"),
+        ({"localize": {"h": None}}, "localize.h"),
+        ({"localize": {"window": None}}, "localize.window"),
+        ({"disorder": None}, "disorder.atoms"),
     ],
 )
 def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, overrides, violation):
@@ -141,6 +150,27 @@ def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, 
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert violation in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize(
+    "overrides, violations",
+    [
+        ({"ids": {"Length": 500}}, ["ids.Length is not a known key"]),
+        ({"lyapunov": {"nsteps": 5}}, ["lyapunov.nsteps is not a known key"]),
+        ({"sede": 3}, ["sede is not a known key"]),
+        ({"zeta": 1, "Seed": 2}, ["Seed is not a known key", "zeta is not a known key"]),
+        # a field name is not a config key, and localize takes no energy grid
+        ({"localize": {"length_cells": 40, "energies": [0.5]}},
+         ["localize.energies is not a known key", "localize.length_cells is not a known key"]),
+        ({"critical": {"grid": {"lo": 0.0, "hi": 1.0}}}, ["critical.grid is not a known key"]),
+        ({"ids": {"grid": {"lo": 0.0, "hi": 1.0, "Count": 5}}}, ["ids.grid.Count is not a known key"]),
+        ({"disorder": {"atoms": [[0.0, 0.5], [1.0, 0.5]], "p": 0.3}}, ["disorder.p is not a known key"]),
+    ],
+)
+def test_unknown_keys_are_config_errors(overrides, violations):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_with(**overrides))
+    assert exc.value.violations == violations
 
 
 class TestExitCodeMapping:
@@ -256,6 +286,11 @@ class TestCommandLine:
             "certify": {"energies": [0.0]},
         }))
         assert main(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        # 2^50 grid steps per cell: the eigensolver's dense workspace fits no machine
+        path = write_config(tmp_path, localize={"window": [0.5, 0.9], "L": 1, "h": 0.1 / 2**50, "ref_steps": 10})
+        assert main(["localize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "localize at L = 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)
@@ -338,6 +373,25 @@ def test_readme_flags_match_the_parser():
         if option.startswith("--")
     }
     assert documented == options - {"--help", "--version"}
+
+
+def test_readme_configuration_matches_the_parser():
+    from anderloc.config import _BLOCKS, _MODEL_KEYS, _block_keys
+
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme[readme.index("### Configuration"):readme.index("### CSV schemas")]
+    example = section[section.index("```json") + len("```json"):section.index("```\n\n")]
+    parse_config(example)
+    rows = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]+) \|", section, re.M))
+    blocks = {f"{name}.{key}" for name in _BLOCKS for key in _block_keys(name)}
+    assert rows.keys() == _MODEL_KEYS | blocks
+    # a default written as a code literal is the settings field's default
+    defaults = parse_config(config_with())
+    for name, (_, table) in _BLOCKS.items():
+        for key, entry in table.items():
+            default = rows[f"{name}.{key}"].strip()
+            if entry is not None and default.startswith("`"):
+                assert getattr(getattr(defaults, name), entry[0]) == json.loads(default.strip("`")), key
 
 
 def test_exports_resolve():

@@ -1,11 +1,13 @@
 """Finite-volume checks: discretization, inertia counting, shooting, IDS, decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from anderloc.errors import GridError, InstabilityError, ScanRangeError
+from anderloc import spectrum
+from anderloc.errors import GridError, InstabilityError, ScanRangeError, SizeGuardError
 from anderloc.linalg import exp_matrix
 from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path
 from anderloc.spectrum import (
@@ -268,6 +270,35 @@ class TestEigenDecay:
         params = make_params(ell=1.0)
         with pytest.raises(ScanRangeError):
             eigen_decay(params, free_restriction(5, 0.25), EnergyInterval(0.5, 0.5))
+
+    def test_size_guard_fails_before_allocating(self):
+        # 2^50 grid steps per cell: about 8e31 bytes of dense workspace
+        restriction = free_restriction(1, 2.0**-50)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=r"L = 1, h = 8.88178e-16 needs about 8.11e\+22 GB"):
+                eigen_decay(make_params(ell=1.0), restriction, EnergyInterval(0.5, 0.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_size_guard_admits_the_readme_localize_block_on_8_gb(self, monkeypatch):
+        # N = 2, L = 400, h = 0.0125: order 12798, about 2.6 GB
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.1)
+        restriction = free_restriction(400, 0.0125, n=2)
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+        monkeypatch.setattr(spectrum.os, "sysconf", sysconf.__getitem__)
+
+        def reached(*args):
+            raise RuntimeError("guard passed")
+
+        monkeypatch.setattr(spectrum, "discretize", reached)
+        with pytest.raises(RuntimeError, match="guard passed"):
+            eigen_decay(params, restriction, EnergyInterval(0.6, 1.0))
+        sysconf["SC_PHYS_PAGES"] //= 4
+        with pytest.raises(SizeGuardError, match="L = 400, h = 0.0125 needs about 2.62 GB"):
+            eigen_decay(params, restriction, EnergyInterval(0.6, 1.0))
 
     def test_disordered_states_decay(self):
         params = make_params(ell=0.1, c=np.array([2.0]), disorder=DisorderSpec.bernoulli())
