@@ -47,6 +47,7 @@ from .model import (
     energy_interval,
     generator,
     generator_norm,
+    path_table,
     sample_cell,
     sample_path,
     spectral_bounds,

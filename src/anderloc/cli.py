@@ -38,7 +38,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, resolve_h
 from .errors import (
     AnderlocError,
     ConfigError,
@@ -206,12 +206,11 @@ def cmd_lyapunov(cfg: RunConfig, seed: int) -> CommandResult:
 
 
 def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
-    h = cfg.ids.h if cfg.ids.h is not None else cfg.model.ell / 8.0
     curve = estimate_ids(
         cfg.model,
         cfg.ids.grid.resolve(cfg.model),
         length_cells=cfg.ids.length_cells,
-        h=h,
+        h=resolve_h(cfg.ids.h, cfg.model),
         n_samples=cfg.ids.n_samples,
         master_seed=derive_seed(seed, CMD_IDS),
         boundary=cfg.ids.boundary,
@@ -233,7 +232,7 @@ def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
 def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
     loc = cfg.localize
     window = loc.resolve_window(cfg.model)
-    h = loc.h if loc.h is not None else cfg.model.ell / 8.0
+    h = resolve_h(loc.h, cfg.model)
     center = 0.5 * (window.lo + window.hi)
     ref = lyapunov_spectrum(
         cfg.model,

@@ -48,6 +48,7 @@ __all__ = [
     "LyapunovSettings",
     "IdsSettings",
     "LocalizeSettings",
+    "resolve_h",
     "RunConfig",
     "parse_config",
     "load_config",
@@ -102,7 +103,7 @@ class LyapunovSettings:
 class IdsSettings:
     grid: GridSpec = field(default_factory=GridSpec)
     length_cells: int = 50
-    h: float | None = None  # default ell / 8
+    h: float | None = None  # default ell / 8, see resolve_h
     n_samples: int = 4
     boundary: str = "dirichlet"
 
@@ -111,7 +112,7 @@ class IdsSettings:
 class LocalizeSettings:
     window: tuple[float, float] | None = None  # default: middle quarter of the window
     length_cells: int = 200
-    h: float | None = None  # default ell / 8
+    h: float | None = None  # default ell / 8, see resolve_h
     boundary: str = "dirichlet"
     n_paths: int = 1
     ref_steps: int = 20000  # estimator length for the reference exponent
@@ -128,6 +129,11 @@ class LocalizeSettings:
         center = 0.5 * (full.lo + full.hi)
         half = full.length / 8.0
         return EnergyInterval(center - half, center + half)
+
+
+def resolve_h(h: float | None, params: ModelParams) -> float:
+    """Grid step of the ``ids`` and ``localize`` blocks: ``h`` when given, else ell / 8."""
+    return params.ell / 8.0 if h is None else h
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import ModelParams, generator
+from .model import ModelParams, _norms_from_spectra, generator
 
 __all__ = [
     "ClosureReport",
@@ -199,11 +199,10 @@ def density_certificate(
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
 
-    The norms use the closed form of ``model.generator_norm``,
-    max(1, max_i |lambda_i - E|), on ``spectra``, the energy-free
-    ``binary_spectra(params)``, so one array serves every energy.
+    The norms are the closed form of ``model.generator_norm`` applied to
+    ``spectra``, the energy-free ``binary_spectra(params)``.
     """
-    norms = tuple(float(nu) for nu in np.maximum(1.0, np.max(np.abs(spectra - energy), axis=1)))
+    norms = tuple(float(nu) for nu in _norms_from_spectra(spectra, energy))
     norm_ok = all(params.ell * nu <= params.rho for nu in norms)
     return DensityCertificate(
         energy=float(energy),

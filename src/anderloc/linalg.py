@@ -75,11 +75,13 @@ def exp_matrix(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return expm(scale * x)
 
 
-def is_symplectic(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when ||t(m) J m - J||_F <= tol."""
-    n = _even_order(m, "symplectic candidate")
-    j = standard_form(n)
-    return bool(np.linalg.norm(m.T @ j @ m - j) <= tol)
+def is_symplectic(m: np.ndarray, tol: float | np.ndarray = 1e-10) -> bool:
+    """True when ||t(m) J m - J||_F <= tol for every matrix of a stack (..., 2n, 2n); ``tol`` broadcasts."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
+        raise DimensionError(f"symplectic candidate must be square of even order, got shape {m.shape}")
+    j = standard_form(m.shape[-1] // 2)
+    return bool(np.all(np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1)) <= tol))
 
 
 def is_hamiltonian(x: np.ndarray, tol: float = 1e-10) -> bool:

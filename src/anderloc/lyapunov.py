@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
-from .model import _GROWTH_ADVICE, ModelParams, _distinct_cells, transfer_table
+from .model import _GROWTH_ADVICE, ModelParams, path_table, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -144,21 +144,9 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
     """
     two_n = 2 * params.n
     total = config.burn_in + config.n_steps
-    n_atoms = len(params.disorder.atoms)
-    probs = params.disorder.probabilities
-    values = params.disorder.values
-
-    # per-replica index streams, stacked to (total, n_replicas, N)
-    idx = np.stack(
-        [
-            stream(derive_seed(config.master_seed, r)).choice(n_atoms, size=(total, params.n), p=probs)
-            for r in range(config.n_replicas)
-        ],
-        axis=1,
-    )
-    uniq, inverse = _distinct_cells(idx.reshape(-1, params.n))
-    table = transfer_table(params, values[uniq], energy)
-    inverse = inverse.reshape(total, config.n_replicas)
+    streams = (stream(derive_seed(config.master_seed, r)) for r in range(config.n_replicas))
+    paths = np.stack([sample_path(params, total, rng) for rng in streams], axis=1)  # (total, n_replicas, N)
+    table, inverse = path_table(params, paths, energy)
     k = _block_length(table)
     where = f" at E={energy:g} (blocks of {k} cells)"
     starts = [*range(0, config.burn_in, k), *range(config.burn_in, total, k)]

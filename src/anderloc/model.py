@@ -35,6 +35,7 @@ __all__ = [
     "generator",
     "transfer",
     "transfer_table",
+    "path_table",
     "generator_norm",
     "binary_spectra",
     "spectral_bounds",
@@ -188,17 +189,13 @@ class EnergyInterval:
         return np.linspace(self.lo, self.hi, count)
 
 
-def _check_cell(params: ModelParams, omega: np.ndarray) -> np.ndarray:
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if omega.shape != (params.n,):
-        raise DimensionError(f"cell configuration must have length {params.n}")
-    return omega
-
-
 def cell_matrix(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:
-    """Single-cell channel matrix V + diag(c_i omega_i) - E I, symmetric."""
-    omega = _check_cell(params, omega)
-    return params.v + np.diag(params.c * omega) - energy * np.eye(params.n)
+    """Symmetric channel matrix V + diag(c_i omega_i) - E I of a cell, or of each cell of a stack (..., N)."""
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if omega.shape[-1] != params.n:
+        raise DimensionError(f"cell configuration must have length {params.n}")
+    eye = np.eye(params.n)
+    return params.v + (params.c * omega)[..., None] * eye - energy * eye
 
 
 def generator(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:
@@ -233,7 +230,7 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
         If a matrix overflows or fails the symplecticity check.
     """
     n = params.n
-    mu, u = np.linalg.eigh(np.array([cell_matrix(params, omega, 0.0) for omega in configs]))
+    mu, u = np.linalg.eigh(cell_matrix(params, configs, 0.0))
     kappa = mu - energy
     x = params.ell * np.sqrt(np.abs(kappa))
     grow = kappa > 0
@@ -246,12 +243,17 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
         t[:, :n, :n] = t[:, n:, n:] = (u * c[:, None, :]) @ ut
         t[:, :n, n:] = (u * s[:, None, :]) @ ut
         t[:, n:, :n] = (u * (kappa * s)[:, None, :]) @ ut
-    for tk in t:
-        if not (np.all(np.isfinite(tk)) and is_symplectic(tk, 1e-12 * np.linalg.norm(tk) ** 2)):
-            raise InstabilityError(
-                f"transfer matrix at E={energy:g} is not finite or not symplectic: {_GROWTH_ADVICE}"
-            )
+    if not (np.all(np.isfinite(t)) and is_symplectic(t, 1e-12 * np.linalg.norm(t, axis=(1, 2)) ** 2)):
+        raise InstabilityError(f"transfer matrix at E={energy:g} is not finite or not symplectic: {_GROWTH_ADVICE}")
     return t
+
+
+def path_table(params: ModelParams, path: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices of a path's (..., N) distinct cells, and each cell's row: ``table[index]``."""
+    path = np.atleast_2d(np.asarray(path, dtype=float))
+    values, codes = np.unique(path, return_inverse=True)
+    rows, index = _distinct_cells(codes.reshape(-1, params.n))
+    return transfer_table(params, values[rows], energy), index.reshape(path.shape[:-1])
 
 
 def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +277,12 @@ def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> flo
     are the eigenvalues of the cell matrix at energy zero, so the norm is
     max(1, max_i |lambda_i - E|).
     """
-    lams = sym_eigenvalues(cell_matrix(params, omega, 0.0))
-    return max(1.0, float(np.max(np.abs(lams - energy))))
+    return float(_norms_from_spectra(sym_eigenvalues(cell_matrix(params, omega, 0.0)), energy))
+
+
+def _norms_from_spectra(spectra: np.ndarray, energy: float) -> np.ndarray:
+    """max(1, max_i |lambda_i - E|) over the last axis of energy-zero cell spectra."""
+    return np.maximum(1.0, np.max(np.abs(spectra - energy), axis=-1))
 
 
 def binary_spectra(params: ModelParams) -> np.ndarray:
@@ -286,7 +292,7 @@ def binary_spectra(params: ModelParams) -> np.ndarray:
     the energy (the cell matrix at E has eigenvalues lambda_i - E), so one
     array serves every energy of a model.
     """
-    return np.array([sym_eigenvalues(cell_matrix(params, omega, 0.0)) for omega in binary_cells(params.n)])
+    return np.linalg.eigvalsh(cell_matrix(params, binary_cells(params.n), 0.0))
 
 
 def spectral_bounds(params: ModelParams) -> SpectralBounds:
@@ -318,9 +324,7 @@ def energy_interval(params: ModelParams) -> EnergyInterval:
 
 def sample_cell(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """One cell configuration: N independent draws from the disorder law."""
-    values = params.disorder.values
-    idx = rng.choice(len(values), size=params.n, p=params.disorder.probabilities)
-    return values[idx]
+    return sample_path(params, 1, rng)[0]
 
 
 def sample_path(params: ModelParams, n_cells: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
-from .model import EnergyInterval, ModelParams, _distinct_cells, sample_path, transfer_table
+from .model import EnergyInterval, ModelParams, cell_matrix, path_table, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -145,16 +145,20 @@ def _steps_per_cell(params: ModelParams, h: float) -> int:
     return m
 
 
+def _grid_points(params: ModelParams, restriction: FiniteRestriction) -> range:
+    """Steps k from the left edge to each kept grid point: Dirichlet drops both ends, Neumann keeps them."""
+    steps = 2 * restriction.length_cells * _steps_per_cell(params, restriction.h)
+    return range(1, steps) if restriction.boundary == "dirichlet" else range(steps + 1)
+
+
 def _point_cells(params: ModelParams, restriction: FiniteRestriction) -> np.ndarray:
     """Cell of every grid point: k steps from the left edge lie in cell k // (ell/h).
 
-    Dirichlet drops both boundary points, Neumann keeps them, and the right
-    edge stays in the last cell; integer arithmetic is exact at boundaries.
+    The right edge stays in the last cell; integer arithmetic is exact at boundaries.
     """
     m = _steps_per_cell(params, restriction.h)
-    cells = 2 * restriction.length_cells
-    k = np.arange(1, cells * m) if restriction.boundary == "dirichlet" else np.arange(cells * m + 1)
-    return np.clip(k // m, 0, cells - 1)
+    k = _grid_points(params, restriction)
+    return np.clip(np.arange(k.start, k.stop) // m, 0, 2 * restriction.length_cells - 1)
 
 
 def discretize(params: ModelParams, restriction: FiniteRestriction) -> BandedSymmetric:
@@ -165,16 +169,12 @@ def discretize(params: ModelParams, restriction: FiniteRestriction) -> BandedSym
     symmetry.  Grid points map to cells as in ``_point_cells``.
     """
     n = params.n
-    big_l = restriction.length_cells
     if restriction.omega_path.shape[1] != n:
         raise GridError(f"omega_path has {restriction.omega_path.shape[1]} channels, model has {n}")
     cell = _point_cells(params, restriction)
     n_pts = len(cell)
     h2 = restriction.h * restriction.h
-
-    blocks = np.empty((2 * big_l, n, n))
-    for c in range(2 * big_l):
-        blocks[c] = params.v + np.diag(params.c * restriction.omega_path[c])
+    blocks = cell_matrix(params, restriction.omega_path, 0.0)
 
     kinetic = np.full(n_pts, 2.0 / h2)
     if restriction.boundary != "dirichlet":
@@ -239,7 +239,11 @@ def count_below(matrix: BandedSymmetric, energy: float) -> int:
             return _inertia(matrix.ab, matrix.bandwidth, shift, pivot_floor)
         except _ZeroPivot:
             continue
-    raise FactorizationError("persistent pivot breakdown in inertia count")
+    raise FactorizationError(
+        f"persistent pivot breakdown in inertia count at E={energy:g}: the matrix of order {matrix.order} "
+        f"hit a zero pivot at all 7 shifts within {3e-12 * scale:.3g} of E; move E by more than that "
+        "(edit the energy grid), or change h or L"
+    )
 
 
 def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -> np.ndarray:
@@ -249,11 +253,8 @@ def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -
     u' to the value at the right edge, so the energy is a Dirichlet
     eigenvalue of the continuum restriction exactly when it is singular.
     """
-    path = np.atleast_2d(np.asarray(omega_path, dtype=float))
     n = params.n
-    values, codes = np.unique(path, return_inverse=True)
-    rows, index = _distinct_cells(codes.reshape(path.shape))
-    table = transfer_table(params, values[rows], energy)
+    table, index = path_table(params, omega_path, energy)
     prod = np.eye(2 * n)
     for k in index:
         prod = table[k] @ prod
@@ -333,8 +334,7 @@ def eigen_decay(
         return []
     if window.lo == window.hi:
         raise ScanRangeError(f"decay window [{window.lo:g}, {window.hi:g}] has zero width")
-    points = 2 * restriction.length_cells * _steps_per_cell(params, restriction.h)
-    order = params.n * (points - 1 if restriction.boundary == "dirichlet" else points + 1)
+    order = params.n * len(_grid_points(params, restriction))
     # the solver builds a dense order x order Q; measured peak RSS is about 16 bytes per entry
     need, have = 16 * order * order, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:

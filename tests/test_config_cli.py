@@ -16,7 +16,7 @@ import pytest
 
 import anderloc
 from anderloc.cli import build_parser, exit_code_for, main, write_csv
-from anderloc.config import parse_config
+from anderloc.config import parse_config, resolve_h
 from anderloc.errors import (
     ConfigError,
     FactorizationError,
@@ -171,6 +171,12 @@ def test_unknown_keys_are_config_errors(overrides, violations):
     with pytest.raises(ConfigError) as exc:
         parse_config(config_with(**overrides))
     assert exc.value.violations == violations
+
+
+def test_grid_step_defaults_to_an_eighth_of_ell():
+    cfg = parse_config(config_with(ids={"h": 0.025}))
+    assert resolve_h(cfg.ids.h, cfg.model) == 0.025
+    assert resolve_h(cfg.localize.h, cfg.model) == 0.1 / 8.0
 
 
 class TestExitCodeMapping:

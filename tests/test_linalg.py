@@ -103,6 +103,27 @@ class TestSymplecticPredicate:
         m[0, 1] = 1e-3
         assert not is_symplectic(m, 1e-8)
 
+    def test_stack_passes_only_when_every_matrix_does(self):
+        bad = np.eye(4)
+        bad[0, 1] = 1e-3
+        good = np.stack([np.eye(4), standard_form(2)])
+        assert is_symplectic(good, 1e-14)
+        assert is_symplectic(good[None], 1e-14)
+        assert not is_symplectic(np.stack([np.eye(4), bad, standard_form(2)]), 1e-8)
+
+    def test_stack_broadcasts_per_matrix_tolerances(self):
+        bad = np.eye(4)
+        bad[0, 1] = 1e-3
+        err = np.linalg.norm(bad.T @ standard_form(2) @ bad - standard_form(2))
+        stack = np.stack([bad, np.eye(4)])
+        assert is_symplectic(stack, np.array([2 * err, 1e-14]))
+        assert not is_symplectic(stack, np.array([1e-14, 2 * err]))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 4, 2), (4,)])
+    def test_bad_stacks_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            is_symplectic(np.zeros(shape))
+
 
 class TestHamiltonianPredicate:
     def test_block_form(self):

@@ -16,7 +16,16 @@ from anderloc.lyapunov import (
     qr_log_diag_sums,
     separability_scan,
 )
-from anderloc.model import DisorderSpec, ModelParams, _distinct_cells, sample_cell, transfer, transfer_table
+import anderloc.model
+from anderloc.model import (
+    DisorderSpec,
+    ModelParams,
+    _distinct_cells,
+    sample_cell,
+    sample_path,
+    transfer,
+    transfer_table,
+)
 from anderloc.seeding import derive_seed, stream
 
 
@@ -237,9 +246,28 @@ class TestBlockedRecursion:
             seen.append(configs)
             return transfer_table(p, configs, energy)
 
-        monkeypatch.setattr(anderloc.lyapunov, "transfer_table", recorded)
+        monkeypatch.setattr(anderloc.model, "transfer_table", recorded)
         lyapunov_spectrum(params, 0.5, cfg)
         assert len(seen) == 1 and np.array_equal(seen[0], params.disorder.values[uniq])
+
+    def test_replicas_draw_sample_paths(self, monkeypatch):
+        three_atoms = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
+        params = make_params(n=2, v=tridiagonal_witness(2), disorder=three_atoms)
+        cfg = EstimatorConfig(n_steps=40, n_replicas=3, burn_in=5, master_seed=12)
+        original = anderloc.lyapunov.path_table
+        seen = []
+
+        def recorded(p, path, energy):
+            seen.append(path)
+            return original(p, path, energy)
+
+        monkeypatch.setattr(anderloc.lyapunov, "path_table", recorded)
+        lyapunov_spectrum(params, 0.5, cfg)
+        total = cfg.burn_in + cfg.n_steps
+        for r in range(cfg.n_replicas):
+            drawn = params.disorder.values[replica_draws(params, cfg, r)]
+            assert np.array_equal(seen[0][:, r], drawn)
+            assert np.array_equal(sample_path(params, total, stream(derive_seed(cfg.master_seed, r))), drawn)
 
 
 class TestSeparabilityScan:

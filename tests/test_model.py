@@ -18,6 +18,7 @@ from anderloc.model import (
     energy_interval,
     generator,
     generator_norm,
+    path_table,
     sample_cell,
     sample_path,
     spectral_bounds,
@@ -103,6 +104,17 @@ class TestCellMatrix:
             omega = sample_cell(p, rng)
             m = cell_matrix(p, omega, rng.uniform(-3, 3))
             assert np.array_equal(m, m.T)
+
+    def test_stack_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        v = rng.standard_normal((3, 3))
+        p = make_params(n=3, v=v + v.T, c=rng.uniform(-2.0, 2.0, 3), disorder=THREE_ATOMS)
+        paths = sample_path(p, 24, rng).reshape(4, 6, 3)
+        for e in (0.0, -1.7, 2.3):
+            got = cell_matrix(p, paths, e)
+            assert got.shape == (4, 6, 3, 3)
+            for i, j in np.ndindex(4, 6):
+                assert np.array_equal(got[i, j], p.v + np.diag(p.c * paths[i, j]) - e * np.eye(3))
 
 
 class TestGenerator:
@@ -195,6 +207,17 @@ class TestTransferTable:
     def test_wrong_cell_length_rejected(self):
         with pytest.raises(DimensionError):
             transfer_table(make_params(n=2, v=V0_2, c=np.ones(2)), np.zeros((3, 3)), 0.0)
+
+
+class TestPathTable:
+    def test_gathers_every_cell_of_a_stacked_path(self):
+        p = make_params(n=2, v=V0_2, c=np.array([1.0, 1.5]), disorder=THREE_ATOMS)
+        path = sample_path(p, 30, stream(5)).reshape(10, 3, 2)
+        table, index = path_table(p, path, 0.7)
+        assert index.shape == (10, 3)
+        assert len(table) == len(np.unique(path.reshape(-1, 2), axis=0))
+        want = transfer_table(p, path.reshape(-1, 2), 0.7).reshape(10, 3, 4, 4)
+        assert np.array_equal(table[index], want)
 
 
 class TestGeneratorNorm:
@@ -325,6 +348,13 @@ class TestSampling:
         a = sample_path(p, 50, stream(7))
         b = sample_path(p, 50, stream(7))
         assert np.array_equal(a, b)
+
+    def test_cell_is_the_first_row_of_a_path(self):
+        p = make_params(n=3, v=np.eye(3), c=np.ones(3), disorder=THREE_ATOMS)
+        for seed in range(20):
+            want = p.disorder.values[stream(seed).choice(3, size=(1, 3), p=p.disorder.probabilities)]
+            assert np.array_equal(sample_path(p, 1, stream(seed)), want)
+            assert np.array_equal(sample_cell(p, stream(seed)), want[0])
 
 
 class TestBinaryCells:

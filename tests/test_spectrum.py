@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from anderloc import spectrum
-from anderloc.errors import GridError, InstabilityError, ScanRangeError, SizeGuardError
+from anderloc.cli import exit_code_for
+from anderloc.errors import FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
 from anderloc.linalg import exp_matrix
 from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path
 from anderloc.spectrum import (
@@ -153,6 +154,15 @@ class TestCountBelow:
         ab = np.array([[0.0, 0.0], [1.0, 0.0]])
         mat = BandedSymmetric(ab=ab, order=2, bandwidth=1)
         assert count_below(mat, 0.0) == 1
+
+    def test_persistent_zero_pivot_names_energy_order_and_remedy(self):
+        # each of the 7 shifts 0, +-1e-12, +-2e-12, +-3e-12 meets a zero pivot on this diagonal
+        ab = np.array([[0.0, 1e-12, -1e-12, 2e-12, -2e-12, 3e-12, -3e-12]])
+        mat = BandedSymmetric(ab=ab, order=7, bandwidth=0)
+        with pytest.raises(FactorizationError, match=r"at E=0: the matrix of order 7 .* within 3e-12 of E; "
+                           r"move E by more than that \(edit the energy grid\), or change h or L") as exc:
+            count_below(mat, 0.0)
+        assert exit_code_for(exc.value) == 4
 
 
 class TestShooting:
