@@ -56,6 +56,7 @@ from .model import (
 )
 from .furstenberg import (
     ClosureReport,
+    CouplingClosure,
     DensityCertificate,
     density_certificate,
     lie_closure,

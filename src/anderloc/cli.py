@@ -4,7 +4,7 @@ Subcommands
 -----------
 interval   print the spectral bounds and the certified energy window
 certify    density certificates over an energy grid          -> certificates.csv
-critical   genericity check: one energy-free closure         -> critical.csv
+critical   genericity check: is V's coupling graph connected -> critical.csv
 lyapunov   Lyapunov spectra over an energy grid              -> lyapunov.csv
 ids        integrated density of states curve                -> ids.csv
 localize   eigenfunction decay diagnostic                    -> decay.csv
@@ -109,8 +109,9 @@ class CommandResult:
     """Everything a subcommand produced; ``main`` writes it out.
 
     ``tables`` and ``texts`` (file name -> contents) go to the output
-    directory, ``stdout`` to standard output, ``status`` becomes the exit
-    status, and ``data`` holds the domain objects ``report`` summarizes.
+    directory, ``stdout`` and ``stderr`` to the standard streams, ``status``
+    becomes the exit status, and ``data`` holds the domain objects
+    ``report`` summarizes.
     """
 
     stdout: str
@@ -118,6 +119,7 @@ class CommandResult:
     texts: dict[str, str] = field(default_factory=dict)
     status: int = EXIT_OK
     data: Any = None
+    stderr: str = ""
 
 
 def _interval_text(cfg: RunConfig) -> str:
@@ -142,7 +144,7 @@ def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
 
 def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     grid = cfg.certify.grid.resolve(cfg.model)
-    closure = model_closure(cfg.model, tol=cfg.certify.tol)
+    closure = model_closure(cfg.model)
     spectra = binary_spectra(cfg.model)
     certs = [density_certificate(cfg.model, e, closure, spectra) for e in grid]
     n_cert = sum(c.certified for c in certs)
@@ -163,11 +165,13 @@ def cmd_critical(cfg: RunConfig, seed: int) -> CommandResult:
     window = energy_interval(cfg.model)
     if window.is_empty:
         raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
-    closure = model_closure(cfg.model, tol=cfg.critical.tol)
+    closure = model_closure(cfg.model)
     # the closure is deficient everywhere or nowhere, so there is no bracket to list
     table = Table("critical.csv", ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"], [])
     if not closure.full:
-        return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=closure)
+        groups = ", ".join("{" + ", ".join(map(str, k)) + "}" for k in closure.components)
+        note = f"non-generic interaction: closure deficient at every energy (uncoupled channel groups {groups})\n"
+        return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=closure, stderr=note)
     return CommandResult(
         stdout=f"0 critical energies in [{window.lo:.6g}, {window.hi:.6g}]\n",
         tables=[table],
@@ -354,13 +358,14 @@ def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
         tables=[table for part in parts for table in part.tables],
         texts={"summary.txt": "\n".join(lines), "plot_results.py": _PLOT_SCRIPT},
         status=critical.status,
+        stderr=critical.stderr,
     )
 
 
 _COMMANDS = {
     "interval": (cmd_interval, "print the spectral constants and the certified energy window"),
     "certify": (cmd_certify, "density certificates over an energy grid -> certificates.csv"),
-    "critical": (cmd_critical, "genericity check: one energy-free closure -> critical.csv"),
+    "critical": (cmd_critical, "genericity check: is V's coupling graph connected -> critical.csv"),
     "lyapunov": (cmd_lyapunov, "Lyapunov spectra over an energy grid -> lyapunov.csv"),
     "ids": (cmd_ids, "integrated density of states curve -> ids.csv"),
     "localize": (cmd_localize, "eigenfunction decay diagnostic -> decay.csv"),
@@ -427,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, text in result.texts.items():
         _write_text(os.path.join(args.out, name), text)
     sys.stdout.write(result.stdout)
-    if result.status == EXIT_NON_GENERIC:
-        print("non-generic interaction: closure deficient at every energy", file=sys.stderr)
+    sys.stderr.write(result.stderr)
     return result.status
 
 

@@ -22,8 +22,10 @@ not both; when absent they default to 21 evenly spaced points across the
 certified energy window.  Unknown keys are rejected at every level,
 except ``critical.grid_step`` and ``critical.refine_iters``: they are
 accepted but have no effect, since the genericity check that
-``critical`` runs needs no energy grid.  ``null`` is rejected wherever a
-value belongs.
+``critical`` runs needs no energy grid.  Neither ``certify`` nor
+``critical`` takes a tolerance: both read the exact verdict of
+``furstenberg.model_closure``, so ``tol`` is an unknown key there.
+``null`` is rejected wherever a value belongs.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -83,12 +85,11 @@ class GridSpec:
 @dataclass(frozen=True)
 class CertifySettings:
     grid: GridSpec = field(default_factory=GridSpec)
-    tol: float = 1e-8
 
 
 @dataclass(frozen=True)
 class CriticalSettings:
-    tol: float = 1e-8
+    """No settings: the genericity verdict is exact and needs no tolerance or grid."""
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,8 @@ def _window(val: Any) -> tuple[float, float]:
 # tail of the violation message; None marks a key accepted without effect.
 # Blocks whose settings have a ``grid`` field also take "energies" or "grid".
 _BLOCKS: dict[str, tuple[type, dict[str, tuple[str, Callable[[Any], Any]] | None]]] = {
-    "certify": (CertifySettings, {"tol": ("tol", _positive)}),
-    "critical": (CriticalSettings, {"tol": ("tol", _positive), "grid_step": None, "refine_iters": None}),
+    "certify": (CertifySettings, {}),
+    "critical": (CriticalSettings, {"grid_step": None, "refine_iters": None}),
     "lyapunov": (LyapunovSettings, {"n_steps": ("n_steps", _count(1)), "n_replicas": ("n_replicas", _count(1)),
                                     "burn_in": ("burn_in", _count(0))}),
     "ids": (IdsSettings, {"boundary": ("boundary", _boundary), "L": ("length_cells", _count(1)),

@@ -1,4 +1,4 @@
-"""Bracket-closure rank tests and density certificates.
+"""Bracket-closure rank tests, the exact genericity criterion, density certificates.
 
 The closed group generated by the 2^N binary transfer matrices at energy
 E is dense in the full symplectic group when (i) every generator stays
@@ -12,12 +12,35 @@ column i.  Then X_omega(E) = X_0(0) + sum_i (omega_i - E/c_i) D_i, and
 the binary cells include 0 and every unit vector e_i, so the span of
 {X_omega(E)} is span{X_0(0), D_1, ..., D_N} at every E.  The generated
 algebra is one per model, and its deficiency locus is either every
-energy (a non-generic interaction) or none, so the model's one
-``ClosureReport`` is also its critical-energy verdict: ``full`` means no
-critical energy.  This module implements the rank test, that
-energy-free closure, the per-energy certificate (whose only energy
-dependence is the norm condition), and the tridiagonal interaction that
-witnesses genericity.
+energy (a non-generic interaction) or none.
+
+``model_closure`` decides that algebra exactly, from V's coupling graph:
+the graph on the N channels with an edge i-j wherever V_ij != 0 (i != j).
+This code's result is that the algebra is the direct sum of sp(n_k) over
+the graph's connected components, of sizes n_k, so its dimension is
+sum_k (2 n_k^2 + n_k) and it is full exactly when the graph is connected.
+The diagonal of V, the values of c and the energy do not enter.  Sketch:
+
+- [D_i, X_0(0)] = c_i H_i with H_i = diag(-E_ii, E_ii) and c_i != 0, so
+  the algebra holds the diagonal (Cartan) subalgebra spanned by
+  H_1, ..., H_N.
+- Under ad(H_1), ..., ad(H_N), the upper-right I block of X_0(0) has
+  weights -2e_i, and the lower-left V block has weights 2e_i (diagonal
+  entries) and e_i + e_j (entry V_ij).  These weights are distinct, so
+  polynomials in the ad(H_i) project X_0(0) onto each of them: the
+  algebra holds the root vectors of +-2e_i and, for every edge i-j, the
+  root vector of e_i + e_j.
+- Bracketing the edge vector with the -2e_j vector gives the root vector
+  of e_i - e_j.  Along the edges of a component these generate every root
+  of C_{n_k}, hence sp(n_k) on that component's channels.  Every
+  generator, and so every bracket, is block-diagonal over the components,
+  so nothing outside their sum is reached.
+
+``lie_closure`` is the numerical rank test on arbitrary Hamiltonian
+generators, kept as library code and as the reference the tests compare
+the criterion with.  This module also implements the per-energy
+certificate (whose only energy dependence is the norm condition) and the
+tridiagonal interaction that witnesses genericity.
 """
 
 from __future__ import annotations
@@ -28,10 +51,11 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import ModelParams, _norms_from_spectra, generator
+from .model import ModelParams, _norms_from_spectra
 
 __all__ = [
     "ClosureReport",
+    "CouplingClosure",
     "DensityCertificate",
     "lie_closure",
     "model_closure",
@@ -62,13 +86,32 @@ class ClosureReport:
         return self.dim_reached == self.target_dim
 
 
+@dataclass(frozen=True)
+class CouplingClosure:
+    """The energy-free closure of a model, decided by ``model_closure``.
+
+    ``components`` are the connected components of V's coupling graph, as
+    sorted tuples of channel indices (rows of V), ordered by first index;
+    ``dim_reached`` is sum_k (2 n_k^2 + n_k) over their sizes n_k, and
+    ``target_dim`` is 2N^2 + N.
+    """
+
+    components: tuple[tuple[int, ...], ...]
+    dim_reached: int
+    target_dim: int
+
+    @property
+    def full(self) -> bool:
+        return self.dim_reached == self.target_dim
+
+
 @dataclass
 class DensityCertificate:
     """Checked pair of density conditions at one energy.
 
     Only the norm condition depends on the energy; ``closure`` is the
-    model's energy-free ``ClosureReport``, whose rank-gap margin and
-    depth-guard flag say how close the closure decision came to flipping.
+    model's energy-free ``CouplingClosure``, an exact verdict with no
+    margin to report.
     A true certificate asserts density of the binary-generator group in
     the symplectic group, conditional on the configured ``rho`` being a
     valid radius for the identity neighborhood of the density criterion;
@@ -79,7 +122,7 @@ class DensityCertificate:
     norm_condition: bool
     certified: bool
     per_config_norms: tuple[float, ...]
-    closure: ClosureReport
+    closure: CouplingClosure
     rho: float
 
 
@@ -173,29 +216,28 @@ def lie_closure(
     )
 
 
-def model_closure(params: ModelParams, tol: float = 1e-8) -> ClosureReport:
-    """Bracket closure of the binary family, the same at every energy.
+def model_closure(params: ModelParams) -> CouplingClosure:
+    """Closure of the binary family, the same at every energy, from V's coupling graph.
 
-    Generated by X_0(0) and D_1, ..., D_N (see the module docstring), whose
-    span is the span of the 2^N binary generators X_omega(E) at any E.
+    Exact: a float entry of V is either zero or not.  The components are
+    read off the boolean reachability matrix, squared until every path of
+    up to N - 1 edges is in it (see the module docstring for the criterion).
     """
-    n = params.n
-    generators = [generator(params, np.zeros(n), 0.0)]
-    for i, c in enumerate(params.c):
-        d = np.zeros((2 * n, 2 * n))
-        d[n + i, i] = c
-        generators.append(d)
-    return lie_closure(generators, tol=tol)
+    reach = np.eye(params.n, dtype=int) + (params.v != 0)
+    for _ in range(int(params.n).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    components = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
+    return CouplingClosure(components, sum(sp_dim(len(k)) for k in components), sp_dim(params.n))
 
 
 def density_certificate(
-    params: ModelParams, energy: float, closure: ClosureReport, spectra: np.ndarray
+    params: ModelParams, energy: float, closure: CouplingClosure, spectra: np.ndarray
 ) -> DensityCertificate:
     """Check both density conditions for the binary family at one energy.
 
     ``norm_condition`` is ell * ||X_omega|| <= rho for all 2^N binary
-    cells; the closure condition is ``closure.full``, the bracket closure
-    of ``model_closure`` reaching 2N^2 + N at every energy.  A
+    cells; the closure condition is ``closure.full``, the closure of
+    ``model_closure`` reaching 2N^2 + N at every energy.  A
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
 

@@ -107,8 +107,8 @@ class TestParseConfig:
     def test_grid_scan_keys_are_accepted_without_effect(self):
         # critical needs no energy grid, so these keys are ignored rather than rejected
         for block in ({"grid_step": 0.05, "refine_iters": 40}, {"grid_step": -1, "refine_iters": "x"}):
-            cfg = parse_config(config_with(critical=dict(block, tol=1e-9)))
-            assert vars(cfg.critical) == {"tol": 1e-9}
+            cfg = parse_config(config_with(critical=block))
+            assert vars(cfg.critical) == {}
 
 
 NAN, INF = float("nan"), float("inf")
@@ -165,6 +165,9 @@ def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, 
         ({"critical": {"grid": {"lo": 0.0, "hi": 1.0}}}, ["critical.grid is not a known key"]),
         ({"ids": {"grid": {"lo": 0.0, "hi": 1.0, "Count": 5}}}, ["ids.grid.Count is not a known key"]),
         ({"disorder": {"atoms": [[0.0, 0.5], [1.0, 0.5]], "p": 0.3}}, ["disorder.p is not a known key"]),
+        # the genericity verdict is exact, so neither block takes a rank tolerance
+        ({"certify": {"tol": 1e-8}, "critical": {"tol": 1e-8}},
+         ["certify.tol is not a known key", "critical.tol is not a known key"]),
     ],
 )
 def test_unknown_keys_are_config_errors(overrides, violations):
@@ -257,6 +260,32 @@ class TestCommandLine:
         }))
         rc = main(["critical", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_commands_never_reach_lie_closure(self, tmp_path, capsys, monkeypatch):
+        # the genericity verdict is read off V's coupling graph; the numerical closure is library code
+        def refuse(*args, **kwargs):
+            raise AssertionError("lie_closure called")
+
+        monkeypatch.setattr(anderloc.furstenberg, "lie_closure", refuse)
+        witness = write_config(tmp_path, N=2, V=[[0.0, 1.0], [1.0, 0.0]], c=[1.0, 1.0], **SMALL_BLOCKS)
+        decoupled = write_config(tmp_path, "flat.json", N=2, V=[[0.0, 0.0], [0.0, 0.0]], c=[1.0, 1.0])
+        out = str(tmp_path / "out")
+        assert main(["certify", "--config", witness, "--out", out]) == 0
+        assert main(["critical", "--config", witness, "--out", out]) == 0
+        assert main(["critical", "--config", decoupled, "--out", out]) == 3
+
+    def test_non_generic_note_names_the_channel_groups(self, tmp_path, capsys):
+        # channels 0 and 2 are coupled, channel 1 is not; the diagonal couples nothing
+        v = [[0.5, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 0.0]]
+        path = write_config(tmp_path, N=3, V=v, c=[1.0, 1.0, 1.0], **SMALL_BLOCKS)
+        note = ("non-generic interaction: closure deficient at every energy "
+                "(uncoupled channel groups {0, 2}, {1})\n")
+        assert main(["critical", "--config", path, "--out", str(tmp_path / "a")]) == 3
+        assert capsys.readouterr() == ("", note)
+        assert main(["report", "--config", path, "--out", str(tmp_path / "b")]) == 3
+        assert capsys.readouterr().err == note
+        summary = open(os.path.join(tmp_path, "b", "summary.txt")).read()
+        assert "critical energies: non-generic interaction (deficient everywhere)" in summary
 
     def test_lyapunov_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)

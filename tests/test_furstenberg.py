@@ -1,13 +1,15 @@
 """Closure rank tests, the energy-free model closure, certificates, the critical command."""
 
+import csv
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import anderloc.cli
-from anderloc.cli import EXIT_CONFIG, EXIT_NON_GENERIC, EXIT_OK, cmd_critical, exit_code_for
+from anderloc.cli import EXIT_CONFIG, EXIT_NON_GENERIC, EXIT_OK, cmd_critical, exit_code_for, main
 from anderloc.config import (
     CertifySettings,
     CriticalSettings,
@@ -241,9 +243,10 @@ class TestExactClosureOracle:
 
     Every input is a dyadic rational, so the float generators equal the
     exact ones and the two closures see the same matrices.  Each model is
-    also checked against the energy-free generators {X_0(0), D_i} of
-    ``model_closure``: at every energy they span the same space over Q as
-    the binary generators, and they generate the same algebra.
+    also checked against the energy-free generators {X_0(0), D_i}: at
+    every energy they span the same space over Q as the binary generators,
+    and they generate the same algebra, whose dimension ``model_closure``
+    reports.
     """
 
     @staticmethod
@@ -326,6 +329,119 @@ class TestExactClosureOracle:
                     assert lie_closure(binary_generators(params, e)).dim_reached == dim
 
 
+def energy_free_generators(params):
+    """X_0(0) and each D_i (c_i at row N+i, column i), as floats."""
+    n = params.n
+    gens = [generator(params, np.zeros(n), 0.0)]
+    for i, c in enumerate(params.c):
+        d = np.zeros((2 * n, 2 * n))
+        d[n + i, i] = c
+        gens.append(d)
+    return gens
+
+
+def random_interaction(rng, n, edges, scale=1.0):
+    """Symmetric V with a random diagonal and weight on ``edges`` only, and signed c."""
+    v = np.diag(rng.uniform(-2.0, 2.0, n))
+    for i, j in edges:
+        v[i, j] = v[j, i] = scale * rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    return v, rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+
+
+class TestCouplingGraphCriterion:
+    """``model_closure`` is the component formula sum_k (2 n_k^2 + n_k) of V's coupling graph.
+
+    Checked against the exact closure over Q on every edge pattern up to
+    N = 3 and a seeded N = 4 subset, and against ``lie_closure`` on the
+    energy-free generators over a seeded sweep up to N = 8.
+    """
+
+    @staticmethod
+    def dyadic_model(rng, n, edges):
+        """Fraction V and c: dyadic weights on ``edges``, random diagonal (zero allowed), signed c."""
+        v = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v[i][i] = Fraction(int(rng.integers(-4, 5)), 4)
+        for i, j in edges:
+            v[i][j] = v[j][i] = Fraction(int(rng.integers(1, 5)) * int(rng.choice([-1, 1])), 4)
+        c = [Fraction(int(rng.integers(1, 5)) * int(rng.choice([-1, 1])), 2) for _ in range(n)]
+        return v, c
+
+    def check_exact(self, v, c):
+        params = ModelParams(n=len(v), v=np.array(v, dtype=float), c=np.array(c, dtype=float), ell=0.1)
+        closure = model_closure(params)
+        exact = exact_closure_dim(exact_energy_free_generators(v, c))
+        assert closure.dim_reached == exact
+        assert closure.target_dim == sp_dim(len(v))
+        assert closure.full == (exact == sp_dim(len(v))) == (len(closure.components) == 1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_edge_pattern_against_the_exact_closure(self, n):
+        rng = np.random.default_rng(50 + n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                self.check_exact(*self.dyadic_model(rng, n, edges))
+
+    def test_seeded_four_channel_patterns_against_the_exact_closure(self):
+        rng = np.random.default_rng(54)
+        pairs = list(itertools.combinations(range(4), 2))
+        patterns = [(), ((0, 1), (2, 3)), ((0, 1), (1, 2), (2, 3))]  # none, two blocks, the path
+        patterns += [tuple(p for p in pairs if rng.random() < 0.4) for _ in range(2)]
+        for edges in patterns:
+            self.check_exact(*self.dyadic_model(rng, 4, edges))
+
+    def test_seeded_sweep_against_lie_closure(self):
+        rng = np.random.default_rng(55)
+        for n in range(1, 9):
+            pairs = list(itertools.combinations(range(n), 2))
+            for _ in range(3):
+                if n < 6:
+                    edges = [p for p in pairs if rng.random() < 0.5]
+                else:  # sparse: about n - 1 random edges, so components of every size occur
+                    edges = [pairs[k] for k in rng.choice(len(pairs), n - 1, replace=False)]
+                v, c = random_interaction(rng, n, edges)
+                params = ModelParams(n=n, v=v, c=c, ell=0.1)
+                assert model_closure(params).dim_reached == lie_closure(energy_free_generators(params)).dim_reached
+        # a random spanning tree at N = 8 reaches the whole algebra
+        v, c = random_interaction(rng, 8, [(int(rng.integers(0, k)), k) for k in range(1, 8)])
+        params = ModelParams(n=8, v=v, c=c, ell=0.1)
+        assert model_closure(params).full and lie_closure(energy_free_generators(params)).dim_reached == sp_dim(8)
+
+    def test_components_are_the_coupling_graph_components(self):
+        v = np.zeros((5, 5))
+        v[0, 3] = v[3, 0] = 0.5
+        v[1, 4] = v[4, 1] = -2.0
+        v[3, 4] = v[4, 3] = 1e-300
+        np.fill_diagonal(v, 7.0)  # the diagonal couples nothing
+        closure = model_closure(make_params(5, v))
+        assert closure.components == ((0, 1, 3, 4), (2,))
+        assert (closure.dim_reached, closure.target_dim, closure.full) == (sp_dim(4) + sp_dim(1), sp_dim(5), False)
+
+    def test_one_tiny_edge_still_connects_the_path(self):
+        # the numerical rank test drops brackets below its zero floor 1e-12: it reported 24 or 20
+        for i in range(3):
+            path = tridiagonal_witness(4)
+            path[i, i + 1] = path[i + 1, i] = 1e-300
+            assert model_closure(make_params(4, path)).dim_reached == 36
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-200])
+    def test_tiny_couplings_are_couplings(self, tmp_path, capsys, eps):
+        # the numerical rank test reported 6 of 10 and exit 3 below its zero floor 1e-12
+        cfg = tmp_path / "eps.json"
+        cfg.write_text(json.dumps({
+            "N": 2, "V": [[0.0, eps], [eps, 0.0]], "c": [1.0, 1.0], "ell": 0.1,
+            "certify": {"grid": {"lo": -1.0, "hi": 1.0, "count": 3}},
+        }))
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        with open(out / "certificates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["closure_dim"], r["target_dim"]) for r in rows] == [("10", "10")] * 3
+        assert main(["critical", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 def certificate(params, energy):
     return density_certificate(params, energy, model_closure(params), binary_spectra(params))
 
@@ -387,13 +503,13 @@ class TestDensityCertificate:
             assert not cert.norm_condition
 
 
-def critical(params, tol=1e-8):
+def critical(params):
     """``cmd_critical`` on a run configuration holding ``params``."""
     cfg = RunConfig(
         model=params,
         seed=0,
         certify=CertifySettings(),
-        critical=CriticalSettings(tol=tol),
+        critical=CriticalSettings(),
         lyapunov=LyapunovSettings(),
         ids=IdsSettings(),
         localize=LocalizeSettings(),
@@ -414,16 +530,17 @@ class TestCriticalScan:
         assert result.stdout == f"0 critical energies in [{window.lo:.6g}, {window.hi:.6g}]\n"
 
     def test_tridiagonal_witness_clean(self, monkeypatch):
-        tols = []
+        calls = []
 
-        def recorded(params, tol):
-            tols.append(tol)
-            return model_closure(params, tol=tol)
+        def recorded(params):
+            calls.append(params)
+            return model_closure(params)
 
         monkeypatch.setattr(anderloc.cli, "model_closure", recorded)
-        result = critical(make_params(2, tridiagonal_witness(2)), tol=1e-9)
+        params = make_params(2, tridiagonal_witness(2))
+        result = critical(params)
         assert result.status == EXIT_OK and result.data.full
-        assert tols == [1e-9]
+        assert len(calls) == 1 and calls[0] is params
 
     def test_decoupled_interaction_sets_flag(self):
         result = critical(make_params(2, np.zeros((2, 2))))

@@ -9,6 +9,7 @@ import pytest
 from anderloc import spectrum
 from anderloc.cli import exit_code_for
 from anderloc.errors import FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
+from anderloc.furstenberg import model_closure
 from anderloc.linalg import exp_matrix
 from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path
 from anderloc.spectrum import (
@@ -163,6 +164,37 @@ class TestCountBelow:
                            r"move E by more than that \(edit the energy grid\), or change h or L") as exc:
             count_below(mat, 0.0)
         assert exit_code_for(exc.value) == 4
+
+
+class TestComponentSplitting:
+    """Cross-layer oracle: a disconnected coupling graph splits the operator.
+
+    When ``model_closure`` reports more than one component, V is
+    block-diagonal over them and the restriction is, up to a permutation
+    of its unknowns, the direct sum of the component sub-models' ones; so
+    its inertia counts are exactly the sums of theirs.
+    """
+
+    def test_counts_add_over_components(self):
+        v = np.array([[0.4, -1.0, 0.0], [-1.0, 0.2, 0.0], [0.0, 0.0, -0.3]])
+        params = make_params(3, v, c=np.array([1.0, -1.5, 2.0]), ell=0.1, disorder=DisorderSpec.bernoulli())
+        components = model_closure(params).components
+        assert components == ((0, 1), (2,))
+        length, h = 12, 0.0125
+        for seed, boundary in enumerate(("dirichlet", "neumann")):
+            restriction = sample_restriction(params, length, h, boundary, stream(derive_seed(61, seed)))
+            full = discretize(params, restriction)
+            parts = []
+            for k in components:
+                ix = list(k)
+                sub = make_params(len(ix), v[np.ix_(ix, ix)], c=params.c[ix], ell=params.ell, disorder=params.disorder)
+                parts.append(discretize(sub, FiniteRestriction(length, boundary, h, restriction.omega_path[:, ix])))
+            assert sum(p.order for p in parts) == full.order
+            counts = []
+            for e in np.linspace(-3.0, 150.0, 9):
+                counts.append(count_below(full, e))
+                assert counts[-1] == sum(count_below(p, e) for p in parts), (boundary, e)
+            assert counts[0] < counts[-1]
 
 
 class TestShooting:
