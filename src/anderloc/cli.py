@@ -49,7 +49,7 @@ from .errors import (
 from .furstenberg import density_certificate, model_closure
 from .lyapunov import EstimatorConfig, lyapunov_spectrum, separability_scan
 from .model import binary_spectra, energy_interval, spectral_bounds
-from .seeding import derive_seed, stream
+from .seeding import as_seed, derive_seed, stream
 from .spectrum import eigen_decay, estimate_ids, sample_restriction
 from . import __version__
 
@@ -374,17 +374,11 @@ _COMMANDS = {
 
 
 def _seed(text: str) -> int:
-    """``--seed`` value: an unsigned 64-bit integer, like the configured ``seed``.
-
-    ``derive_seed`` reduces seeds modulo 2^64, so -1 would alias 2^64 - 1.
-    """
+    """``--seed`` value: an unsigned 64-bit integer, like the configured ``seed``."""
     try:
-        seed = int(text)
+        return as_seed(int(text))
     except ValueError:
-        seed = None
-    if seed is None or not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {text!r}")
-    return seed
+        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,8 +40,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AnderlocError, ConfigError
-from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, energy_interval
+from .errors import AnderlocError, ConfigError, DimensionError
+from .linalg import as_symmetric
+from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, couplings, energy_interval
+from .seeding import as_seed
+from .spectrum import BOUNDARIES
 
 __all__ = [
     "GridSpec",
@@ -198,8 +201,8 @@ def _positive(val: Any) -> float:
 
 
 def _boundary(val: Any) -> str:
-    if val not in ("dirichlet", "neumann"):
-        raise ValueError("must be 'dirichlet' or 'neumann'")
+    if val not in BOUNDARIES:
+        raise ValueError("must be " + " or ".join(f"'{b}'" for b in BOUNDARIES))
     return val
 
 
@@ -289,36 +292,22 @@ def parse_config(text: str) -> RunConfig:
                 # asarray also converts strings, booleans and null
                 violations.append("V entries must be finite numbers")
             else:
-                scale = max(float(np.linalg.norm(v_arr)), 1e-300)
-                asym = np.abs(v_arr - v_arr.T)
-                i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-                if asym[i, j] > 1e-10 * scale:
-                    violations.append(
-                        f"V is not symmetric: entries ({i},{j}) and ({j},{i}) differ by {asym[i, j]:g} "
-                        f"(relative {asym[i, j] / scale:g} > 1e-10)"
-                    )
-                else:
-                    v = 0.5 * (v_arr + v_arr.T)
+                try:
+                    v = as_symmetric(v_arr)
+                except DimensionError as exc:
+                    violations.append(f"V: {exc}")
 
     c_raw = doc.get("c")
     c = np.ones(n)
     if c_raw is None:
         violations.append("c is required (length-N array of non-zero couplings)")
-    elif (
-        not isinstance(c_raw, list)
-        or len(c_raw) != n
-        or not all(_is_number(x) for x in c_raw)
-    ):
-        violations.append(f"c must be a list of N = {n} finite numbers")
+    elif not isinstance(c_raw, list) or not all(_is_number(x) for x in c_raw):
+        violations.append("c must be a list of finite numbers")
     else:
-        c_arr = np.asarray(c_raw, dtype=float)
-        zeros = np.nonzero(c_arr == 0.0)[0]
-        if zeros.size:
-            violations.append(
-                f"c[{int(zeros[0])}] is zero; the model requires non-zero real coupling constants"
-            )
-        else:
-            c = c_arr
+        try:
+            c = couplings(c_raw, n)
+        except (ValueError, DimensionError) as exc:
+            violations.append(str(exc))
 
     ell = doc.get("ell")
     if not _is_number(ell) or ell <= 0:
@@ -354,9 +343,10 @@ def parse_config(text: str) -> RunConfig:
                         "{0, 1} inside the support of the disorder law"
                     )
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 1 << 64:
-        violations.append("seed must be an unsigned 64-bit integer")
+    try:
+        seed = as_seed(doc.get("seed", 0))
+    except ValueError as exc:
+        violations.append(str(exc))
         seed = 0
 
     blocks = {name: doc.get(name, {}) for name in _BLOCKS}

@@ -37,10 +37,11 @@ The diagonal of V, the values of c and the energy do not enter.  Sketch:
   so nothing outside their sum is reached.
 
 ``lie_closure`` is the numerical rank test on arbitrary Hamiltonian
-generators, kept as library code and as the reference the tests compare
-the criterion with.  This module also implements the per-energy
-certificate (whose only energy dependence is the norm condition) and the
-tridiagonal interaction that witnesses genericity.
+generators, at the fixed relative tolerance 1e-8, kept as library code
+and as the reference the tests compare the criterion with.  This module
+also implements the per-energy certificate (whose only energy dependence
+is the norm condition) and the tridiagonal interaction that witnesses
+genericity.
 """
 
 from __future__ import annotations
@@ -70,16 +71,13 @@ class ClosureReport:
 
     ``basis`` holds orthonormal coordinate vectors spanning the closure
     reached; ``smallest_retained_norm`` is the smallest relative residual
-    among retained candidates (the rank-gap margin); ``depth_exceeded``
-    flags a sweep stopped by the depth guard while still growing.
+    among retained candidates (the rank-gap margin).
     """
 
     dim_reached: int
     target_dim: int
     basis: np.ndarray
-    depth_used: int
     smallest_retained_norm: float
-    depth_exceeded: bool = False
 
     @property
     def full(self) -> bool:
@@ -126,20 +124,15 @@ class DensityCertificate:
     rho: float
 
 
-def lie_closure(
-    generators: list[np.ndarray],
-    tol: float = 1e-8,
-    max_depth: int | None = None,
-) -> ClosureReport:
+def lie_closure(generators: list[np.ndarray]) -> ClosureReport:
     """Span of all iterated brackets of Hamiltonian generators, by numerical rank.
 
     Breadth-first: the span is seeded with the generators, then every
     basis representative is bracketed against the newest frontier; a
     candidate is kept when, after orthogonalization against the current
-    basis, its residual exceeds ``tol`` times its own coordinate norm.
-    Stops at full dimension 2N^2 + N, on a sweep that adds nothing, or at
-    ``max_depth`` sweeps (default 2 * (2N^2 + N), never binding for a
-    generating set since the dimension grows along productive sweeps).
+    basis, its residual exceeds 1e-8 times its own coordinate norm.
+    Stops at full dimension 2N^2 + N or on a sweep that adds nothing, so
+    after at most 2N^2 + N sweeps.
 
     The reached dimension is independent of generator order and scaling;
     the basis itself is not.  Generators must be Hamiltonian matrices of
@@ -147,8 +140,6 @@ def lie_closure(
     """
     if len(generators) == 0:
         raise ValueError("need at least one generator")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     for g in generators:  # is_hamiltonian itself rejects non-square and odd orders
         if not is_hamiltonian(g, 1e-10 * max(1.0, float(np.linalg.norm(g)))):
             raise DimensionError("generator is not Hamiltonian within tolerance")
@@ -156,8 +147,6 @@ def lie_closure(
     if any(np.shape(g) != (two_n, two_n) for g in generators):
         raise DimensionError("generators must share one order")
     target = sp_dim(two_n // 2)
-    if max_depth is None:
-        max_depth = 2 * target
 
     # rows [:dim] hold the orthonormal coordinates and unit-norm representatives
     basis = np.empty((target, target))
@@ -179,7 +168,7 @@ def lie_closure(
         r = vec - (b @ vec) @ b  # two Gram-Schmidt passes for orthogonality to ~1e-15
         r -= (b @ r) @ b
         res = float(np.linalg.norm(r))
-        if res <= tol * own:
+        if res <= 1e-8 * own:
             return False
         basis[dim] = r / res
         reps[dim] = elem / own
@@ -192,9 +181,7 @@ def lie_closure(
         if try_add(g, vectorize_sp(g)):
             frontier.append(dim - 1)
 
-    depth = 0
-    while frontier and dim < target and depth < max_depth:
-        depth += 1
+    while frontier and dim < target:
         snapshot = reps[:dim]
         new_frontier: list[int] = []
         for k in frontier:
@@ -210,9 +197,7 @@ def lie_closure(
         dim_reached=dim,
         target_dim=target,
         basis=basis[:dim].copy(),
-        depth_used=depth,
         smallest_retained_norm=float(smallest_retained),
-        depth_exceeded=bool(frontier) and dim < target and depth >= max_depth,
     )
 
 

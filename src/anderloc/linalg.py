@@ -91,16 +91,22 @@ def is_hamiltonian(x: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.linalg.norm(j @ x + x.T @ j) <= tol)
 
 
-def as_symmetric(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetrize m, rejecting asymmetry beyond ``tol`` relative to ||m||.
+def as_symmetric(m: np.ndarray) -> np.ndarray:
+    """Symmetrize m, rejecting ||m - t(m)||_F > 1e-10 * ||m||_F.
 
     Guards against rounding noise from configuration files without hiding
-    genuinely asymmetric input.
+    genuinely asymmetric input; the error names the most asymmetric entry pair.
     """
     m = _square(m, "symmetric matrix")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > tol * max(scale, 1e-300):
-        raise DimensionError("matrix is not symmetric within tolerance")
+    scale = max(float(np.linalg.norm(m)), 1e-300)
+    asym = np.abs(m - m.T)
+    rel = float(np.linalg.norm(asym)) / scale
+    if rel > 1e-10:
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        raise DimensionError(
+            f"matrix is not symmetric: entries ({i},{j}) and ({j},{i}) differ by {asym[i, j]:g} "
+            f"(relative Frobenius asymmetry {rel:g} > 1e-10)"
+        )
     return 0.5 * (m + m.T)
 
 

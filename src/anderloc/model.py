@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_RHO",
     "DisorderSpec",
     "ModelParams",
+    "couplings",
     "SpectralBounds",
     "EnergyInterval",
     "cell_matrix",
@@ -136,11 +137,7 @@ class ModelParams:
         v = as_symmetric(v)
         if v.shape != (self.n, self.n):
             raise DimensionError(f"v must be {self.n}x{self.n}, got {v.shape}")
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        if c.shape != (self.n,):
-            raise DimensionError(f"c must have length {self.n}, got {c.shape}")
-        if not np.all(np.isfinite(c)) or np.any(c == 0.0):
-            raise ValueError("all coupling constants c_i must be non-zero and finite")
+        c = couplings(self.c, self.n)
         if not (np.isfinite(self.ell) and self.ell > 0):
             raise ValueError("ell must be positive and finite")
         if not (0 < self.rho <= 1):
@@ -149,6 +146,21 @@ class ModelParams:
         c.setflags(write=False)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "c", c)
+
+
+def couplings(c: np.ndarray, n: int) -> np.ndarray:
+    """The coupling constants as a float vector of length n, each finite and non-zero.
+
+    Raises ``DimensionError`` for a wrong length and ``ValueError`` naming
+    the first bad index otherwise.
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.shape != (n,):
+        raise DimensionError(f"c must have length {n}, got shape {c.shape}")
+    bad = np.flatnonzero(~np.isfinite(c) | (c == 0.0))
+    if bad.size:
+        raise ValueError(f"c[{bad[0]}] is {c[bad[0]]:g}; the model requires finite non-zero coupling constants")
+    return c
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_seed", "stream"]
+__all__ = ["as_seed", "derive_seed", "stream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,6 +21,16 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def as_seed(value: object) -> int:
+    """``value`` as a master seed: an int, not a bool, in [0, 2^64); else ``ValueError``.
+
+    ``derive_seed`` reduces seeds modulo 2^64, so -1 would alias 2^64 - 1.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= _MASK64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return value
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

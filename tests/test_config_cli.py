@@ -19,12 +19,14 @@ from anderloc.cli import build_parser, exit_code_for, main, write_csv
 from anderloc.config import parse_config, resolve_h
 from anderloc.errors import (
     ConfigError,
+    DimensionError,
     FactorizationError,
     GridError,
     InstabilityError,
     ScanRangeError,
     SizeGuardError,
 )
+from anderloc.model import ModelParams
 
 MINIMAL = {
     "N": 1,
@@ -65,6 +67,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(config_with(N=2, V=[[0.0, 1.0], [1.1, 0.0]], c=[1.0, 1.0]))
         assert any("(0,1)" in v and "(1,0)" in v for v in exc.value.violations)
+
+    def test_config_and_model_share_the_symmetry_rule(self):
+        # relative to ||V||_F the largest entry gap is 0.8e-10, but ||V - t(V)||_F is 1.13e-10
+        v = [[0.0, 1.0], [1.0 + 1.13e-10, 0.0]]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_with(N=2, V=v, c=[1.0, 1.0]))
+        assert any(w.startswith("V: ") and "(0,1)" in w and "(1,0)" in w for w in exc.value.violations)
+        with pytest.raises(DimensionError, match=r"\(0,1\) and \(1,0\)"):
+            ModelParams(n=2, v=np.array(v), c=np.ones(2), ell=0.1)
+        # just inside the bound, both accept and symmetrize alike
+        v = [[0.0, 1.0], [1.0 + 0.9e-10, 0.0]]
+        model = ModelParams(n=2, v=np.array(v), c=np.ones(2), ell=0.1)
+        assert np.array_equal(parse_config(config_with(N=2, V=v, c=[1.0, 1.0])).model.v, model.v)
+
+    @pytest.mark.parametrize("c, violation", [([1.0, 0.0, 2.0], "c[1] is 0"), ([1.0, 2.0], "c must have length 3")])
+    def test_config_and_model_share_the_coupling_rule(self, c, violation):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_with(N=3, V=np.eye(3).tolist(), c=c))
+        assert any(v.startswith(violation) for v in exc.value.violations)
+        with pytest.raises((ValueError, DimensionError), match=re.escape(violation)):
+            ModelParams(n=3, v=np.eye(3), c=np.array(c), ell=0.1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, True, 1.5])
+    def test_seed_key_outside_64_bits_exits_two(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, seed=seed)
+        out = tmp_path / "out"
+        assert main(["interval", "--config", path, "--out", str(out)]) == 2
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_with(seed=seed))
+        assert exc.value.violations == ["seed must be an unsigned 64-bit integer"]
 
     def test_atoms_must_cover_zero_and_one(self):
         with pytest.raises(ConfigError) as exc:
@@ -347,6 +380,17 @@ class TestCommandLine:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_largest_seed_is_accepted_by_key_and_flag(self, tmp_path, capsys):
+        top = (1 << 64) - 1
+        assert parse_config(config_with(seed=top)).seed == top
+        by_key = write_config(tmp_path, "key.json", **SMALL_BLOCKS, seed=top)
+        by_flag = write_config(tmp_path, "flag.json", **SMALL_BLOCKS, seed=0)
+        out_key, out_flag = str(tmp_path / "key"), str(tmp_path / "flag")
+        assert main(["lyapunov", "--config", by_key, "--out", out_key]) == 0
+        assert main(["lyapunov", "--config", by_flag, "--out", out_flag, "--seed", str(top)]) == 0
+        a = open(os.path.join(out_key, "lyapunov.csv")).read()
+        assert a == open(os.path.join(out_flag, "lyapunov.csv")).read()
+
     def test_report_composes_subcommands(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)
         solo = str(tmp_path / "solo")
@@ -427,6 +471,15 @@ def test_readme_configuration_matches_the_parser():
             default = rows[f"{name}.{key}"].strip()
             if entry is not None and default.startswith("`"):
                 assert getattr(getattr(defaults, name), entry[0]) == json.loads(default.strip("`")), key
+    # so is a model key's: writing it out changes nothing
+    required = {key: MINIMAL[key] for key in ("N", "V", "c", "ell")}
+    implicit = parse_config(json.dumps(required))
+    read = {"seed": lambda cfg: cfg.seed, "disorder": lambda cfg: cfg.model.disorder}
+    assert {key for key in _MODEL_KEYS if rows[key].strip().startswith("`")} == read.keys()
+    for key, value in read.items():
+        explicit = parse_config(json.dumps({**required, key: json.loads(rows[key].strip().strip("`"))}))
+        assert value(explicit) == value(implicit), key
+    assert rows["rho"].strip() == "log 2" and implicit.model.rho == math.log(2.0)
 
 
 def test_exports_resolve():

@@ -137,12 +137,6 @@ class TestLieClosure:
         with pytest.raises(DimensionError):
             lie_closure([gens[0], bent])
 
-    def test_depth_guard_flags_unfinished_sweep(self):
-        params = make_params(2, tridiagonal_witness(2))
-        report = lie_closure(binary_generators(params, 0.3), max_depth=1)
-        assert report.depth_exceeded
-        assert report.dim_reached < report.target_dim
-
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ValueError):
             lie_closure([])

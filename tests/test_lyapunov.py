@@ -7,7 +7,7 @@ import pytest
 
 import anderloc.lyapunov
 from anderloc.errors import InstabilityError, OracleRangeError, SingularMatrixError
-from anderloc.furstenberg import tridiagonal_witness
+from anderloc.furstenberg import model_closure, tridiagonal_witness
 from anderloc.linalg import qr_pos
 from anderloc.lyapunov import (
     EstimatorConfig,
@@ -268,6 +268,45 @@ class TestBlockedRecursion:
             drawn = params.disorder.values[replica_draws(params, cfg, r)]
             assert np.array_equal(seen[0][:, r], drawn)
             assert np.array_equal(sample_path(params, total, stream(derive_seed(cfg.master_seed, r))), drawn)
+
+
+class TestComponentUnion:
+    """Cross-layer oracle: a disconnected coupling graph splits the spectrum.
+
+    V is block-diagonal over the components of its coupling graph, so each
+    transfer matrix is, up to a permutation of the Cauchy data, the direct
+    sum of the component sub-models' ones.  An identity frame stays split
+    under the QR recursion, so on the same draws every replica's exponents
+    are the union of the components' and the estimate is their sorted union.
+    """
+
+    def test_spectrum_is_the_union_over_components(self, monkeypatch):
+        v = np.array([[0.4, -1.0, 0.0], [-1.0, 0.2, 0.0], [0.0, 0.0, -0.3]])
+        params = make_params(n=3, v=v, c=np.array([1.0, -1.5, 2.0]))
+        components = [list(k) for k in model_closure(params).components]
+        assert components == [[0, 1], [2]]
+        cfg = EstimatorConfig(n_steps=2000, n_replicas=4, burn_in=50, master_seed=5)
+        original = anderloc.lyapunov.sample_path
+        for energy in (-2.0, 0.7, 3.0):
+            draws = []
+
+            def recorded(p, n_cells, rng):
+                draws.append(original(p, n_cells, rng))
+                return draws[-1]
+
+            monkeypatch.setattr(anderloc.lyapunov, "sample_path", recorded)
+            full = lyapunov_spectrum(params, energy, cfg)
+            assert len(draws) == cfg.n_replicas
+            parts = []
+            for ix in components:
+                replay = iter(draws)
+                monkeypatch.setattr(anderloc.lyapunov, "sample_path", lambda p, n_cells, rng: next(replay)[:, ix])
+                sub = make_params(n=len(ix), v=v[np.ix_(ix, ix)], c=params.c[ix])
+                spec = lyapunov_spectrum(sub, energy, cfg)
+                parts.extend(zip(spec.gammas, spec.stderrs))
+            gammas, stderrs = np.array(sorted(parts, key=lambda pair: -pair[0])).T
+            assert np.max(np.abs(full.gammas - gammas)) <= 1e-12, energy
+            assert np.max(np.abs(full.stderrs - stderrs)) <= 1e-12, energy
 
 
 class TestSeparabilityScan:
