@@ -48,7 +48,7 @@ from .errors import (
 )
 from .furstenberg import density_certificate, model_closure
 from .lyapunov import EstimatorConfig, lyapunov_spectrum, separability_scan
-from .model import binary_spectra, energy_interval, spectral_bounds
+from .model import energy_interval, spectral_bounds
 from .seeding import as_seed, derive_seed, stream
 from .spectrum import eigen_decay, estimate_ids, sample_restriction
 from . import __version__
@@ -145,8 +145,8 @@ def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
 def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     grid = cfg.certify.grid.resolve(cfg.model)
     closure = model_closure(cfg.model)
-    spectra = binary_spectra(cfg.model)
-    certs = [density_certificate(cfg.model, e, closure, spectra) for e in grid]
+    bounds = spectral_bounds(cfg.model)
+    certs = [density_certificate(cfg.model, e, closure, bounds) for e in grid]
     n_cert = sum(c.certified for c in certs)
     table = Table(
         "certificates.csv",

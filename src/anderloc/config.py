@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -43,8 +44,9 @@ import numpy as np
 from .errors import AnderlocError, ConfigError, DimensionError
 from .linalg import as_symmetric
 from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, couplings, energy_interval
+from .model import count, positive, radius
 from .seeding import as_seed
-from .spectrum import BOUNDARIES
+from .spectrum import boundary_name
 
 __all__ = [
     "GridSpec",
@@ -160,6 +162,15 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def _checked(violations: list[str], check: Callable[..., Any], *args: Any) -> Any:
+    """``check(*args)``, or None after adding the message of its ``ValueError`` or package error."""
+    try:
+        return check(*args)
+    except (ValueError, AnderlocError) as exc:
+        violations.append(str(exc))
+        return None
+
+
 def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
     """The grid of a block that holds "energies" or "grid"."""
     if "energies" in block and "grid" in block:
@@ -176,56 +187,36 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
         violations.append(f"{where}.grid must carry finite numeric 'lo' and 'hi'")
         return GridSpec()
     violations.extend(f"{where}.grid.{key} is not a known key" for key in sorted(g.keys() - {"lo", "hi", "count"}))
-    count = g.get("count", DEFAULT_GRID_COUNT)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        violations.append(f"{where}.grid.count must be a positive integer")
+    n_points = _checked(violations, count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count")
+    if n_points is None:
         return GridSpec()
     if g["lo"] > g["hi"]:
         violations.append(f"{where}.grid needs lo <= hi")
         return GridSpec()
-    return GridSpec(lo=float(g["lo"]), hi=float(g["hi"]), count=count)
+    return GridSpec(lo=float(g["lo"]), hi=float(g["hi"]), count=n_points)
 
 
-def _count(minimum: int) -> Callable[[Any], int]:
-    def check(val: Any) -> int:
-        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-            raise ValueError(f"must be an integer >= {minimum}")
-        return val
-    return check
-
-
-def _positive(val: Any) -> float:
-    if not _is_number(val) or val <= 0:
-        raise ValueError("must be a positive finite number")
-    return float(val)
-
-
-def _boundary(val: Any) -> str:
-    if val not in BOUNDARIES:
-        raise ValueError("must be " + " or ".join(f"'{b}'" for b in BOUNDARIES))
-    return val
-
-
-def _window(val: Any) -> tuple[float, float]:
+def _window(val: Any, name: str) -> tuple[float, float]:
     if not isinstance(val, list) or len(val) != 2 or not all(_is_number(x) for x in val) or val[0] >= val[1]:
-        raise ValueError("must be [lo, hi] with finite lo < hi")
+        raise ValueError(f"{name} must be [lo, hi] with finite lo < hi")
     return (float(val[0]), float(val[1]))
 
 
 # Per command block: its settings type and, for each config key, the settings
-# field and a check that returns the parsed value or raises ValueError with the
-# tail of the violation message; None marks a key accepted without effect.
-# Blocks whose settings have a ``grid`` field also take "energies" or "grid".
-_BLOCKS: dict[str, tuple[type, dict[str, tuple[str, Callable[[Any], Any]] | None]]] = {
+# field and a check ``(value, name)`` that returns the parsed value or raises
+# ValueError with the violation message for ``name``, the dotted key; None
+# marks a key accepted without effect.  Blocks whose settings have a ``grid``
+# field also take "energies" or "grid".
+_BLOCKS: dict[str, tuple[type, dict[str, tuple[str, Callable[[Any, str], Any]] | None]]] = {
     "certify": (CertifySettings, {}),
     "critical": (CriticalSettings, {"grid_step": None, "refine_iters": None}),
-    "lyapunov": (LyapunovSettings, {"n_steps": ("n_steps", _count(1)), "n_replicas": ("n_replicas", _count(1)),
-                                    "burn_in": ("burn_in", _count(0))}),
-    "ids": (IdsSettings, {"boundary": ("boundary", _boundary), "L": ("length_cells", _count(1)),
-                          "h": ("h", _positive), "n_samples": ("n_samples", _count(1))}),
-    "localize": (LocalizeSettings, {"boundary": ("boundary", _boundary), "window": ("window", _window),
-                                    "L": ("length_cells", _count(1)), "h": ("h", _positive),
-                                    "n_paths": ("n_paths", _count(1)), "ref_steps": ("ref_steps", _count(1))}),
+    "lyapunov": (LyapunovSettings, {"n_steps": ("n_steps", count), "n_replicas": ("n_replicas", count),
+                                    "burn_in": ("burn_in", partial(count, minimum=0))}),
+    "ids": (IdsSettings, {"boundary": ("boundary", boundary_name), "L": ("length_cells", count),
+                          "h": ("h", positive), "n_samples": ("n_samples", count)}),
+    "localize": (LocalizeSettings, {"boundary": ("boundary", boundary_name), "window": ("window", _window),
+                                    "L": ("length_cells", count), "h": ("h", positive),
+                                    "n_paths": ("n_paths", count), "ref_steps": ("ref_steps", count)}),
 }
 _GRID_KEYS = {"energies", "grid"}
 _MODEL_KEYS = {"N", "V", "c", "ell", "rho", "disorder", "seed"}
@@ -248,10 +239,7 @@ def _parse_block(name: str, block: dict, violations: list[str]) -> Any:
     for key, entry in table.items():
         if entry is not None and key in block:
             attr, check = entry
-            try:
-                values[attr] = check(block[key])
-            except ValueError as exc:
-                violations.append(f"{name}.{key} {exc}")
+            values[attr] = _checked(violations, check, block[key], f"{name}.{key}")
     return settings(**values)
 
 
@@ -270,54 +258,39 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["top-level JSON value must be an object"])
     violations.extend(f"{key} is not a known key" for key in sorted(doc.keys() - _MODEL_KEYS - _BLOCKS.keys()))
 
-    n = doc.get("N")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        violations.append("N must be a positive integer")
-        n = 1
+    # V's shape and c's length are checked against N only when N itself is valid
+    n = _checked(violations, count, doc.get("N"), "N")
 
     v_raw = doc.get("V")
-    v = np.zeros((n, n))
     if v_raw is None:
         violations.append("V is required (N x N array)")
     else:
         try:
-            v_arr = np.asarray(v_raw, dtype=float)
+            v = np.asarray(v_raw, dtype=float)
         except (TypeError, ValueError, OverflowError):
             violations.append("V must be a numeric N x N array")
-            v_arr = None
-        if v_arr is not None:
-            if v_arr.shape != (n, n):
-                violations.append(f"V must be {n}x{n}, got shape {list(v_arr.shape)}")
-            elif not all(_is_number(x) for row in v_raw for x in row):
+        else:
+            if n is not None and v.shape != (n, n):
+                violations.append(f"V must be {n}x{n}, got shape {list(v.shape)}")
+            elif not all(_is_number(x) for x in np.asarray(v_raw, dtype=object).flat):
                 # asarray also converts strings, booleans and null
                 violations.append("V entries must be finite numbers")
-            else:
+            elif n is not None:
                 try:
-                    v = as_symmetric(v_arr)
+                    v = as_symmetric(v)
                 except DimensionError as exc:
                     violations.append(f"V: {exc}")
 
     c_raw = doc.get("c")
-    c = np.ones(n)
     if c_raw is None:
         violations.append("c is required (length-N array of non-zero couplings)")
     elif not isinstance(c_raw, list) or not all(_is_number(x) for x in c_raw):
         violations.append("c must be a list of finite numbers")
-    else:
-        try:
-            c = couplings(c_raw, n)
-        except (ValueError, DimensionError) as exc:
-            violations.append(str(exc))
+    elif n is not None:
+        c = _checked(violations, couplings, c_raw, n)
 
-    ell = doc.get("ell")
-    if not _is_number(ell) or ell <= 0:
-        violations.append("ell must be a positive finite number")
-        ell = 1.0
-
-    rho = doc.get("rho", DEFAULT_RHO)
-    if not _is_number(rho) or not 0 < rho <= 1:
-        violations.append("rho must lie in (0, 1]")
-        rho = DEFAULT_RHO
+    ell = _checked(violations, positive, doc.get("ell"), "ell")
+    rho = _checked(violations, radius, doc.get("rho", DEFAULT_RHO))
 
     disorder = DisorderSpec.bernoulli()
     if "disorder" in doc:
@@ -343,11 +316,7 @@ def parse_config(text: str) -> RunConfig:
                         "{0, 1} inside the support of the disorder law"
                     )
 
-    try:
-        seed = as_seed(doc.get("seed", 0))
-    except ValueError as exc:
-        violations.append(str(exc))
-        seed = 0
+    seed = _checked(violations, as_seed, doc.get("seed", 0))
 
     blocks = {name: doc.get(name, {}) for name in _BLOCKS}
     for name, block in blocks.items():
@@ -356,12 +325,8 @@ def parse_config(text: str) -> RunConfig:
     settings = {name: _parse_block(name, block if isinstance(block, dict) else {}, violations)
                 for name, block in blocks.items()}
 
-    model = None
     if not violations:
-        try:
-            model = ModelParams(n=n, v=v, c=c, ell=float(ell), rho=float(rho), disorder=disorder)
-        except (ValueError, AnderlocError) as exc:
-            violations.append(str(exc))
+        model = _checked(violations, ModelParams, n, v, c, ell, rho, disorder)
     if violations:
         raise ConfigError(violations)
     return RunConfig(model=model, seed=seed, **settings)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import ModelParams, _norms_from_spectra
+from .model import ModelParams, SpectralBounds, count
 
 __all__ = [
     "ClosureReport",
@@ -119,7 +119,6 @@ class DensityCertificate:
     energy: float
     norm_condition: bool
     certified: bool
-    per_config_norms: tuple[float, ...]
     closure: CouplingClosure
     rho: float
 
@@ -216,7 +215,7 @@ def model_closure(params: ModelParams) -> CouplingClosure:
 
 
 def density_certificate(
-    params: ModelParams, energy: float, closure: CouplingClosure, spectra: np.ndarray
+    params: ModelParams, energy: float, closure: CouplingClosure, bounds: SpectralBounds
 ) -> DensityCertificate:
     """Check both density conditions for the binary family at one energy.
 
@@ -226,16 +225,18 @@ def density_certificate(
     false norm condition is indeterminate (the criterion simply does not
     apply), not a refutation of density.
 
-    The norms are the closed form of ``model.generator_norm`` applied to
-    ``spectra``, the energy-free ``binary_spectra(params)``.
+    By the closed form of ``model.generator_norm``, the largest of those
+    norms is max(1, lambda_max - E, E - lambda_min) over ``bounds``, the
+    model's ``spectral_bounds``.  Floating-point subtraction, ``max`` and
+    multiplication by ell > 0 are monotone, so this decides the condition
+    bit for bit as the per-cell test does.
     """
-    norms = tuple(float(nu) for nu in _norms_from_spectra(spectra, energy))
-    norm_ok = all(params.ell * nu <= params.rho for nu in norms)
+    norm = max(1.0, bounds.lambda_max - energy, energy - bounds.lambda_min)
+    norm_ok = bool(params.ell * norm <= params.rho)
     return DensityCertificate(
         energy=float(energy),
         norm_condition=norm_ok,
         certified=norm_ok and closure.full,
-        per_config_norms=norms,
         closure=closure,
         rho=params.rho,
     )
@@ -248,8 +249,7 @@ def tridiagonal_witness(n: int) -> np.ndarray:
     what makes full closure the generic situation among symmetric
     interactions.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = count(n, "n")
     v = np.zeros((n, n))
     idx = np.arange(n - 1)
     v[idx, idx + 1] = 1.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
-from .model import _GROWTH_ADVICE, ModelParams, path_table, sample_path
+from .model import _GROWTH_ADVICE, ModelParams, count, path_table, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -78,12 +78,9 @@ class EstimatorConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps"))
+        object.__setattr__(self, "n_replicas", count(self.n_replicas, "n_replicas"))
+        object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", minimum=0))
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,9 @@ __all__ = [
     "DisorderSpec",
     "ModelParams",
     "couplings",
+    "count",
+    "positive",
+    "radius",
     "SpectralBounds",
     "EnergyInterval",
     "cell_matrix",
@@ -129,8 +133,7 @@ class ModelParams:
     disorder: DisorderSpec = field(default_factory=DisorderSpec.bernoulli)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        object.__setattr__(self, "n", count(self.n, "n"))
         v = np.asarray(self.v, dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError("all entries of v must be finite")
@@ -138,10 +141,8 @@ class ModelParams:
         if v.shape != (self.n, self.n):
             raise DimensionError(f"v must be {self.n}x{self.n}, got {v.shape}")
         c = couplings(self.c, self.n)
-        if not (np.isfinite(self.ell) and self.ell > 0):
-            raise ValueError("ell must be positive and finite")
-        if not (0 < self.rho <= 1):
-            raise ValueError("rho must lie in (0, 1]")
+        object.__setattr__(self, "ell", positive(self.ell, "ell"))
+        object.__setattr__(self, "rho", radius(self.rho))
         v.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -161,6 +162,34 @@ def couplings(c: np.ndarray, n: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"c[{bad[0]}] is {c[bad[0]]:g}; the model requires finite non-zero coupling constants")
     return c
+
+
+def count(value: object, name: str, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``; else ``ValueError`` naming ``name`` and the value.
+
+    Python and numpy integers pass; bools and floats, even integral ones, do not.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def positive(value: object, name: str) -> float:
+    """``value`` as a float: a finite real above 0, not a bool; else ``ValueError`` naming ``name`` and the value."""
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < float(value) < math.inf
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def radius(value: object) -> float:
+    """The density criterion's radius ``rho`` as a float in (0, 1], not a bool; else ``ValueError``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value <= 1:
+        raise ValueError("rho must lie in (0, 1]")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -289,12 +318,8 @@ def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> flo
     are the eigenvalues of the cell matrix at energy zero, so the norm is
     max(1, max_i |lambda_i - E|).
     """
-    return float(_norms_from_spectra(sym_eigenvalues(cell_matrix(params, omega, 0.0)), energy))
-
-
-def _norms_from_spectra(spectra: np.ndarray, energy: float) -> np.ndarray:
-    """max(1, max_i |lambda_i - E|) over the last axis of energy-zero cell spectra."""
-    return np.maximum(1.0, np.max(np.abs(spectra - energy), axis=-1))
+    spectrum = sym_eigenvalues(cell_matrix(params, omega, 0.0))
+    return float(np.maximum(1.0, np.max(np.abs(spectrum - energy))))
 
 
 def binary_spectra(params: ModelParams) -> np.ndarray:
@@ -348,8 +373,6 @@ def sample_path(params: ModelParams, n_cells: int, rng: np.random.Generator) -> 
 
 def binary_cells(n: int) -> np.ndarray:
     """All 2^n cell configurations over {0, 1}, lexicographic, shape (2^n, n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > _BINARY_GUARD:
+    if count(n, "n") > _BINARY_GUARD:
         raise SizeGuardError(f"2^{n} binary cells exceed the guard (n <= {_BINARY_GUARD})")
     return np.array(list(itertools.product((0.0, 1.0), repeat=n)))

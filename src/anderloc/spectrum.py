@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
-from .model import EnergyInterval, ModelParams, cell_matrix, path_table, sample_path
+from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
+from .model import EnergyInterval, ModelParams, cell_matrix, count, path_table, positive, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
     "BOUNDARIES",
+    "boundary_name",
     "FiniteRestriction",
     "BandedSymmetric",
     "IDSCurve",
@@ -52,6 +53,13 @@ _OVERFLOW_ENTRY = 1e300
 _MASS_FLOOR = 1e-24
 
 
+def boundary_name(value: object, name: str) -> str:
+    """``value`` when it is one of ``BOUNDARIES``; else ``ValueError`` naming ``name`` and the value."""
+    if value not in BOUNDARIES:
+        raise ValueError(f"{name} must be " + " or ".join(f"'{b}'" for b in BOUNDARIES) + f", got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FiniteRestriction:
     """Restriction to [-ell*L, ell*L]: L cells on each side plus one disorder path.
@@ -67,12 +75,12 @@ class FiniteRestriction:
     omega_path: np.ndarray
 
     def __post_init__(self):
-        if self.length_cells < 1:
-            raise ValueError("length_cells must be >= 1")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
-        if not (self.h > 0 and np.isfinite(self.h)):
-            raise GridError("grid step h must be positive and finite")
+        object.__setattr__(self, "length_cells", count(self.length_cells, "length_cells"))
+        boundary_name(self.boundary, "boundary")
+        try:
+            object.__setattr__(self, "h", positive(self.h, "h"))
+        except ValueError as exc:
+            raise GridError(f"grid step {exc}") from None
         path = np.atleast_2d(np.asarray(self.omega_path, dtype=float))
         if path.shape[0] != 2 * self.length_cells:
             raise ValueError(f"omega_path must have 2L = {2 * self.length_cells} rows")
@@ -87,6 +95,11 @@ class BandedSymmetric:
     ab: np.ndarray
     order: int
     bandwidth: int
+
+    def __post_init__(self):
+        if np.shape(self.ab) != (self.bandwidth + 1, self.order):
+            raise DimensionError(f"band storage of order {self.order} and bandwidth {self.bandwidth} must have "
+                                 f"shape ({self.bandwidth + 1}, {self.order}), got {np.shape(self.ab)}")
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.order, self.order))
@@ -134,7 +147,7 @@ def sample_restriction(
     rng: np.random.Generator,
 ) -> FiniteRestriction:
     """Draw one disorder path and wrap it as a finite restriction."""
-    path = sample_path(params, 2 * length_cells, rng)
+    path = sample_path(params, 2 * count(length_cells, "length_cells"), rng)
     return FiniteRestriction(length_cells, boundary, h, path)
 
 
@@ -287,8 +300,7 @@ def estimate_ids(
     nondecreasing sample by sample and each sample is independent of the
     others.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    count(n_samples, "n_samples")
     grid = np.sort(np.asarray(energy_grid, dtype=float))
     counts = []
     for s in range(n_samples):

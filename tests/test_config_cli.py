@@ -26,7 +26,9 @@ from anderloc.errors import (
     ScanRangeError,
     SizeGuardError,
 )
+from anderloc.lyapunov import EstimatorConfig
 from anderloc.model import ModelParams
+from anderloc.spectrum import FiniteRestriction, estimate_ids, sample_restriction
 
 MINIMAL = {
     "N": 1,
@@ -89,6 +91,18 @@ class TestParseConfig:
         with pytest.raises((ValueError, DimensionError), match=re.escape(violation)):
             ModelParams(n=3, v=np.eye(3), c=np.array(c), ell=0.1)
 
+    @pytest.mark.parametrize("n", [None, 0, 2.0, True])
+    def test_invalid_n_adds_no_shape_violations(self, n):
+        doc = {"V": [[0, 1], [1, 0]], "c": [1, 1], "ell": 0.1} | ({} if n is None else {"N": n})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.violations == [f"N must be an integer >= 1, got {n!r}"]
+        # type errors in V and c do not depend on N and are still reported
+        doc.update(V=[[0, "1"], [1, 0]], c="1")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert exc.value.violations[1:] == ["V entries must be finite numbers", "c must be a list of finite numbers"]
+
     @pytest.mark.parametrize("seed", [-1, 1 << 64, True, 1.5])
     def test_seed_key_outside_64_bits_exits_two(self, tmp_path, capsys, seed):
         path = write_config(tmp_path, seed=seed)
@@ -142,6 +156,51 @@ class TestParseConfig:
         for block in ({"grid_step": 0.05, "refine_iters": 40}, {"grid_step": -1, "refine_iters": "x"}):
             cfg = parse_config(config_with(critical=block))
             assert vars(cfg.critical) == {}
+
+
+def _rng_untouched(call):
+    """Run ``call(rng)`` and assert it raised before drawing from ``rng``."""
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    try:
+        call(rng)
+    finally:
+        assert rng.bit_generator.state == state
+
+
+_ONE = ModelParams(n=1, v=np.zeros((1, 1)), c=np.ones(1), ell=0.1)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ModelParams(n=2.0, v=np.eye(2), c=np.ones(2), ell=0.1),
+         ValueError, "n must be an integer >= 1, got 2.0"),
+        (lambda: ModelParams(n=True, v=np.eye(1), c=np.ones(1), ell=0.1), ValueError, "n must be an integer >= 1"),
+        (lambda: ModelParams(n=1, v=np.eye(1), c=np.ones(1), ell=True), ValueError, "ell must be a positive finite"),
+        (lambda: EstimatorConfig(n_steps=2.5), ValueError, "n_steps must be an integer >= 1, got 2.5"),
+        (lambda: EstimatorConfig(n_steps=10, burn_in=True), ValueError, "burn_in must be an integer >= 0, got True"),
+        (lambda: FiniteRestriction(2.5, "dirichlet", 0.0125, np.zeros((5, 1))), ValueError, "length_cells must be"),
+        (lambda: FiniteRestriction(1, "dirichlet", True, np.zeros((2, 1))), GridError, "grid step h must be"),
+        (lambda: _rng_untouched(lambda rng: sample_restriction(_ONE, 2.5, 0.0125, "dirichlet", rng)),
+         ValueError, "length_cells must be an integer >= 1, got 2.5"),
+        (lambda: estimate_ids(_ONE, [0.0], 2, 0.0125, n_samples=1.5), ValueError, "n_samples must be an integer"),
+    ],
+)
+def test_library_rejects_the_sizes_the_config_rejects(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        build()
+
+
+def test_library_accepts_numpy_integers():
+    params = ModelParams(n=np.int64(1), v=np.zeros((1, 1)), c=np.ones(1), ell=np.float64(0.1))
+    assert params.n == 1 and type(params.n) is int
+    est = EstimatorConfig(n_steps=np.int32(10), n_replicas=np.int64(2), burn_in=np.uint8(0))
+    assert (est.n_steps, est.n_replicas, est.burn_in) == (10, 2, 0)
+    restriction = FiniteRestriction(np.int64(1), "neumann", np.float32(0.0125), np.zeros((2, 1)))
+    assert restriction.length_cells == 1 and restriction.h == float(np.float32(0.0125))
+    curve = estimate_ids(params, [0.0], np.int64(2), 0.0125, n_samples=np.int64(2))
+    assert curve.n_samples == 2
 
 
 NAN, INF = float("nan"), float("inf")

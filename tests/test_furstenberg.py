@@ -29,10 +29,10 @@ from anderloc.linalg import exp_matrix, sp_dim
 from anderloc.model import (
     ModelParams,
     binary_cells,
-    binary_spectra,
     energy_interval,
     generator,
     generator_norm,
+    spectral_bounds,
 )
 
 
@@ -437,14 +437,13 @@ class TestCouplingGraphCriterion:
 
 
 def certificate(params, energy):
-    return density_certificate(params, energy, model_closure(params), binary_spectra(params))
+    return density_certificate(params, energy, model_closure(params), spectral_bounds(params))
 
 
 class TestDensityCertificate:
     def test_single_channel_certified(self):
         params = make_params(1, np.zeros((1, 1)), ell=0.1)
         cert = certificate(params, 0.0)
-        assert cert.per_config_norms == (1.0, 1.0)
         assert cert.norm_condition and cert.closure.full and cert.certified
         assert cert.closure.dim_reached == 3
 
@@ -465,7 +464,7 @@ class TestDensityCertificate:
     def test_closure_margin_matches_lie_closure(self):
         for params, e in ((make_params(2, tridiagonal_witness(2)), 0.4), (make_params(2, np.zeros((2, 2))), 0.7)):
             report = model_closure(params)
-            cert = density_certificate(params, e, report, binary_spectra(params))
+            cert = density_certificate(params, e, report, spectral_bounds(params))
             assert cert.closure is report
             assert report.dim_reached == lie_closure(binary_generators(params, e)).dim_reached
 
@@ -475,17 +474,27 @@ class TestDensityCertificate:
             verdicts = {certificate(params, e + d).certified for d in (-1e-4, 0.0, 1e-4)}
             assert len(verdicts) == 1
 
-    def test_shared_spectra_give_the_per_cell_norms_bit_for_bit(self):
+    def test_norm_condition_equals_the_per_cell_oracle(self):
+        # the oracle takes every binary cell's generator norm; the certificate reads only the bounds
         rng = np.random.default_rng(41)
+        verdicts = set()
         for n in (1, 2, 3, 4):
-            v = rng.uniform(-1, 1, (n, n))
-            params = make_params(n, v + v.T, c=rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
-            closure = model_closure(params)
-            spectra = binary_spectra(params)
-            for e in np.linspace(-6.0, 6.0, 7):
-                cert = density_certificate(params, e, closure, spectra)
-                expected = tuple(generator_norm(params, omega, e) for omega in binary_cells(n))
-                assert cert.per_config_norms == expected
+            for _ in range(6):
+                v = rng.uniform(-1, 1, (n, n))
+                c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+                ell_c = spectral_bounds(make_params(n, v + v.T, c=c)).ell_c
+                params = make_params(n, v + v.T, c=c, ell=rng.uniform(0.05, 0.95) * ell_c)
+                closure, bounds, window = model_closure(params), spectral_bounds(params), energy_interval(params)
+                ends = [window.lo, window.hi]
+                energies = list(np.linspace(window.lo - 3.0, window.hi + 3.0, 25)) + ends
+                energies += [np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf)]
+                for e in energies:
+                    cert = density_certificate(params, e, closure, bounds)
+                    oracle = all(params.ell * generator_norm(params, omega, e) <= params.rho
+                                 for omega in binary_cells(n))
+                    assert cert.norm_condition == oracle, (n, e)
+                    verdicts.add(oracle)
+        assert verdicts == {False, True}
 
     def test_closure_does_not_collapse_at_large_energy(self):
         # a closure of the binary generators at |E| = 1e6 loses every bracket

@@ -8,7 +8,14 @@ import pytest
 
 from anderloc import spectrum
 from anderloc.cli import exit_code_for
-from anderloc.errors import FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
+from anderloc.errors import (
+    DimensionError,
+    FactorizationError,
+    GridError,
+    InstabilityError,
+    ScanRangeError,
+    SizeGuardError,
+)
 from anderloc.furstenberg import model_closure
 from anderloc.linalg import exp_matrix
 from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path
@@ -149,6 +156,12 @@ class TestCountBelow:
         mat = self.random_banded(rng, 40, 2)
         counts = [count_below(mat, e) for e in np.linspace(-5, 5, 40)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("order, bandwidth", [(30, 1), (25, 2), (31, 3)])
+    def test_order_or_bandwidth_disagreeing_with_the_band_is_rejected(self, order, bandwidth):
+        ab = self.random_banded(stream(66), 30, 2).ab
+        with pytest.raises(DimensionError, match=r"must have shape \(\d+, \d+\), got \(3, 30\)"):
+            BandedSymmetric(ab=ab, order=order, bandwidth=bandwidth)
 
     def test_zero_pivot_retries(self):
         # leading pivot is exactly zero at E = 0; the retry must recover count 1
