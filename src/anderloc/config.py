@@ -34,19 +34,18 @@ the first.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AnderlocError, ConfigError, DimensionError
-from .linalg import as_symmetric
+from .errors import AnderlocError, ConfigError
+from .lyapunov import EstimatorConfig
 from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, couplings, energy_interval
-from .model import count, positive, radius
+from .model import count, interaction, positive, radius, real, reals
 from .seeding import as_seed
-from .spectrum import boundary_name
+from .spectrum import DEFAULT_BOUNDARY, boundary_name
 
 __all__ = [
     "GridSpec",
@@ -101,8 +100,8 @@ class CriticalSettings:
 class LyapunovSettings:
     grid: GridSpec = field(default_factory=GridSpec)
     n_steps: int = 20000
-    n_replicas: int = 8
-    burn_in: int = 100
+    n_replicas: int = EstimatorConfig.n_replicas
+    burn_in: int = EstimatorConfig.burn_in
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class IdsSettings:
     length_cells: int = 50
     h: float | None = None  # default ell / 8, see resolve_h
     n_samples: int = 4
-    boundary: str = "dirichlet"
+    boundary: str = DEFAULT_BOUNDARY
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class LocalizeSettings:
     window: tuple[float, float] | None = None  # default: middle quarter of the window
     length_cells: int = 200
     h: float | None = None  # default ell / 8, see resolve_h
-    boundary: str = "dirichlet"
+    boundary: str = DEFAULT_BOUNDARY
     n_paths: int = 1
     ref_steps: int = 20000  # estimator length for the reference exponent
 
@@ -153,15 +152,6 @@ class RunConfig:
     localize: LocalizeSettings
 
 
-def _is_number(x: Any) -> bool:
-    """A JSON number that is a finite float.
-
-    ``json`` also reads NaN, Infinity and integers beyond the float range;
-    the comparison is false for all three.
-    """
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
 def _checked(violations: list[str], check: Callable[..., Any], *args: Any) -> Any:
     """``check(*args)``, or None after adding the message of its ``ValueError`` or package error."""
     try:
@@ -177,29 +167,43 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
         violations.append(f"{where} takes 'energies' or 'grid', not both")
         return GridSpec()
     if "energies" in block:
-        energies = block["energies"]
-        if not isinstance(energies, list) or not energies or not all(_is_number(e) for e in energies):
-            violations.append(f"{where}.energies must be a non-empty list of finite numbers")
-            return GridSpec()
-        return GridSpec(energies=tuple(float(e) for e in energies))
+        energies = _checked(violations, _energies, block["energies"], f"{where}.energies")
+        return GridSpec() if energies is None else GridSpec(energies=energies)
     g = block["grid"]
-    if not isinstance(g, dict) or not all(_is_number(g.get(k)) for k in ("lo", "hi")):
+    if not isinstance(g, dict):
         violations.append(f"{where}.grid must carry finite numeric 'lo' and 'hi'")
         return GridSpec()
     violations.extend(f"{where}.grid.{key} is not a known key" for key in sorted(g.keys() - {"lo", "hi", "count"}))
+    lo = _checked(violations, real, g.get("lo"), f"{where}.grid.lo")
+    hi = _checked(violations, real, g.get("hi"), f"{where}.grid.hi")
     n_points = _checked(violations, count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count")
-    if n_points is None:
+    if None in (lo, hi, n_points):
         return GridSpec()
-    if g["lo"] > g["hi"]:
+    if lo > hi:
         violations.append(f"{where}.grid needs lo <= hi")
         return GridSpec()
-    return GridSpec(lo=float(g["lo"]), hi=float(g["hi"]), count=n_points)
+    return GridSpec(lo=lo, hi=hi, count=n_points)
+
+
+def _energies(val: Any, name: str) -> tuple[float, ...]:
+    energies = reals(val, name)
+    if energies.ndim != 1 or not energies.size:
+        raise ValueError(f"{name} must be a non-empty list of finite numbers")
+    return tuple(energies.tolist())
 
 
 def _window(val: Any, name: str) -> tuple[float, float]:
-    if not isinstance(val, list) or len(val) != 2 or not all(_is_number(x) for x in val) or val[0] >= val[1]:
+    window = reals(val, name)
+    if window.shape != (2,) or window[0] >= window[1]:
         raise ValueError(f"{name} must be [lo, hi] with finite lo < hi")
-    return (float(val[0]), float(val[1]))
+    return tuple(window.tolist())
+
+
+def _atoms(val: Any, name: str) -> DisorderSpec:
+    try:
+        return DisorderSpec(val)
+    except ValueError as exc:
+        raise ValueError(f"{name} invalid: {exc}") from None
 
 
 # Per command block: its settings type and, for each config key, the settings
@@ -252,7 +256,7 @@ def parse_config(text: str) -> RunConfig:
     violations: list[str] = []
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # json's decode errors, over-long integers, too deep nesting
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top-level JSON value must be an object"])
@@ -264,29 +268,17 @@ def parse_config(text: str) -> RunConfig:
     v_raw = doc.get("V")
     if v_raw is None:
         violations.append("V is required (N x N array)")
+    elif n is None:
+        _checked(violations, reals, v_raw, "V")
     else:
-        try:
-            v = np.asarray(v_raw, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            violations.append("V must be a numeric N x N array")
-        else:
-            if n is not None and v.shape != (n, n):
-                violations.append(f"V must be {n}x{n}, got shape {list(v.shape)}")
-            elif not all(_is_number(x) for x in np.asarray(v_raw, dtype=object).flat):
-                # asarray also converts strings, booleans and null
-                violations.append("V entries must be finite numbers")
-            elif n is not None:
-                try:
-                    v = as_symmetric(v)
-                except DimensionError as exc:
-                    violations.append(f"V: {exc}")
+        v = _checked(violations, interaction, v_raw, n)
 
     c_raw = doc.get("c")
     if c_raw is None:
         violations.append("c is required (length-N array of non-zero couplings)")
-    elif not isinstance(c_raw, list) or not all(_is_number(x) for x in c_raw):
-        violations.append("c must be a list of finite numbers")
-    elif n is not None:
+    elif n is None:
+        _checked(violations, reals, c_raw, "c")
+    else:
         c = _checked(violations, couplings, c_raw, n)
 
     ell = _checked(violations, positive, doc.get("ell"), "ell")
@@ -294,27 +286,14 @@ def parse_config(text: str) -> RunConfig:
 
     disorder = DisorderSpec.bernoulli()
     if "disorder" in doc:
-        d_raw = doc["disorder"]
-        atoms_raw = d_raw.get("atoms") if isinstance(d_raw, dict) else None
-        if isinstance(d_raw, dict):
-            violations.extend(f"disorder.{key} is not a known key" for key in sorted(d_raw.keys() - {"atoms"}))
-        if (
-            not isinstance(atoms_raw, list)
-            or not atoms_raw
-            or not all(isinstance(a, list) and len(a) == 2 and all(_is_number(x) for x in a) for a in atoms_raw)
-        ):
-            violations.append("disorder.atoms must be a non-empty list of [value, probability] pairs")
-        else:
-            try:
-                disorder = DisorderSpec(tuple((float(a[0]), float(a[1])) for a in atoms_raw))
-            except ValueError as exc:
-                violations.append(f"disorder.atoms invalid: {exc}")
-            else:
-                if not disorder.has_binary_support:
-                    violations.append(
-                        "disorder.atoms must include both 0 and 1: the model requires "
-                        "{0, 1} inside the support of the disorder law"
-                    )
+        d_raw = doc["disorder"] if isinstance(doc["disorder"], dict) else {}
+        violations.extend(f"disorder.{key} is not a known key" for key in sorted(d_raw.keys() - {"atoms"}))
+        disorder = _checked(violations, _atoms, d_raw.get("atoms"), "disorder.atoms")
+        if disorder is not None and not disorder.has_binary_support:
+            violations.append(
+                "disorder.atoms must include both 0 and 1: the model requires "
+                "{0, 1} inside the support of the disorder law"
+            )
 
     seed = _checked(violations, as_seed, doc.get("seed", 0))
 

@@ -48,18 +48,16 @@ def standard_form(n: int) -> np.ndarray:
     return j
 
 
-def _square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _square(m: np.ndarray, what: str, stack: bool = False, even: bool = False) -> np.ndarray:
+    """``m`` as a float square matrix, or a stack (..., k, k) of them when ``stack``, of even order k when ``even``.
+
+    Raises ``DimensionError`` naming ``what`` and the shape otherwise.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{what} must be square, got shape {m.shape}")
+    if (m.ndim < 2 if stack else m.ndim != 2) or m.shape[-1] != m.shape[-2] or (even and m.shape[-1] % 2):
+        form = ("square matrices" if stack else "a square matrix") + (" of even order" if even else "")
+        raise DimensionError(f"{what} must be {form}, got shape {m.shape}")
     return m
-
-
-def _even_order(m: np.ndarray, what: str) -> int:
-    m = _square(m, what)
-    if m.shape[0] % 2 != 0:
-        raise DimensionError(f"{what} must have even order, got {m.shape[0]}")
-    return m.shape[0] // 2
 
 
 def exp_matrix(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -77,17 +75,15 @@ def exp_matrix(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 def is_symplectic(m: np.ndarray, tol: float | np.ndarray = 1e-10) -> bool:
     """True when ||t(m) J m - J||_F <= tol for every matrix of a stack (..., 2n, 2n); ``tol`` broadcasts."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
-        raise DimensionError(f"symplectic candidate must be square of even order, got shape {m.shape}")
+    m = _square(m, "symplectic candidate", stack=True, even=True)
     j = standard_form(m.shape[-1] // 2)
     return bool(np.all(np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1)) <= tol))
 
 
 def is_hamiltonian(x: np.ndarray, tol: float = 1e-10) -> bool:
     """True when ||J x + t(x) J||_F <= tol, i.e. J x is symmetric."""
-    n = _even_order(x, "Hamiltonian candidate")
-    j = standard_form(n)
+    x = _square(x, "Hamiltonian candidate", even=True)
+    j = standard_form(x.shape[0] // 2)
     return bool(np.linalg.norm(j @ x + x.T @ j) <= tol)
 
 
@@ -127,9 +123,7 @@ def qr_pos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     SingularMatrixError
         If any input matrix is singular within working precision.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"need square matrices, got shape {m.shape}")
+    m = _square(m, "QR input", stack=True)
     q, r = np.linalg.qr(m)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     ad = np.abs(d)
@@ -156,9 +150,7 @@ def vectorize_sp(x: np.ndarray) -> np.ndarray:
     canonical basis elements to standard unit vectors, and returns shape
     (..., 2N^2 + N).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 2 or x.shape[-2] != x.shape[-1] or x.shape[-1] % 2:
-        raise DimensionError(f"need square matrices of even order, got shape {x.shape}")
+    x = _square(x, "Hamiltonian matrix", stack=True, even=True)
     two_n = x.shape[-1]
     n = two_n // 2
     i, j = np.triu_indices(n)

@@ -32,8 +32,11 @@ __all__ = [
     "ModelParams",
     "couplings",
     "count",
+    "interaction",
     "positive",
     "radius",
+    "real",
+    "reals",
     "SpectralBounds",
     "EnergyInterval",
     "cell_matrix",
@@ -66,24 +69,25 @@ _GROWTH_ADVICE = (
 class DisorderSpec:
     """Finite discrete law for the per-channel disorder variables.
 
-    ``atoms`` is a tuple of (value, probability) pairs.  Degenerate
-    single-atom laws are allowed at the library level (they are what the
-    deterministic closed-form tests use); the configuration parser is the
-    place that insists on {0, 1} being in the support.
+    ``atoms`` is a tuple of (value, probability) pairs; any nested
+    sequence or (k, 2) array of them whose entries pass ``reals`` is read
+    into that form.  Degenerate single-atom laws are allowed at the library
+    level (they are what the deterministic closed-form tests use); the
+    configuration parser is the place that insists on {0, 1} being in the
+    support.
     """
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        atoms = tuple((float(v), float(p)) for v, p in self.atoms)
-        if not atoms:
-            raise ValueError("disorder law needs at least one atom")
+        table = reals(self.atoms, "disorder atom")
+        if table.ndim != 2 or table.shape[1] != 2 or not len(table):
+            raise ValueError("disorder law needs a non-empty list of (value, probability) pairs")
+        atoms = tuple(map(tuple, table.tolist()))
         values = [v for v, _ in atoms]
         probs = [p for _, p in atoms]
         if len(set(values)) != len(values):
             raise ValueError("disorder atoms must have distinct values")
-        if any(not np.isfinite(v) for v in values):
-            raise ValueError("disorder atom values must be finite")
         if any(p <= 0 for p in probs):
             raise ValueError("disorder probabilities must be positive")
         if abs(sum(probs) - 1.0) > 1e-12:
@@ -134,12 +138,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", count(self.n, "n"))
-        v = np.asarray(self.v, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("all entries of v must be finite")
-        v = as_symmetric(v)
-        if v.shape != (self.n, self.n):
-            raise DimensionError(f"v must be {self.n}x{self.n}, got {v.shape}")
+        v = interaction(self.v, self.n)
         c = couplings(self.c, self.n)
         object.__setattr__(self, "ell", positive(self.ell, "ell"))
         object.__setattr__(self, "rho", radius(self.rho))
@@ -149,19 +148,64 @@ class ModelParams:
         object.__setattr__(self, "c", c)
 
 
-def couplings(c: np.ndarray, n: int) -> np.ndarray:
+def interaction(v: object, n: int) -> np.ndarray:
+    """The interaction V as a symmetric float n x n matrix.
+
+    Its entries pass ``reals``, its shape must be (n, n), and ``as_symmetric``
+    then accepts and symmetrizes it.  Raises ``ValueError`` for a bad entry
+    and ``DimensionError`` for a wrong shape or an asymmetric V; each
+    message names V.
+    """
+    v = reals(v, "V")
+    if v.shape != (n, n):
+        raise DimensionError(f"V must be {n}x{n}, got shape {list(v.shape)}")
+    try:
+        return as_symmetric(v)
+    except DimensionError as exc:
+        raise DimensionError(f"V: {exc}") from None
+
+
+def couplings(c: object, n: int) -> np.ndarray:
     """The coupling constants as a float vector of length n, each finite and non-zero.
 
     Raises ``DimensionError`` for a wrong length and ``ValueError`` naming
-    the first bad index otherwise.
+    the first bad entry otherwise.
     """
-    c = np.atleast_1d(np.asarray(c, dtype=float))
+    c = reals(c, "c")
     if c.shape != (n,):
         raise DimensionError(f"c must have length {n}, got shape {c.shape}")
-    bad = np.flatnonzero(~np.isfinite(c) | (c == 0.0))
+    bad = np.flatnonzero(c == 0.0)
     if bad.size:
         raise ValueError(f"c[{bad[0]}] is {c[bad[0]]:g}; the model requires finite non-zero coupling constants")
     return c
+
+
+def _is_real(value: object) -> bool:
+    """The number rule: a finite real number, not a bool; numpy integers and floats pass."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def real(value: object, name: str) -> float:
+    """``value`` as a float when it passes the number rule; else ``ValueError`` naming ``name`` and the value."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def reals(values: object, name: str) -> np.ndarray:
+    """``values`` as a float array when every entry passes the number rule; else ``ValueError`` naming the entry.
+
+    Bools, strings, None and complex numbers are rejected, as lists and as
+    numpy arrays alike; so is ragged nesting, whose rows become the entries.
+    """
+    entries = np.asarray(values, dtype=object)
+    for entry in entries.flat:
+        if not _is_real(entry):
+            raise ValueError(f"{name} entries must be finite real numbers, got {entry!r}")
+    return entries.astype(float)
 
 
 def count(value: object, name: str, minimum: int = 1) -> int:
@@ -175,20 +219,16 @@ def count(value: object, name: str, minimum: int = 1) -> int:
 
 
 def positive(value: object, name: str) -> float:
-    """``value`` as a float: a finite real above 0, not a bool; else ``ValueError`` naming ``name`` and the value."""
-    try:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < float(value) < math.inf
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
+    """``value`` as a float when it passes the number rule and exceeds 0; else ``ValueError`` naming ``name``."""
+    if not (_is_real(value) and float(value) > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
 
 def radius(value: object) -> float:
-    """The density criterion's radius ``rho`` as a float in (0, 1], not a bool; else ``ValueError``."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    """The density criterion's radius ``rho`` as a float in (0, 1] that passes the number rule; else ``ValueError``."""
+    if not (_is_real(value) and 0 < value <= 1):
+        raise ValueError(f"rho must lie in (0, 1], got {value!r}")
     return float(value)
 
 

@@ -33,6 +33,7 @@ from .seeding import derive_seed, stream
 
 __all__ = [
     "BOUNDARIES",
+    "DEFAULT_BOUNDARY",
     "boundary_name",
     "FiniteRestriction",
     "BandedSymmetric",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 BOUNDARIES = ("dirichlet", "neumann")
+DEFAULT_BOUNDARY = "dirichlet"
 
 _OVERFLOW_ENTRY = 1e300
 _MASS_FLOOR = 1e-24
@@ -291,7 +293,7 @@ def estimate_ids(
     h: float,
     n_samples: int,
     master_seed: int = 0,
-    boundary: str = "dirichlet",
+    boundary: str = DEFAULT_BOUNDARY,
 ) -> IDSCurve:
     """Disorder-averaged counting function over 2*ell*L at each grid energy.
 

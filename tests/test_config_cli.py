@@ -27,7 +27,7 @@ from anderloc.errors import (
     SizeGuardError,
 )
 from anderloc.lyapunov import EstimatorConfig
-from anderloc.model import ModelParams
+from anderloc.model import DisorderSpec, ModelParams
 from anderloc.spectrum import FiniteRestriction, estimate_ids, sample_restriction
 
 MINIMAL = {
@@ -101,7 +101,8 @@ class TestParseConfig:
         doc.update(V=[[0, "1"], [1, 0]], c="1")
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(doc))
-        assert exc.value.violations[1:] == ["V entries must be finite numbers", "c must be a list of finite numbers"]
+        assert exc.value.violations[1:] == ["V entries must be finite real numbers, got '1'",
+                                            "c entries must be finite real numbers, got '1'"]
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, True, 1.5])
     def test_seed_key_outside_64_bits_exits_two(self, tmp_path, capsys, seed):
@@ -185,6 +186,26 @@ _ONE = ModelParams(n=1, v=np.zeros((1, 1)), c=np.ones(1), ell=0.1)
         (lambda: _rng_untouched(lambda rng: sample_restriction(_ONE, 2.5, 0.0125, "dirichlet", rng)),
          ValueError, "length_cells must be an integer >= 1, got 2.5"),
         (lambda: estimate_ids(_ONE, [0.0], 2, 0.0125, n_samples=1.5), ValueError, "n_samples must be an integer"),
+        # entries of V and c follow the number rule: no complex, string or boolean entries
+        (lambda: ModelParams(n=2, v=[[0, 1j], [-1j, 0]], c=[1, 1], ell=0.1),
+         ValueError, "V entries must be finite real numbers, got 1j"),
+        (lambda: ModelParams(n=2, v=np.eye(2), c=np.array([1.0, 1j]), ell=0.1),
+         ValueError, "c entries must be finite real numbers, got (1+0j)"),
+        (lambda: ModelParams(n=2, v=[["0", "1"], ["1", "0"]], c=[1, 1], ell=0.1),
+         ValueError, "V entries must be finite real numbers, got '0'"),
+        (lambda: ModelParams(n=2, v=np.eye(2), c=["1", "1"], ell=0.1),
+         ValueError, "c entries must be finite real numbers, got '1'"),
+        (lambda: ModelParams(n=2, v=[[0, True], [True, 0]], c=[1, 1], ell=0.1),
+         ValueError, "V entries must be finite real numbers, got True"),
+        (lambda: ModelParams(n=2, v=np.eye(2, dtype=bool), c=[1, 1], ell=0.1),
+         ValueError, "V entries must be finite real numbers, got True"),
+        (lambda: ModelParams(n=2, v=np.eye(2), c=[True, 1.0], ell=0.1),
+         ValueError, "c entries must be finite real numbers, got True"),
+        (lambda: ModelParams(n=2, v=np.eye(2), c=np.ones(2, dtype=bool), ell=0.1),
+         ValueError, "c entries must be finite real numbers, got True"),
+        (lambda: DisorderSpec(((0.0, 0.5), (True, 0.5))), ValueError, "disorder atom entries must be"),
+        (lambda: DisorderSpec(((0.0, 0.5), ("1", 0.5))), ValueError, "disorder atom entries must be"),
+        (lambda: DisorderSpec(((0.0, 0.5), (1j, 0.5))), ValueError, "disorder atom entries must be"),
     ],
 )
 def test_library_rejects_the_sizes_the_config_rejects(build, error, message):
@@ -201,6 +222,11 @@ def test_library_accepts_numpy_integers():
     assert restriction.length_cells == 1 and restriction.h == float(np.float32(0.0125))
     curve = estimate_ids(params, [0.0], np.int64(2), 0.0125, n_samples=np.int64(2))
     assert curve.n_samples == 2
+    # numpy integer and float arrays pass the number rule
+    wide = ModelParams(n=2, v=np.array([[0, 1], [1, 0]], dtype=np.int32), c=np.array([1, 2], dtype=np.int8),
+                       ell=0.1, disorder=DisorderSpec(np.array([[0.0, 0.5], [1.0, 0.5]], dtype=np.float32)))
+    assert wide.v.tolist() == [[0.0, 1.0], [1.0, 0.0]] and wide.c.tolist() == [1.0, 2.0]
+    assert wide.disorder == DisorderSpec.bernoulli()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -212,7 +238,7 @@ NAN, INF = float("nan"), float("inf")
         ({"certify": {"energies": [NAN, 1.0]}}, "certify.energies"),
         ({"N": 2, "V": [[0.0, NAN], [NAN, 0.0]], "c": [1.0, 1.0]}, "V entries"),
         ({"N": 2, "V": [[INF, 0.0], [0.0, 0.0]], "c": [1.0, 1.0]}, "V entries"),
-        ({"c": [INF]}, "c must be"),
+        ({"c": [INF]}, "c entries"),
         ({"certify": {"tol": NAN}}, "certify.tol"),
         ({"critical": {"tol": INF}}, "critical.tol"),
         ({"lyapunov": {"grid": {"lo": 0.0, "hi": INF}}}, "lyapunov.grid"),
@@ -222,13 +248,15 @@ NAN, INF = float("nan"), float("inf")
         ({"ids": {"grid": {"lo": 0.0, "hi": 1.0, "count": True}}}, "ids.grid.count"),
         ({"N": 2, "V": [["0", "1"], [True, 0]], "c": [1.0, 1.0]}, "V entries"),
         ({"N": 2, "V": [[0.0, None], [None, 0.0]], "c": [1.0, 1.0]}, "V entries"),
-        ({"V": [[10**400]]}, "V must be a numeric"),
+        ({"V": [[10**400]]}, "V entries"),
         ({"certify": {"tol": None}}, "certify.tol"),
         ({"critical": {"tol": None}}, "critical.tol"),
         ({"ids": {"h": None}}, "ids.h"),
         ({"localize": {"h": None}}, "localize.h"),
         ({"localize": {"window": None}}, "localize.window"),
         ({"disorder": None}, "disorder.atoms"),
+        ({"N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [True, 1.0]}, "c entries"),
+        ({"disorder": {"atoms": [[0.0, 0.5], [True, 0.5]]}}, "disorder.atoms"),
     ],
 )
 def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, overrides, violation):
@@ -242,6 +270,19 @@ def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, 
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert violation in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize(
+    "v",
+    [[[0, "1"], ["1", 0]], [[0, True], [True, 0]], [[0, None], [None, 0]], [[0.0, NAN], [NAN, 0.0]],
+     [[0.0, 1.0], [1.0]], [[0.0]], [[0.0, 1.0], [1.1, 0.0]], [[0.0, 1.0], [1.0 + 1.13e-10, 0.0]]],
+)
+def test_config_and_model_give_one_message_for_a_bad_interaction(v):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_with(N=2, V=v, c=[1.0, 1.0]))
+    with pytest.raises((ValueError, DimensionError)) as lib:
+        ModelParams(n=2, v=v, c=np.ones(2), ell=0.1)
+    assert exc.value.violations == [str(lib.value)]
 
 
 @pytest.mark.parametrize(
@@ -322,6 +363,17 @@ class TestCommandLine:
         rc = main(["interval", "--config", str(path)])
         assert rc == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    # json raises ValueError for an integer literal of more than 4300 digits and
+    # RecursionError for nesting deeper than the interpreter's recursion limit
+    @pytest.mark.parametrize("text", ['{"N": 1' + "0" * 4400 + "}", "[" * 100000 + "]" * 100000],
+                             ids=["long-integer", "deep-nesting"])
+    def test_undecodable_json_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["interval", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON: " in err and "Traceback" not in err
 
     def test_config_violations_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path, c=[0.0])

@@ -1,6 +1,7 @@
 """Model-level checks: cell objects, spectral constants, the certified window."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from anderloc.model import (
     energy_interval,
     generator,
     generator_norm,
+    radius,
+    real,
+    reals,
     path_table,
     sample_cell,
     sample_path,
@@ -84,6 +88,33 @@ class TestModelParams:
             make_params(rho=1.5)
         with pytest.raises(ValueError):
             make_params(rho=0.0)
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, True], np.array([1, 0], dtype=bool), ["1"], [None], [1j], np.array([1.0 + 0j]),
+         [[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, [4.0]]], [math.nan], [-math.inf], [10**400], "1.0", None],
+    )
+    def test_array_form_rejects_what_is_not_a_finite_real(self, values):
+        with pytest.raises(ValueError, match=r"^x entries must be finite real numbers, got "):
+            reals(values, "x")
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1.0", None, 1j, math.nan, math.inf, 10**400, [1.0]])
+    def test_scalar_form_rejects_what_is_not_a_finite_real(self, value):
+        with pytest.raises(ValueError, match=r"^x must be a finite real number, got "):
+            real(value, "x")
+
+    def test_numpy_integers_and_floats_pass(self):
+        for values in ([1, 2.5], np.arange(3, dtype=np.int8), np.ones((2, 2), dtype=np.float32), [np.uint64(7)]):
+            got = reals(values, "x")
+            assert got.dtype == float and np.array_equal(got, np.asarray(values, dtype=float))
+        assert real(np.int64(3), "x") == 3.0 and real(np.float32(0.5), "x") == 0.5
+
+    def test_radius_message_names_the_value(self):
+        for value in (1.5, 0.0, True, "0.5"):
+            with pytest.raises(ValueError, match=re.escape(f"rho must lie in (0, 1], got {value!r}")):
+                radius(value)
 
 
 class TestCellMatrix:
