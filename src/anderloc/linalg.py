@@ -88,22 +88,25 @@ def is_hamiltonian(x: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def as_symmetric(m: np.ndarray) -> np.ndarray:
-    """Symmetrize m, rejecting ||m - t(m)||_F > 1e-10 * ||m||_F.
+    """Symmetrize m, rejecting unless ||m - t(m)||_F <= 1e-10 * ||m||_F.
 
     Guards against rounding noise from configuration files without hiding
     genuinely asymmetric input; the error names the most asymmetric entry pair.
+    The test runs on m over its largest entry, and the symmetric part halves
+    each term before adding, so entries near the float limit neither overflow
+    nor pass the test as NaN.
     """
     m = _square(m, "symmetric matrix")
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    asym = np.abs(m - m.T)
-    rel = float(np.linalg.norm(asym)) / scale
-    if rel > 1e-10:
+    unit = m / max(float(np.max(np.abs(m), initial=0.0)), 1e-300)
+    asym = np.abs(unit - unit.T)
+    rel = float(np.linalg.norm(asym)) / max(float(np.linalg.norm(unit)), 1e-300)
+    if not rel <= 1e-10:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise DimensionError(
-            f"matrix is not symmetric: entries ({i},{j}) and ({j},{i}) differ by {asym[i, j]:g} "
-            f"(relative Frobenius asymmetry {rel:g} > 1e-10)"
+            f"matrix is not symmetric: entries ({i},{j}) and ({j},{i}) differ by "
+            f"{abs(float(m[i, j]) - float(m[j, i])):g} (relative Frobenius asymmetry {rel:g} > 1e-10)"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 def sym_eigenvalues(s: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ banded matrix of half-bandwidth N.
 
 Eigenvalues below E are counted exactly through the inertia of the
 shifted matrix (negative pivots of an LDL^t factorization, Sylvester's
-law); the integrated density of states is the disorder average of that
-count over 2*ell*L.  A shooting oracle built from exact transfer-matrix
+law).  The count is one factorization pass for all energies: they ride
+as a vector axis of the band, so a grid costs about one scalar count.
+The integrated density of states is the disorder average of that count
+over 2*ell*L.  A shooting oracle built from exact transfer-matrix
 products provides an independent count for cross-checks, and a
 cell-resolved mass profile of eigenvectors yields exponential-decay
 fits for the localization diagnostic.  Those eigenpairs come from
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
-from .model import EnergyInterval, ModelParams, cell_matrix, count, path_table, positive, sample_path
+from .model import EnergyInterval, ModelParams, cell_matrix, count, path_table, positive, reals, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -53,6 +55,7 @@ DEFAULT_BOUNDARY = "dirichlet"
 
 _OVERFLOW_ENTRY = 1e300
 _MASS_FLOOR = 1e-24
+_BAND_BYTES = 8 * 2**20  # largest band copy _inertia makes: it cuts the energies into chunks of this size
 
 
 def boundary_name(value: object, name: str) -> str:
@@ -208,57 +211,59 @@ def discretize(params: ModelParams, restriction: FiniteRestriction) -> BandedSym
     return BandedSymmetric(ab=ab, order=order, bandwidth=n)
 
 
-class _ZeroPivot(Exception):
-    pass
+def _inertia(ab: np.ndarray, shifts: np.ndarray, pivot_floor: float) -> np.ndarray:
+    """Negative-pivot count of the LDL^t factorization of A - shift*I for every shift.
 
-
-def _inertia(ab: np.ndarray, bandwidth: int, shift: float, pivot_floor: float) -> int:
-    """Negative-pivot count of the LDL^t factorization of A - shift*I.
-
-    Works column by column on a copy of the band; a pivot at or below
-    ``pivot_floor`` in magnitude aborts so the caller can retry with a
-    perturbed shift.
+    The band is copied column-major, band[j, r] = A[j+r, j], with the
+    shifts as a trailing axis, in chunks of at most ``_BAND_BYTES``; every
+    operation is elementwise along that axis.  A shift whose pivots include
+    one at or below ``pivot_floor`` in magnitude (or a NaN after one) reads
+    -1, so the caller can retry it.
     """
-    band = ab.copy()
-    band[0] -= shift
-    order = band.shape[1]
-    neg = 0
-    for j in range(order):
-        d = band[0, j]
-        if abs(d) <= pivot_floor:
-            raise _ZeroPivot
-        if d < 0:
-            neg += 1
-        w = min(bandwidth, order - 1 - j)
-        if w:
-            col = band[1 : 1 + w, j].copy()
-            l = col / d
-            for kk in range(1, w + 1):
-                band[0 : w - kk + 1, j + kk] -= l[kk - 1 : w] * col[kk - 1]
-    return neg
+    bandwidth, order = ab.shape[0] - 1, ab.shape[1]
+    step = max(1, _BAND_BYTES // (8 * ab.size))
+    counts = np.empty(len(shifts), dtype=int)
+    whole = np.empty((order, bandwidth + 1, min(step, len(shifts))))
+    for lo in range(0, len(shifts), step):
+        band = whole[:, :, : len(shifts) - lo]  # the last chunk may be narrower
+        band[:] = ab.T[:, :, None]
+        band[:, 0] -= shifts[lo : lo + step]
+        columns = list(band)  # per-column views: a list index costs less than slicing the 3-D band
+        with np.errstate(all="ignore"):
+            for j in range(order):
+                w = min(bandwidth, order - 1 - j)
+                col = columns[j][1 : 1 + w]
+                l = col / columns[j][0]
+                for kk in range(1, w + 1):
+                    columns[j + kk][: w - kk + 1] -= l[kk - 1 : w] * col[kk - 1]
+        pivots = band[:, 0]
+        live = np.all((pivots > pivot_floor) | (pivots < -pivot_floor), axis=0)
+        counts[lo : lo + step] = np.where(live, np.sum(pivots < 0, axis=0), -1)
+    return counts
 
 
-def count_below(matrix: BandedSymmetric, energy: float) -> int:
+def count_below(matrix: BandedSymmetric, energy: float | np.ndarray) -> int | np.ndarray:
     """Number of eigenvalues <= energy, exact by Sylvester's law.
 
-    A zero pivot is retried with the shift perturbed by multiples of
-    1e-12 times the matrix scale (alternating sides); persistent
-    breakdown raises ``FactorizationError``.
+    ``energy`` is a finite real (the count is an int) or an array of them
+    (an int array of its shape).  One factorization pass serves all
+    energies; those that met a zero pivot are retried with the shift perturbed
+    by multiples of 1e-12 times the matrix scale (alternating sides), and
+    persistent breakdown raises ``FactorizationError`` naming the first.
     """
+    energies = reals(energy, "energy")
     scale = max(float(np.max(np.abs(matrix.ab))), 1.0)
-    pivot_floor = 1e-20 * scale
-    for attempt in range(7):
-        k = (attempt + 1) // 2
-        shift = energy + (1 if attempt % 2 else -1) * k * 1e-12 * scale
-        try:
-            return _inertia(matrix.ab, matrix.bandwidth, shift, pivot_floor)
-        except _ZeroPivot:
-            continue
-    raise FactorizationError(
-        f"persistent pivot breakdown in inertia count at E={energy:g}: the matrix of order {matrix.order} "
-        f"hit a zero pivot at all 7 shifts within {3e-12 * scale:.3g} of E; move E by more than that "
-        "(edit the energy grid), or change h or L"
-    )
+    counts = np.full(energies.shape, -1)
+    for k in (0, 1, -1, 2, -2, 3, -3):
+        todo = counts < 0
+        counts[todo] = _inertia(matrix.ab, energies[todo] + k * 1e-12 * scale, 1e-20 * scale)
+    if np.any(counts < 0):
+        raise FactorizationError(
+            f"persistent pivot breakdown in inertia count at E={energies[counts < 0][0]:g}: the matrix of order "
+            f"{matrix.order} hit a zero pivot at all 7 shifts within {3e-12 * scale:.3g} of E; move E by more than "
+            "that (edit the energy grid), or change h or L"
+        )
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -> np.ndarray:
@@ -298,17 +303,15 @@ def estimate_ids(
     """Disorder-averaged counting function over 2*ell*L at each grid energy.
 
     Sample s draws one path from the stream (master_seed, s), builds the
-    restriction once and counts at every grid energy, so the curve is
-    nondecreasing sample by sample and each sample is independent of the
-    others.
+    restriction once and counts the whole grid in one ``count_below``
+    call, so the curve is nondecreasing sample by sample and each sample
+    is independent of the others.
     """
     count(n_samples, "n_samples")
-    grid = np.sort(np.asarray(energy_grid, dtype=float))
-    counts = []
-    for s in range(n_samples):
-        rng = stream(derive_seed(master_seed, s))
-        mat = discretize(params, sample_restriction(params, length_cells, h, boundary, rng))
-        counts.append([count_below(mat, e) for e in grid])
+    grid = np.sort(reals(energy_grid, "energy_grid"))
+    paths = (sample_restriction(params, length_cells, h, boundary, stream(derive_seed(master_seed, s)))
+             for s in range(n_samples))
+    counts = [count_below(discretize(params, restriction), grid) for restriction in paths]
     values = np.array(counts, dtype=float) / (2.0 * params.ell * length_cells)
     mean = values.mean(axis=0)
     stderr = (

@@ -522,7 +522,7 @@ class TestCommandLine:
             "import json, sys",
             "from anderloc.cli import main",
             "cfg, out = sys.argv[1:]",
-            "for command in ('interval', 'certify', 'critical', 'lyapunov'):",
+            "for command in ('interval', 'certify', 'critical', 'lyapunov', 'ids'):",
             "    assert main([command, '--config', cfg, '--out', out]) == 0, command",
             "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
             "assert main(['localize', '--config', cfg, '--out', out]) == 0",

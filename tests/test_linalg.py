@@ -1,6 +1,7 @@
 """Kernel-level checks: exponential, symplectic/Hamiltonian predicates, QR, vectorization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,9 +284,17 @@ class TestSymEigenvalues:
         assert np.all(np.diff(w) >= 0)
         assert abs(w.sum() - np.trace(s)) <= 1e-10 * np.linalg.norm(s)
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DimensionError):
-            as_symmetric(np.array([[0.0, 1.0], [1.1, 0.0]]))
+    # in the second matrix m - t(m) overflows, and a NaN relative asymmetry must not pass as small
+    @pytest.mark.parametrize("m", [[[0.0, 1.0], [1.1, 0.0]], [[0.0, 1e308], [-1e308, 0.0]]])
+    def test_asymmetric_rejected(self, m):
+        with pytest.raises(DimensionError, match=r"entries \(0,1\) and \(1,0\) differ"):
+            as_symmetric(np.array(m))
+
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        m = np.array([[1e308, -1.7e308], [-1.7e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(as_symmetric(m), m)
 
 
 class TestQrPos:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,9 +75,17 @@ class TestModelParams:
         with pytest.raises(ValueError):
             make_params(c=np.array([0.0]))
 
-    def test_asymmetric_v_rejected(self):
-        with pytest.raises(DimensionError):
-            make_params(n=2, v=np.array([[0.0, 1.0], [1.1, 0.0]]), c=np.ones(2))
+    # V - t(V) overflows for the second V; it must not pass as symmetric (and become V = 0)
+    @pytest.mark.parametrize("v", [[[0.0, 1.0], [1.1, 0.0]], [[0, 1e308], [-1e308, 0]]])
+    def test_asymmetric_v_rejected(self, v):
+        with pytest.raises(DimensionError, match=r"V: matrix is not symmetric"):
+            make_params(n=2, v=v, c=np.ones(2))
+
+    def test_v_near_the_float_limit_is_kept_exactly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = ModelParams(n=2, v=[[1e308, 0], [0, 0]], c=[1, 1], ell=0.1)
+        assert params.v.tolist() == [[1e308, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_v_rejected(self, bad):

@@ -163,11 +163,13 @@ class TestCountBelow:
         with pytest.raises(DimensionError, match=r"must have shape \(\d+, \d+\), got \(3, 30\)"):
             BandedSymmetric(ab=ab, order=order, bandwidth=bandwidth)
 
-    def test_zero_pivot_retries(self):
-        # leading pivot is exactly zero at E = 0; the retry must recover count 1
+    @pytest.mark.parametrize("energy, want", [(0.0, 1), ([-2.0, 0.0, 0.5, 0.0, 3.0], [0, 1, 1, 1, 2])])
+    def test_zero_pivot_retries(self, energy, want):
+        # leading pivot is exactly zero at E = 0; the retry must recover count 1 (eigenvalues -1 and 1),
+        # also when E = 0 shares one pass with energies that need no retry
         ab = np.array([[0.0, 0.0], [1.0, 0.0]])
         mat = BandedSymmetric(ab=ab, order=2, bandwidth=1)
-        assert count_below(mat, 0.0) == 1
+        assert np.array_equal(count_below(mat, energy), want)
 
     def test_persistent_zero_pivot_names_energy_order_and_remedy(self):
         # each of the 7 shifts 0, +-1e-12, +-2e-12, +-3e-12 meets a zero pivot on this diagonal
@@ -177,6 +179,76 @@ class TestCountBelow:
                            r"move E by more than that \(edit the energy grid\), or change h or L") as exc:
             count_below(mat, 0.0)
         assert exit_code_for(exc.value) == 4
+
+    def test_persistent_zero_pivot_in_an_array_names_the_first_failing_energy(self):
+        # the diagonal holds each of the 7 shifts of E = 0 and of E = 0.5 (scale 1), so both break down
+        shifts = [e + (1 if a % 2 else -1) * ((a + 1) // 2) * 1e-12 for e in (0.0, 0.5) for a in range(7)]
+        mat = BandedSymmetric(ab=np.array([shifts]), order=14, bandwidth=0)
+        assert count_below(mat, [2.0, -1.0]).tolist() == [14, 0]
+        with pytest.raises(FactorizationError, match=r"at E=0.5: the matrix of order 14 .* within 3e-12 of E; "):
+            count_below(mat, [2.0, 0.5, 1.0, 0.0])
+
+    @staticmethod
+    def criterion_09_bands():
+        rng = stream(909)
+        for order, bw in ((50, 2), (120, 1), (200, 3)):
+            ab = rng.standard_normal((bw + 1, order))
+            for r in range(1, bw + 1):
+                ab[r, order - r:] = 0.0
+            mat = BandedSymmetric(ab=ab, order=order, bandwidth=bw)
+            eigs = np.linalg.eigvalsh(mat.to_dense())
+            yield mat, np.concatenate([0.5 * (eigs[:-1] + eigs[1:])[::7], rng.uniform(-4, 4, 8), eigs[::9]])
+
+    @staticmethod
+    def desk_restriction(length_cells=50):
+        # the perfbench DESK model and ids grid: N = 2 witness, ell 0.1, h 0.0125
+        params = make_params(2, np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.1, disorder=DisorderSpec.bernoulli())
+        restriction = sample_restriction(params, length_cells, 0.0125, "dirichlet", stream(derive_seed(12345, 0)))
+        return discretize(params, restriction), np.linspace(0.0, 8.0, 17)
+
+    @pytest.mark.parametrize("case", ["criterion-09", "desk"])
+    def test_array_call_equals_the_scalar_loop(self, case):
+        cases = list(self.criterion_09_bands()) if case == "criterion-09" else [self.desk_restriction()]
+        for mat, energies in cases:
+            counts = count_below(mat, energies)
+            assert counts.dtype.kind == "i" and counts.shape == energies.shape
+            assert counts.tolist() == [count_below(mat, float(e)) for e in energies]
+            assert count_below(mat, energies.reshape(-1, 1)).shape == (len(energies), 1)
+            assert isinstance(count_below(mat, energies[0]), int)
+
+    def test_grid_longer_than_one_chunk_gives_the_same_counts(self, monkeypatch):
+        mat, _ = self.desk_restriction(10)
+        energies = np.linspace(-1.0, 9.0, 40)
+        whole = count_below(mat, energies)
+        for per_chunk in (1, 3, 7):
+            monkeypatch.setattr(spectrum, "_BAND_BYTES", 8 * mat.ab.size * per_chunk)
+            assert np.array_equal(count_below(mat, energies), whole), per_chunk
+        assert whole[0] == 0 and np.all(np.diff(whole) >= 0) and whole[-1] > 0
+
+    def test_band_copies_stay_within_the_budget(self, monkeypatch):
+        mat, _ = self.desk_restriction(10)
+        monkeypatch.setattr(spectrum, "_BAND_BYTES", 256 << 10)
+        per_chunk = (256 << 10) // (8 * mat.ab.size)
+        peaks = []
+        for size in (per_chunk, 1000):
+            tracemalloc.start()
+            try:
+                count_below(mat, np.linspace(0.0, 8.0, size))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 1000 energies in one band copy would add 7.3 MB to the one-chunk peak; the grid itself adds about 70 kB
+        assert 8 * mat.ab.size * (1000 - per_chunk) > 7 << 20
+        assert peaks[1] < peaks[0] + (128 << 10), peaks
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energies_are_rejected(self, bad):
+        mat = BandedSymmetric(ab=np.array([[1.0, 2.0], [0.5, 0.0]]), order=2, bandwidth=1)
+        for energy in (bad, [1.0, bad]):
+            with pytest.raises(ValueError, match=r"energy entries must be finite real numbers, got"):
+                count_below(mat, energy)
+        with pytest.raises(ValueError, match=r"energy_grid entries must be finite real numbers, got"):
+            estimate_ids(make_params(disorder=DisorderSpec.bernoulli()), [bad, 1.0], 4, 0.25, n_samples=1)
 
 
 class TestComponentSplitting:
