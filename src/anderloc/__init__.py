@@ -26,7 +26,6 @@ from .errors import (
 from .linalg import (
     as_symmetric,
     bracket,
-    exp_matrix,
     is_hamiltonian,
     is_symplectic,
     qr_pos,
@@ -44,6 +43,7 @@ from .model import (
     binary_cells,
     binary_spectra,
     cell_matrix,
+    certified_window,
     energy_interval,
     generator,
     generator_norm,
@@ -83,7 +83,6 @@ from .spectrum import (
     eigen_decay,
     estimate_ids,
     sample_restriction,
-    shooting_singularity,
 )
 from .config import RunConfig, load_config, parse_config
 from .seeding import derive_seed, stream

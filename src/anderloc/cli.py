@@ -48,7 +48,7 @@ from .errors import (
 )
 from .furstenberg import density_certificate, model_closure
 from .lyapunov import EstimatorConfig, lyapunov_spectrum, separability_scan
-from .model import energy_interval, spectral_bounds
+from .model import certified_window, energy_interval, spectral_bounds
 from .seeding import as_seed, derive_seed, stream
 from .spectrum import eigen_decay, estimate_ids, sample_restriction
 from . import __version__
@@ -145,8 +145,8 @@ def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
 def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     grid = cfg.certify.grid.resolve(cfg.model)
     closure = model_closure(cfg.model)
-    bounds = spectral_bounds(cfg.model)
-    certs = [density_certificate(cfg.model, e, closure, bounds) for e in grid]
+    window = energy_interval(cfg.model)  # may be empty on an explicit grid: then no norm_ok
+    certs = [density_certificate(cfg.model, e, closure, window) for e in grid]
     n_cert = sum(c.certified for c in certs)
     table = Table(
         "certificates.csv",
@@ -162,9 +162,7 @@ def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
 
 
 def cmd_critical(cfg: RunConfig, seed: int) -> CommandResult:
-    window = energy_interval(cfg.model)
-    if window.is_empty:
-        raise ScanRangeError("certified energy window is empty; decrease ell below ell_c")
+    window = certified_window(cfg.model)
     closure = model_closure(cfg.model)
     # the closure is deficient everywhere or nowhere, so there is no bracket to list
     table = Table("critical.csv", ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"], [])

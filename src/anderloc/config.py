@@ -19,7 +19,9 @@ a key left out takes the default of its ``*Settings`` field.  Energy
 grids ("certify", "lyapunov", "ids") are given either as an explicit
 list ``"energies": [...]`` or as ``"grid": {"lo":, "hi":, "count":}``,
 not both; when absent they default to 21 evenly spaced points across the
-certified energy window.  Unknown keys are rejected at every level,
+certified energy window, from end to end, and ``localize.window`` to its
+middle quarter.  Both defaults read ``model.certified_window``, which
+refuses an empty window.  Unknown keys are rejected at every level,
 except ``critical.grid_step`` and ``critical.refine_iters``: they are
 accepted but have no effect, since the genericity check that
 ``critical`` runs needs no energy grid.  Neither ``certify`` nor
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import AnderlocError, ConfigError
 from .lyapunov import EstimatorConfig
-from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, couplings, energy_interval
+from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, certified_window, couplings
 from .model import count, interaction, positive, radius, real, reals
 from .seeding import as_seed
 from .spectrum import DEFAULT_BOUNDARY, boundary_name
@@ -77,13 +79,8 @@ class GridSpec:
             return np.asarray(self.energies, dtype=float)
         if self.lo is not None and self.hi is not None:
             return np.linspace(self.lo, self.hi, self.count)
-        window = energy_interval(params)
-        if window.is_empty:
-            raise ConfigError(
-                ["no energies given and the certified window is empty (ell >= ell_c); "
-                 "supply an explicit grid or decrease ell"]
-            )
-        return window.grid(self.count)
+        window = certified_window(params)
+        return np.linspace(window.lo, window.hi, self.count)
 
 
 @dataclass(frozen=True)
@@ -125,12 +122,7 @@ class LocalizeSettings:
     def resolve_window(self, params: ModelParams) -> EnergyInterval:
         if self.window is not None:
             return EnergyInterval(*self.window)
-        full = energy_interval(params)
-        if full.is_empty:
-            raise ConfigError(
-                ["no localize window given and the certified window is empty; "
-                 "supply \"localize\": {\"window\": [lo, hi]}"]
-            )
+        full = certified_window(params)
         center = 0.5 * (full.lo + full.hi)
         half = full.length / 8.0
         return EnergyInterval(center - half, center + half)

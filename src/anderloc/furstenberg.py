@@ -39,9 +39,17 @@ The diagonal of V, the values of c and the energy do not enter.  Sketch:
 ``lie_closure`` is the numerical rank test on arbitrary Hamiltonian
 generators, at the fixed relative tolerance 1e-8, kept as library code
 and as the reference the tests compare the criterion with.  This module
-also implements the per-energy certificate (whose only energy dependence
-is the norm condition) and the tridiagonal interaction that witnesses
-genericity.
+also implements the per-energy certificate and the tridiagonal
+interaction that witnesses genericity.
+
+Condition (i) is the certificate's only energy dependence, and the
+certificate does not evaluate it from a formula of its own.  By the
+closed form of ``model.generator_norm`` the largest binary generator norm
+is max(1, lambda_max - E, E - lambda_min), so (i) holds exactly where
+ell <= rho and E lies in the certified window [lambda_max - rho/ell,
+lambda_min + rho/ell] of ``model.energy_interval``.  The certificate
+reads that window, so the energies it certifies are the window's own
+floats, ends included.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import ModelParams, SpectralBounds, count
+from .model import EnergyInterval, ModelParams, count
 
 __all__ = [
     "ClosureReport",
@@ -215,24 +223,20 @@ def model_closure(params: ModelParams) -> CouplingClosure:
 
 
 def density_certificate(
-    params: ModelParams, energy: float, closure: CouplingClosure, bounds: SpectralBounds
+    params: ModelParams, energy: float, closure: CouplingClosure, window: EnergyInterval
 ) -> DensityCertificate:
     """Check both density conditions for the binary family at one energy.
 
     ``norm_condition`` is ell * ||X_omega|| <= rho for all 2^N binary
-    cells; the closure condition is ``closure.full``, the closure of
-    ``model_closure`` reaching 2N^2 + N at every energy.  A
-    false norm condition is indeterminate (the criterion simply does not
-    apply), not a refutation of density.
-
-    By the closed form of ``model.generator_norm``, the largest of those
-    norms is max(1, lambda_max - E, E - lambda_min) over ``bounds``, the
-    model's ``spectral_bounds``.  Floating-point subtraction, ``max`` and
-    multiplication by ell > 0 are monotone, so this decides the condition
-    bit for bit as the per-cell test does.
+    cells, decided as ell <= rho and ``window.contains(energy)`` on the
+    model's ``energy_interval``: the same set in exact arithmetic, and so
+    the window's own floats, ends included, are what certify.  The closure
+    condition is ``closure.full``, the closure of ``model_closure``
+    reaching 2N^2 + N at every energy.  A false norm condition is
+    indeterminate (the criterion simply does not apply), not a refutation
+    of density.
     """
-    norm = max(1.0, bounds.lambda_max - energy, energy - bounds.lambda_min)
-    norm_ok = bool(params.ell * norm <= params.rho)
+    norm_ok = params.ell <= params.rho and window.contains(energy)
     return DensityCertificate(
         energy=float(energy),
         norm_condition=norm_ok,

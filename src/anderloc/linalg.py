@@ -8,11 +8,9 @@ Hamiltonian when J X is symmetric, i.e. X = [[A, B], [C, -t(A)]] with B
 and C symmetric.  The space of Hamiltonian matrices of order 2N has
 dimension 2N^2 + N.
 
-``exp_matrix`` is the general Pade exponential.  No production path calls
-it: transfer matrices come from the closed form in ``model.transfer_table``,
-and ``exp_matrix`` is the independent oracle the tests compare it against.
-It imports ``scipy.linalg`` when called, so importing this module loads
-numpy only.
+There is no general matrix exponential here: transfer matrices come from
+the closed form in ``model.transfer_table``, and the tests compare it
+against scipy's ``expm``.  This module loads numpy only.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .errors import DimensionError, SingularMatrixError
 __all__ = [
     "sp_dim",
     "standard_form",
-    "exp_matrix",
     "is_symplectic",
     "is_hamiltonian",
     "as_symmetric",
@@ -58,19 +55,6 @@ def _square(m: np.ndarray, what: str, stack: bool = False, even: bool = False) -
         form = ("square matrices" if stack else "a square matrix") + (" of even order" if even else "")
         raise DimensionError(f"{what} must be {form}, got shape {m.shape}")
     return m
-
-
-def exp_matrix(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(scale * x) via scaling-and-squaring Pade.
-
-    Test oracle for ``model.transfer_table``; no production path calls it.
-    """
-    from scipy.linalg import expm
-
-    x = _square(x, "exponent")
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
-    return expm(scale * x)
 
 
 def is_symplectic(m: np.ndarray, tol: float | np.ndarray = 1e-10) -> bool:

@@ -11,7 +11,10 @@ transfer matrix
 
 which is symplectic because X is Hamiltonian.  This module provides M, X,
 T, the spectral constants (lambda_min, lambda_max, delta, ell_C), and the
-certified energy window derived from them.
+certified energy window derived from them.  Every decision about that
+window is made here: ``energy_interval`` is its one formula, which the
+density certificates read, and ``certified_window`` is the one refusal
+of an empty window where a command needs energies inside it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InstabilityError, SizeGuardError
+from .errors import DimensionError, InstabilityError, ScanRangeError, SizeGuardError
 from .linalg import as_symmetric, is_symplectic, sym_eigenvalues
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
     "binary_spectra",
     "spectral_bounds",
     "energy_interval",
+    "certified_window",
     "sample_cell",
     "sample_path",
     "binary_cells",
@@ -264,11 +268,6 @@ class EnergyInterval:
     def contains(self, energy: float) -> bool:
         return not self.is_empty and self.lo <= energy <= self.hi
 
-    def grid(self, count: int) -> np.ndarray:
-        if self.is_empty:
-            raise ValueError("cannot grid an empty interval")
-        return np.linspace(self.lo, self.hi, count)
-
 
 def cell_matrix(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:
     """Symmetric channel matrix V + diag(c_i omega_i) - E I of a cell, or of each cell of a stack (..., N)."""
@@ -390,13 +389,30 @@ def energy_interval(params: ModelParams) -> EnergyInterval:
     """Certified energy window [lambda_max - rho/ell, lambda_min + rho/ell].
 
     Nonempty exactly when ell < ell_c; its length 2(rho/ell - delta) grows
-    without bound as ell tends to 0.
+    without bound as ell tends to 0.  The one formula of the window: the
+    density certificates test their energies against these two floats.
+    An empty window is returned, not refused (``certified_window`` refuses).
     """
     bounds = spectral_bounds(params)
     if params.ell >= bounds.ell_c:
         return EnergyInterval.empty()
     r = params.rho / params.ell
     return EnergyInterval(bounds.lambda_max - r, bounds.lambda_min + r)
+
+
+def certified_window(params: ModelParams) -> EnergyInterval:
+    """``energy_interval``, refused when empty: the default energies of every command lie in it.
+
+    Raises ``ScanRangeError`` (exit 2 in the CLI) naming ell and ell_C.
+    """
+    window = energy_interval(params)
+    if window.is_empty:
+        raise ScanRangeError(
+            f"certified energy window is empty (ell = {params.ell:.12g} >= ell_C = "
+            f"{spectral_bounds(params).ell_c:.12g}); decrease ell, or give explicit "
+            "energies or localize.window"
+        )
+    return window
 
 
 def sample_cell(params: ModelParams, rng: np.random.Generator) -> np.ndarray:

@@ -45,7 +45,6 @@ __all__ = [
     "discretize",
     "count_below",
     "boundary_block",
-    "shooting_singularity",
     "estimate_ids",
     "eigen_decay",
 ]
@@ -283,12 +282,6 @@ def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -
                 "transfer product overflow; use a shorter restriction or shift the energy"
             )
     return prod[:n, n:]
-
-
-def shooting_singularity(params: ModelParams, omega_path: np.ndarray, energy: float) -> float:
-    """Smallest singular value of the boundary block; zero at Dirichlet eigenvalues."""
-    b = boundary_block(params, omega_path, energy)
-    return float(np.linalg.svd(b, compute_uv=False)[-1])
 
 
 def estimate_ids(

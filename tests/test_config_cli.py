@@ -456,6 +456,30 @@ class TestCommandLine:
         header = open(os.path.join(out, "decay.csv")).readline().strip()
         assert header == "eigenvalue,center,fitted_rate,residual,L,h"
 
+    # c = 2 gives delta = 1, so ell_C = rho = log 2 < ell
+    EMPTY_WINDOW = {"c": [2.0], "ell": 0.9}
+    EMPTY_MESSAGE = ("error: certified energy window is empty (ell = 0.9 >= ell_C = 0.69314718056); "
+                     "decrease ell, or give explicit energies or localize.window\n")
+
+    @pytest.mark.parametrize("command", ["certify", "lyapunov", "ids", "localize", "critical", "report"])
+    def test_empty_window_is_refused_once(self, tmp_path, capsys, command):
+        # every command that needs the window, for its default energies or its range, gives one message
+        path = write_config(tmp_path, **self.EMPTY_WINDOW)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", self.EMPTY_MESSAGE)
+        assert not out.exists()
+
+    def test_empty_window_on_explicit_energies(self, tmp_path, capsys):
+        path = write_config(tmp_path, **self.EMPTY_WINDOW, certify={"energies": [-1.0, 0.0, 1.0]})
+        assert main(["interval", "--config", path]) == 0
+        assert "I = empty (ell >= ell_C)" in capsys.readouterr().out
+        out = str(tmp_path / "out")
+        assert main(["certify", "--config", path, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("certified 0/3 energies")
+        lines = open(os.path.join(out, "certificates.csv")).read().splitlines()
+        assert lines[1:] == ["-1.0,0,3,3,0", "0.0,0,3,3,0", "1.0,0,3,3,0"]
+
     def test_size_guard_exits_two(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         n = 21
@@ -563,6 +587,14 @@ def test_readme_flags_match_the_parser():
         if option.startswith("--")
     }
     assert documented == options - {"--help", "--version"}
+
+
+def test_readme_library_example_runs():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["generic"] and namespace["cert"].certified
 
 
 def test_readme_configuration_matches_the_parser():

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import anderloc.cli
-from anderloc.cli import EXIT_CONFIG, EXIT_NON_GENERIC, EXIT_OK, cmd_critical, exit_code_for, main
+from anderloc.cli import EXIT_CONFIG, EXIT_NON_GENERIC, EXIT_OK, cmd_certify, cmd_critical, exit_code_for, main
 from anderloc.config import (
     CertifySettings,
     CriticalSettings,
@@ -25,8 +26,9 @@ from anderloc.furstenberg import (
     model_closure,
     tridiagonal_witness,
 )
-from anderloc.linalg import exp_matrix, sp_dim
+from anderloc.linalg import sp_dim
 from anderloc.model import (
+    DEFAULT_RHO,
     ModelParams,
     binary_cells,
     energy_interval,
@@ -113,7 +115,7 @@ class TestLieClosure:
         gens = binary_generators(params, 0.3)
         w = rng.standard_normal((2, 2))
         a = rng.standard_normal((2, 2))
-        conj = exp_matrix(hamiltonian(a, w + w.T, np.eye(2)), 0.3)
+        conj = expm(0.3 * hamiltonian(a, w + w.T, np.eye(2)))
         conj_inv = np.linalg.inv(conj)
         conjugated = [conj @ g @ conj_inv for g in gens]
         assert lie_closure(conjugated).dim_reached == lie_closure(gens).dim_reached
@@ -437,7 +439,28 @@ class TestCouplingGraphCriterion:
 
 
 def certificate(params, energy):
-    return density_certificate(params, energy, model_closure(params), spectral_bounds(params))
+    return density_certificate(params, energy, model_closure(params), energy_interval(params))
+
+
+def run_config(params):
+    """A run configuration holding ``params``, every command block at its defaults."""
+    return RunConfig(
+        model=params,
+        seed=0,
+        certify=CertifySettings(),
+        critical=CriticalSettings(),
+        lyapunov=LyapunovSettings(),
+        ids=IdsSettings(),
+        localize=LocalizeSettings(),
+    )
+
+
+def random_model(rng, n):
+    """A coupled N-channel model with ell drawn in (0.02, 0.98) * min(rho, ell_C)."""
+    v = rng.uniform(-1, 1, (n, n))
+    c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    ell_c = spectral_bounds(make_params(n, v + v.T, c=c)).ell_c
+    return make_params(n, v + v.T, c=c, ell=rng.uniform(0.02, 0.98) * min(DEFAULT_RHO, ell_c))
 
 
 class TestDensityCertificate:
@@ -464,7 +487,7 @@ class TestDensityCertificate:
     def test_closure_margin_matches_lie_closure(self):
         for params, e in ((make_params(2, tridiagonal_witness(2)), 0.4), (make_params(2, np.zeros((2, 2))), 0.7)):
             report = model_closure(params)
-            cert = density_certificate(params, e, report, spectral_bounds(params))
+            cert = density_certificate(params, e, report, energy_interval(params))
             assert cert.closure is report
             assert report.dim_reached == lie_closure(binary_generators(params, e)).dim_reached
 
@@ -475,7 +498,9 @@ class TestDensityCertificate:
             assert len(verdicts) == 1
 
     def test_norm_condition_equals_the_per_cell_oracle(self):
-        # the oracle takes every binary cell's generator norm; the certificate reads only the bounds
+        # the oracle takes every binary cell's generator norm; the certificate reads only the
+        # window.  Near the window's ends the two round differently (see TestCertifiedWindow),
+        # so every energy here is more than 4 ulps from both ends.
         rng = np.random.default_rng(41)
         verdicts = set()
         for n in (1, 2, 3, 4):
@@ -484,12 +509,10 @@ class TestDensityCertificate:
                 c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
                 ell_c = spectral_bounds(make_params(n, v + v.T, c=c)).ell_c
                 params = make_params(n, v + v.T, c=c, ell=rng.uniform(0.05, 0.95) * ell_c)
-                closure, bounds, window = model_closure(params), spectral_bounds(params), energy_interval(params)
-                ends = [window.lo, window.hi]
-                energies = list(np.linspace(window.lo - 3.0, window.hi + 3.0, 25)) + ends
-                energies += [np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf)]
-                for e in energies:
-                    cert = density_certificate(params, e, closure, bounds)
+                closure, window = model_closure(params), energy_interval(params)
+                for e in np.linspace(window.lo - 3.0, window.hi + 3.0, 25):
+                    assert min(abs(e - end) / np.spacing(abs(end)) for end in (window.lo, window.hi)) > 4
+                    cert = density_certificate(params, e, closure, window)
                     oracle = all(params.ell * generator_norm(params, omega, e) <= params.rho
                                  for omega in binary_cells(n))
                     assert cert.norm_condition == oracle, (n, e)
@@ -508,16 +531,64 @@ class TestDensityCertificate:
 
 def critical(params):
     """``cmd_critical`` on a run configuration holding ``params``."""
-    cfg = RunConfig(
-        model=params,
-        seed=0,
-        certify=CertifySettings(),
-        critical=CriticalSettings(),
-        lyapunov=LyapunovSettings(),
-        ids=IdsSettings(),
-        localize=LocalizeSettings(),
-    )
+    cfg = run_config(params)
     return cmd_critical(cfg, cfg.seed)
+
+
+class TestCertifiedWindow:
+    """The certificates read the window that ``interval`` prints, so its ends decide nothing by rounding."""
+
+    README_MODEL = dict(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def sweep(self):
+        # 200 values of ell on the README model, then 300 seeded random models with N = 1 to 4
+        for ell in np.linspace(0.05, 0.3, 200):
+            yield make_params(**self.README_MODEL, ell=float(ell))
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            yield random_model(rng, int(rng.integers(1, 5)))
+
+    def test_default_grid_certifies_the_whole_window(self):
+        n_models = 0
+        for params in self.sweep():
+            assert params.ell < min(params.rho, spectral_bounds(params).ell_c)
+            result = cmd_certify(run_config(params), 0)
+            window = energy_interval(params)
+            assert [c.energy for c in result.data][::20] == [window.lo, window.hi]
+            assert all(c.certified for c in result.data), params.ell
+            assert result.stdout.startswith("certified 21/21 energies")
+            n_models += 1
+        assert n_models == 500
+
+    def test_ends_certified_and_one_ulp_outside_not(self):
+        for params in self.sweep():
+            closure, window = model_closure(params), energy_interval(params)
+            for end, outward in ((window.lo, -np.inf), (window.hi, np.inf)):
+                assert density_certificate(params, end, closure, window).certified
+                outside = np.nextafter(end, outward)
+                assert not density_certificate(params, outside, closure, window).norm_condition
+                assert density_certificate(params, np.nextafter(end, -outward), closure, window).certified
+
+    def test_readme_model_at_a_rounding_sensitive_ell(self, tmp_path, capsys):
+        # at this ell the window's ends used to fail the separately rounded norm formula
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [1.0, 1.0],
+                                    "ell": 0.15050251256281408}))
+        assert main(["interval", "--config", str(path)]) == EXIT_OK
+        assert "I = [-2.60555221808, 3.60555221808]" in capsys.readouterr().out
+        assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("certified 21/21 energies")
+        with open(tmp_path / "out" / "certificates.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["norm_ok"], r["certified"]) for r in rows] == [("1", "1")] * 21
+
+    def test_ell_above_rho_certifies_nothing(self):
+        # rho < ell < ell_C: the window is not empty, but every generator norm is at least 1
+        params = make_params(2, 0.05 * np.array([[0.0, 1.0], [1.0, 0.0]]), c=np.array([0.05, 0.05]), ell=0.8)
+        window = energy_interval(params)
+        assert not window.is_empty
+        assert not any(c.norm_condition for c in cmd_certify(run_config(params), 0).data)
+        assert not certificate(params, 0.5 * (window.lo + window.hi)).norm_condition
 
 
 class TestCriticalScan:

@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from anderloc.errors import DimensionError, InstabilityError, SizeGuardError
-from anderloc.linalg import exp_matrix, is_hamiltonian, is_symplectic
+from anderloc.linalg import is_hamiltonian, is_symplectic
 from anderloc.model import (
     DEFAULT_RHO,
     DisorderSpec,
@@ -48,7 +49,7 @@ def assert_matches_expm(params, configs, energy):
     table = transfer_table(params, configs, energy)
     assert table.shape == (len(configs), 2 * params.n, 2 * params.n)
     for t, omega in zip(table, configs):
-        want = exp_matrix(generator(params, omega, energy), params.ell)
+        want = expm(params.ell * generator(params, omega, energy))
         assert np.linalg.norm(t - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
         assert np.array_equal(transfer(params, omega, energy), t)
 
