@@ -41,7 +41,6 @@ from .model import (
     ModelParams,
     SpectralBounds,
     binary_cells,
-    binary_spectra,
     cell_matrix,
     certified_window,
     energy_interval,

@@ -78,14 +78,12 @@ class ClosureReport:
     """Outcome of a bracket-closure sweep.
 
     ``basis`` holds orthonormal coordinate vectors spanning the closure
-    reached; ``smallest_retained_norm`` is the smallest relative residual
-    among retained candidates (the rank-gap margin).
+    reached, ``dim_reached`` of the ``target_dim`` = 2N^2 + N directions.
     """
 
     dim_reached: int
     target_dim: int
     basis: np.ndarray
-    smallest_retained_norm: float
 
     @property
     def full(self) -> bool:
@@ -159,7 +157,6 @@ def lie_closure(generators: list[np.ndarray]) -> ClosureReport:
     basis = np.empty((target, target))
     reps = np.empty((target, two_n, two_n))
     dim = 0
-    smallest_retained = np.inf
 
     # Brackets of unit-norm representatives that cancel to roundoff scale are
     # numerical zeros, not directions; without this floor a commuting pair
@@ -167,7 +164,7 @@ def lie_closure(generators: list[np.ndarray]) -> ClosureReport:
     zero_floor = 1e-12
 
     def try_add(elem: np.ndarray, vec: np.ndarray, floor: float = 0.0) -> bool:
-        nonlocal dim, smallest_retained
+        nonlocal dim
         own = float(np.linalg.norm(vec))
         if dim == target or own <= floor or not np.isfinite(own):
             return False
@@ -180,7 +177,6 @@ def lie_closure(generators: list[np.ndarray]) -> ClosureReport:
         basis[dim] = r / res
         reps[dim] = elem / own
         dim += 1
-        smallest_retained = min(smallest_retained, res / own)
         return True
 
     frontier: list[int] = []  # indices into reps
@@ -200,12 +196,7 @@ def lie_closure(generators: list[np.ndarray]) -> ClosureReport:
                     new_frontier.append(dim - 1)
         frontier = new_frontier
 
-    return ClosureReport(
-        dim_reached=dim,
-        target_dim=target,
-        basis=basis[:dim].copy(),
-        smallest_retained_norm=float(smallest_retained),
-    )
+    return ClosureReport(dim_reached=dim, target_dim=target, basis=basis[:dim].copy())
 
 
 def model_closure(params: ModelParams) -> CouplingClosure:

@@ -11,7 +11,10 @@ transfer matrix
 
 which is symplectic because X is Hamiltonian.  This module provides M, X,
 T, the spectral constants (lambda_min, lambda_max, delta, ell_C), and the
-certified energy window derived from them.  Every decision about that
+certified energy window derived from them.  The two bounds are read off
+the two extreme binary cells, omega = [c < 0] and omega = [c > 0], so no
+caller lists the 2^N cells (``binary_cells`` does, for library and test
+use, up to N = 20).  Every decision about that
 window is made here: ``energy_interval`` is its one formula, which the
 density certificates read, and ``certified_window`` is the one refusal
 of an empty window where a command needs energies inside it.
@@ -48,7 +51,6 @@ __all__ = [
     "transfer_table",
     "path_table",
     "generator_norm",
-    "binary_spectra",
     "spectral_bounds",
     "energy_interval",
     "certified_window",
@@ -238,7 +240,13 @@ def radius(value: object) -> float:
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Extreme eigenvalues over the binary disorder family and derived constants."""
+    """Extreme eigenvalues over the binary disorder family and derived constants.
+
+    ``lambda_min`` and ``lambda_max`` are the smallest and largest
+    eigenvalues of V + diag(c omega) over omega in {0, 1}^N; ``delta`` is
+    half their gap and ``ell_c`` the critical cell length (see
+    ``spectral_bounds``).
+    """
 
     lambda_min: float
     lambda_max: float
@@ -306,10 +314,13 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
 
     Raises
     ------
+    ValueError
+        If ``energy`` fails the number rule of ``real``.
     InstabilityError
         If a matrix overflows or fails the symplecticity check.
     """
     n = params.n
+    energy = real(energy, "energy")
     mu, u = np.linalg.eigh(cell_matrix(params, configs, 0.0))
     kappa = mu - energy
     x = params.ell * np.sqrt(np.abs(kappa))
@@ -332,7 +343,7 @@ def path_table(params: ModelParams, path: np.ndarray, energy: float) -> tuple[np
     """Transfer matrices of a path's (..., N) distinct cells, and each cell's row: ``table[index]``."""
     path = np.atleast_2d(np.asarray(path, dtype=float))
     values, codes = np.unique(path, return_inverse=True)
-    rows, index = _distinct_cells(codes.reshape(-1, params.n))
+    rows, index = _distinct_cells(codes.reshape(-1, path.shape[-1]))
     return transfer_table(params, values[rows], energy), index.reshape(path.shape[:-1])
 
 
@@ -361,25 +372,19 @@ def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> flo
     return float(np.maximum(1.0, np.max(np.abs(spectrum - energy))))
 
 
-def binary_spectra(params: ModelParams) -> np.ndarray:
-    """Eigenvalues of every binary cell matrix at energy zero, shape (2^N, N).
-
-    Rows follow ``binary_cells`` and are ascending.  They do not depend on
-    the energy (the cell matrix at E has eigenvalues lambda_i - E), so one
-    array serves every energy of a model.
-    """
-    return np.linalg.eigvalsh(cell_matrix(params, binary_cells(params.n), 0.0))
-
-
 def spectral_bounds(params: ModelParams) -> SpectralBounds:
-    """Eigenvalue extremes over all binary cells and the critical cell length.
+    """Eigenvalue extremes over all binary cells, read off the two extreme cells, and the critical cell length.
 
+    Setting omega_i = 1 adds c_i e_i t(e_i) to the cell matrix, which moves
+    every eigenvalue in the direction of sign(c_i) (Weyl's monotonicity
+    theorem).  So lambda_min is the smallest eigenvalue of the cell
+    omega = [c < 0] and lambda_max the largest of omega = [c > 0]: two
+    N x N eigensolves for any N, with no list of the 2^N cells.
     ``ell_c = min(1, rho / delta)`` with the convention ell_c = 1 when
     delta = 0 (all binary cells sharing one eigenvalue set).
     """
-    spectra = binary_spectra(params)
-    lo = float(spectra[:, 0].min())
-    hi = float(spectra[:, -1].max())
+    low, high = np.linalg.eigvalsh(cell_matrix(params, np.array([params.c < 0, params.c > 0]), 0.0))
+    lo, hi = float(low[0]), float(high[-1])
     delta = 0.5 * (hi - lo)
     ell_c = 1.0 if delta == 0.0 else min(1.0, params.rho / delta)
     return SpectralBounds(lo, hi, delta, ell_c)

@@ -26,6 +26,7 @@ from anderloc.errors import (
     ScanRangeError,
     SizeGuardError,
 )
+from anderloc.furstenberg import tridiagonal_witness
 from anderloc.lyapunov import EstimatorConfig
 from anderloc.model import DisorderSpec, ModelParams
 from anderloc.spectrum import FiniteRestriction, estimate_ids, sample_restriction
@@ -481,14 +482,13 @@ class TestCommandLine:
         assert lines[1:] == ["-1.0,0,3,3,0", "0.0,0,3,3,0", "1.0,0,3,3,0"]
 
     def test_size_guard_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "big.json"
-        n = 21
-        path.write_text(json.dumps({
-            "N": n, "V": np.zeros((n, n)).tolist(), "c": [1.0] * n, "ell": 0.1,
-            "disorder": {"atoms": [[0.0, 0.5], [1.0, 0.5]]},
-            "certify": {"energies": [0.0]},
-        }))
-        assert main(["certify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        # the spectral bounds come from two cells, so no command has a channel limit
+        n = 24
+        path = write_config(tmp_path, "big.json", N=n, V=tridiagonal_witness(n).tolist(), c=[1.0] * n,
+                            ell=0.01, certify={"energies": [0.5]})
+        assert main(["certify", "--config", path, "--out", str(tmp_path / "big")]) == 0
+        assert "certified 1/1" in capsys.readouterr().out
+        assert main(["interval", "--config", path, "--out", str(tmp_path / "big")]) == 0
         # 2^50 grid steps per cell: the eigensolver's dense workspace fits no machine
         path = write_config(tmp_path, localize={"window": [0.5, 0.9], "L": 1, "h": 0.1 / 2**50, "ref_steps": 10})
         assert main(["localize", "--config", path, "--out", str(tmp_path / "o")]) == 2

@@ -16,7 +16,6 @@ from anderloc.model import (
     EnergyInterval,
     ModelParams,
     binary_cells,
-    binary_spectra,
     cell_matrix,
     energy_interval,
     generator,
@@ -297,15 +296,30 @@ class TestSpectralBounds:
         assert abs(b.delta - 1.5) <= 1e-12
 
     def test_bounds_are_the_extremes_of_the_binary_spectra(self):
+        # oracle: diagonalise every one of the 2^N binary cells
         rng = np.random.default_rng(5)
-        v = rng.standard_normal((3, 3))
-        p = make_params(n=3, v=v + v.T, c=rng.uniform(0.5, 2.0, 3))
-        spectra = binary_spectra(p)
-        assert spectra.shape == (8, 3)
-        for omega, lams in zip(binary_cells(3), spectra):
-            assert np.array_equal(lams, np.linalg.eigvalsh(cell_matrix(p, omega, 0.0)))
-        b = spectral_bounds(p)
-        assert (b.lambda_min, b.lambda_max) == (spectra.min(), spectra.max())
+        for kind in ("dense", "sparse", "integer"):
+            for n in range(1, 9):
+                for _ in range(12):
+                    signs = rng.permutation(np.resize([-1.0, 1.0], n))
+                    if kind == "dense":
+                        v = rng.standard_normal((n, n))
+                        c = signs * rng.uniform(0.5, 2.0, n)
+                    elif kind == "sparse":
+                        v = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+                        c = signs * rng.uniform(0.5, 2.0, n)
+                    else:
+                        v = rng.integers(-2, 3, (n, n)).astype(float)
+                        c = signs * rng.integers(1, 3, n)
+                    p = make_params(n=n, v=v + v.T, c=c)
+                    spectra = np.linalg.eigvalsh(cell_matrix(p, binary_cells(n), 0.0))
+                    want = (float(spectra[:, 0].min()), float(spectra[:, -1].max()))
+                    b = spectral_bounds(p)
+                    if kind == "dense":  # no ties: the same eigensolve of the same matrix
+                        assert (b.lambda_min, b.lambda_max) == want
+                    else:
+                        for got, lam in zip((b.lambda_min, b.lambda_max), want):
+                            assert abs(got - lam) <= 1e-12 * max(1.0, abs(lam))
 
     def test_scalar_shift_structure(self):
         lam = -0.7

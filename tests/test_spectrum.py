@@ -18,7 +18,8 @@ from anderloc.errors import (
     SizeGuardError,
 )
 from anderloc.furstenberg import model_closure
-from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path
+from anderloc.lyapunov import EstimatorConfig, lyapunov_spectrum
+from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path, transfer
 from anderloc.spectrum import (
     BandedSymmetric,
     FiniteRestriction,
@@ -311,6 +312,26 @@ class TestShooting:
         path = np.zeros((60, 1))
         with pytest.raises(InstabilityError):
             boundary_block(params, path, 0.0)
+
+    @pytest.mark.parametrize("channels", [1, 3, 4])
+    def test_path_with_the_wrong_channel_count_is_a_dimension_error(self, channels):
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), disorder=DisorderSpec.bernoulli())
+        path = stream(68).integers(0, 2, size=(40, channels)).astype(float)
+        with pytest.raises(DimensionError, match="cell configuration must have length 2"):
+            boundary_block(params, path, 0.5)
+
+    @pytest.mark.parametrize("call", ["transfer", "boundary_block", "lyapunov_spectrum"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 1j])
+    def test_non_real_energies_are_rejected(self, bad, call):
+        # the transfer layer reads E by the number rule: no InstabilityError, no E = 1 for True
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.5, disorder=DisorderSpec.bernoulli())
+        calls = {
+            "transfer": lambda: transfer(params, np.zeros(2), bad),
+            "boundary_block": lambda: boundary_block(params, np.zeros((40, 2)), bad),
+            "lyapunov_spectrum": lambda: lyapunov_spectrum(params, bad, EstimatorConfig(n_steps=10, n_replicas=2)),
+        }
+        with pytest.raises(ValueError, match=r"energy must be a finite real number, got"):
+            calls[call]()
 
     def test_product_matches_expm_transfers(self):
         law = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.5, 0.4)))
