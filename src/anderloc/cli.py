@@ -42,6 +42,7 @@ from .config import RunConfig, load_config, resolve_h
 from .errors import (
     AnderlocError,
     ConfigError,
+    FactorizationError,
     GridError,
     ScanRangeError,
     SizeGuardError,
@@ -246,7 +247,10 @@ def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
     for path_idx in range(loc.n_paths):
         rng = stream(derive_seed(seed, CMD_LOCALIZE, 1 + path_idx))
         restriction = sample_restriction(cfg.model, loc.length_cells, h, loc.boundary, rng)
-        reports.extend(eigen_decay(cfg.model, restriction, window, gamma_ref=gamma_ref))
+        try:
+            reports.extend(eigen_decay(cfg.model, restriction, window, gamma_ref=gamma_ref))
+        except FactorizationError as exc:
+            raise FactorizationError(f"localize path {path_idx + 1} of {loc.n_paths}: {exc}") from None
     table = Table(
         "decay.csv",
         ["eigenvalue", "center", "fitted_rate", "residual", "L", "h"],

@@ -287,8 +287,9 @@ def cell_matrix(params: ModelParams, omega: np.ndarray, energy: float) -> np.nda
 
 
 def generator(params: ModelParams, omega: np.ndarray, energy: float) -> np.ndarray:
-    """Hamiltonian generator [[0, I], [M, 0]] of the cell's transfer matrix."""
+    """Hamiltonian generator [[0, I], [M, 0]] of the cell's transfer matrix; ``energy`` passes ``real``."""
     n = params.n
+    energy = real(energy, "energy")
     x = np.zeros((2 * n, 2 * n))
     x[:n, n:] = np.eye(n)
     x[n:, :n] = cell_matrix(params, omega, energy)
@@ -348,13 +349,13 @@ def path_table(params: ModelParams, path: np.ndarray, energy: float) -> tuple[np
 
 
 def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (M, N) array of non-negative integers, sorted, and each row's position.
+    """Distinct rows of an (M, N) array of non-negative integers (M may be 0), sorted, and each row's position.
 
     Equal to ``np.unique(idx, axis=0, return_inverse=True)``, but built from
     1-D integer codes: after each channel the codes are renumbered to their
     rank, so they stay below M * (max(idx) + 1) for any N.
     """
-    base = int(idx.max()) + 1
+    base = int(idx.max(initial=0)) + 1
     code = np.zeros(len(idx), dtype=np.int64)
     for column in idx.T:
         _, first, code = np.unique(code * base + column, return_index=True, return_inverse=True)
@@ -366,8 +367,9 @@ def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> flo
 
     The eigenvalues of t(X) X are 1 and (lambda_i - E)^2 where lambda_i
     are the eigenvalues of the cell matrix at energy zero, so the norm is
-    max(1, max_i |lambda_i - E|).
+    max(1, max_i |lambda_i - E|).  ``energy`` passes ``real``.
     """
+    energy = real(energy, "energy")
     spectrum = sym_eigenvalues(cell_matrix(params, omega, 0.0))
     return float(np.maximum(1.0, np.max(np.abs(spectrum - energy))))
 

@@ -15,10 +15,14 @@ The integrated density of states is the disorder average of that count
 over 2*ell*L.  A shooting oracle built from exact transfer-matrix
 products provides an independent count for cross-checks, and a
 cell-resolved mass profile of eigenvectors yields exponential-decay
-fits for the localization diagnostic.  Those eigenpairs come from
-scipy's banded solver, which ``eigen_decay`` imports when called.  It is
-the only scipy routine the commands use, so only ``localize`` (alone or
-inside ``report``) loads scipy.
+fits for the localization diagnostic.  Those eigenpairs never form the
+solver's dense order x order Q: the eigenvalues in the window come from
+LAPACK dsbevx without vectors, their number is audited against the
+inertia counts at both window ends, and each eigenvector comes from a few
+steps of inverse iteration with banded solves, so a decay solve holds
+O(order * bandwidth) numbers.  ``eigen_decay`` imports those scipy
+routines when called; they are the only scipy routines the commands use,
+so only ``localize`` (alone or inside ``report``) loads scipy.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ DEFAULT_BOUNDARY = "dirichlet"
 _OVERFLOW_ENTRY = 1e300
 _MASS_FLOOR = 1e-24
 _BAND_BYTES = 8 * 2**20  # largest band copy _inertia makes: it cuts the energies into chunks of this size
+_NUDGES = (0, 1, -1, 2, -2, 3, -3)  # a shift that meets a zero pivot is retried moved by these multiples of 1e-12 * scale
+_INVERSE_STEPS = 3
+_CLUSTER_GAP = 1e-7  # eigenvalues closer than this times the scale are re-orthogonalised against each other
+_RESIDUAL_LIMIT = 1e-10  # largest accepted |(A - lambda I) x| / scale of a unit eigenvector; measured about 5e-15
 
 
 def boundary_name(value: object, name: str) -> str:
@@ -112,6 +120,11 @@ class BandedSymmetric:
             a[idx + r, idx] = self.ab[r, : self.order - r]
             a[idx, idx + r] = self.ab[r, : self.order - r]
         return a
+
+    @property
+    def scale(self) -> float:
+        """max(1, largest entry magnitude): the unit of the shift nudges and residuals."""
+        return max(float(np.max(np.abs(self.ab))), 1.0)
 
 
 @dataclass
@@ -251,9 +264,9 @@ def count_below(matrix: BandedSymmetric, energy: float | np.ndarray) -> int | np
     persistent breakdown raises ``FactorizationError`` naming the first.
     """
     energies = reals(energy, "energy")
-    scale = max(float(np.max(np.abs(matrix.ab))), 1.0)
+    scale = matrix.scale
     counts = np.full(energies.shape, -1)
-    for k in (0, 1, -1, 2, -2, 3, -3):
+    for k in _NUDGES:
         todo = counts < 0
         counts[todo] = _inertia(matrix.ab, energies[todo] + k * 1e-12 * scale, 1e-20 * scale)
     if np.any(counts < 0):
@@ -323,6 +336,73 @@ def estimate_ids(
     )
 
 
+def _eigenpairs(matrix: BandedSymmetric, window: EnergyInterval):
+    """Eigenpairs with eigenvalues in (lo, hi], ascending, one unit eigenvector at a time.
+
+    The eigenvalues come from LAPACK dsbevx without vectors, so its dense
+    order x order Q is never formed.  Their number must equal the inertia
+    count of (lo, hi] (Sylvester's law: ``count_below`` at hi minus at lo).
+    Each vector takes ``_INVERSE_STEPS`` banded solves with A - lambda I
+    from a seeded start, re-orthogonalised after each step against the
+    earlier vectors whose eigenvalues lie within ``_CLUSTER_GAP`` * scale
+    and then normalised; a shift whose LU is exactly singular is nudged as
+    in ``count_below``.  Only that cluster of vectors is kept.  A count
+    mismatch, or a vector whose relative residual exceeds
+    ``_RESIDUAL_LIMIT``, raises ``FactorizationError``.
+    """
+    from scipy.linalg import LinAlgError, eigvals_banded, solve_banded
+
+    w = eigvals_banded(matrix.ab, lower=True, select="v", select_range=(window.lo, window.hi))
+    below, upto = count_below(matrix, np.array([window.lo, window.hi]))
+    if len(w) != upto - below:
+        raise FactorizationError(
+            f"the banded eigensolver found {len(w)} eigenvalues in ({window.lo:g}, {window.hi:g}], but the inertia "
+            f"counts give {upto} at or below {window.hi:g} and {below} at or below {window.lo:g}, i.e. "
+            f"{upto - below}, on the matrix of order {matrix.order}; an eigenvalue may sit on a window end: move the "
+            "window ends slightly, or change h or L"
+        )
+    n, order, scale = matrix.bandwidth, matrix.order, matrix.scale
+    general = np.zeros((2 * n + 1, order))  # solve_banded's storage: general[n + i - j, j] = A[i, j]
+    general[n:] = matrix.ab
+    for r in range(1, n + 1):
+        general[n - r, r:] = matrix.ab[r, : order - r]
+
+    def inverse_step(lam: float, x: np.ndarray) -> np.ndarray:
+        for k in _NUDGES:
+            general[n] = matrix.ab[0] - (lam + k * 1e-12 * scale)
+            try:
+                return solve_banded((n, n), general, x, check_finite=False)
+            except LinAlgError:
+                pass
+        raise FactorizationError(
+            f"A - lambda I is singular at all 7 shifts within {3e-12 * scale:.3g} of the eigenvalue {lam:g} (order "
+            f"{order}); change h or L"
+        )
+
+    rng = stream(0)
+    cluster: list[tuple[float, np.ndarray]] = []
+    for lam in w:
+        cluster = [(mu, y) for mu, y in cluster if lam - mu <= _CLUSTER_GAP * scale]
+        x = rng.standard_normal(order)
+        for _ in range(_INVERSE_STEPS):
+            x = inverse_step(lam, x)
+            for _, y in cluster:
+                x -= (y @ x) * y
+            x /= np.linalg.norm(x)
+        ax = matrix.ab[0] * x
+        for r in range(1, n + 1):
+            ax[r:] += matrix.ab[r, : order - r] * x[: order - r]
+            ax[: order - r] += matrix.ab[r, : order - r] * x[r:]
+        residual = np.linalg.norm(ax - lam * x) / scale
+        if not residual <= _RESIDUAL_LIMIT:
+            raise FactorizationError(
+                f"inverse iteration left the eigenvector of {lam:g} with relative residual {residual:.3g}, above "
+                f"{_RESIDUAL_LIMIT:g} (order {order}); change h or L"
+            )
+        cluster.append((lam, x))
+        yield float(lam), x
+
+
 def eigen_decay(
     params: ModelParams,
     restriction: FiniteRestriction,
@@ -331,41 +411,42 @@ def eigen_decay(
 ) -> list[DecayReport]:
     """Decay fits for all eigenfunctions with eigenvalues in the window.
 
-    Eigenpairs come from the banded symmetric solver restricted to the
-    window.  For each eigenvector the cell-wise mass p_n (the windowed L2
-    norm squared) is computed, the maximal-mass cell taken as the
-    localization center, and a line fitted to log p_n against distance
-    from the center over cells with p_n above 1e-24.  The amplitude rate
-    is half the mass rate.  An empty window yields an empty list; a
-    zero-width window raises ``ScanRangeError``, and a restriction whose
-    solve would not fit in physical memory raises ``SizeGuardError``.
+    The eigenvalues in (lo, hi] come from LAPACK dsbevx without its dense
+    Q, and their number is audited against the inertia counts at both
+    window ends; each eigenvector comes from three steps of banded inverse
+    iteration (``_eigenpairs``).  For each eigenvector the cell-wise mass
+    p_n (the windowed L2 norm squared) is computed, the maximal-mass cell
+    taken as the localization center, and a line fitted to log p_n
+    against distance from the center over cells with p_n above 1e-24.
+    The amplitude rate is half the mass rate.  An empty window yields an
+    empty list; a zero-width window raises ``ScanRangeError``, a
+    restriction whose solve would not fit in physical memory raises
+    ``SizeGuardError``, and a failed count audit or an inaccurate
+    eigenvector raises ``FactorizationError``.
     """
     if window.is_empty:
         return []
     if window.lo == window.hi:
         raise ScanRangeError(f"decay window [{window.lo:g}, {window.hi:g}] has zero width")
-    order = params.n * len(_grid_points(params, restriction))
-    # the solver builds a dense order x order Q; measured peak RSS is about 16 bytes per entry
-    need, have = 16 * order * order, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = params.n
+    order = n * len(_grid_points(params, restriction))
+    # the solve's measured peak (tracemalloc, N = 1-4) stays under 6 band copies plus 16 vectors of order floats
+    need, have = 8 * order * (6 * (n + 1) + 16), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SizeGuardError(
             f"localize at L = {restriction.length_cells}, h = {restriction.h:g} needs about {need / 1e9:.3g} GB "
             f"for the banded eigensolver (order {order}), more than the {have / 1e9:.3g} GB of physical "
             "memory; decrease L or increase h"
         )
-    from scipy.linalg import eig_banded
-
     mat = discretize(params, restriction)
-    w, vecs = eig_banded(mat.ab, lower=True, select="v", select_range=(window.lo, window.hi))
-    n = params.n
     big_l = restriction.length_cells
     cell = _point_cells(params, restriction)
     n_pts = len(cell)
     centers_x = -params.ell * big_l + (np.arange(2 * big_l) + 0.5) * params.ell
 
     reports: list[DecayReport] = []
-    for i in range(len(w)):
-        psi = vecs[:, i].reshape(n_pts, n)
+    for lam, vec in _eigenpairs(mat, window):
+        psi = vec.reshape(n_pts, n)
         point_mass = restriction.h * np.sum(psi * psi, axis=1)
         p = np.bincount(cell, weights=point_mass, minlength=2 * big_l)
         center = int(np.argmax(p))
@@ -378,7 +459,7 @@ def eigen_decay(
         residual = float(np.sqrt(np.mean((logp - (slope * dist[mask] + intercept)) ** 2)))
         reports.append(
             DecayReport(
-                eigenvalue=float(w[i]),
+                eigenvalue=lam,
                 fitted_rate=float(-slope / 2.0),
                 fit_residual=residual,
                 localization_center=float(centers_x[center]),

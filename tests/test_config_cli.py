@@ -489,7 +489,7 @@ class TestCommandLine:
         assert main(["certify", "--config", path, "--out", str(tmp_path / "big")]) == 0
         assert "certified 1/1" in capsys.readouterr().out
         assert main(["interval", "--config", path, "--out", str(tmp_path / "big")]) == 0
-        # 2^50 grid steps per cell: the eigensolver's dense workspace fits no machine
+        # 2^50 grid steps per cell: the band alone, about 4.5e15 entries, fits no machine
         path = write_config(tmp_path, localize={"window": [0.5, 0.9], "L": 1, "h": 0.1 / 2**50, "ref_steps": 10})
         assert main(["localize", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "localize at L = 1" in capsys.readouterr().err

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+import scipy.linalg
+from scipy.linalg import eig_banded, expm
 
 from anderloc import spectrum
-from anderloc.cli import exit_code_for
+from anderloc.cli import exit_code_for, main
 from anderloc.errors import (
     DimensionError,
     FactorizationError,
@@ -19,7 +20,15 @@ from anderloc.errors import (
 )
 from anderloc.furstenberg import model_closure
 from anderloc.lyapunov import EstimatorConfig, lyapunov_spectrum
-from anderloc.model import DisorderSpec, EnergyInterval, ModelParams, generator, sample_path, transfer
+from anderloc.model import (
+    DisorderSpec,
+    EnergyInterval,
+    ModelParams,
+    generator,
+    generator_norm,
+    sample_path,
+    transfer,
+)
 from anderloc.spectrum import (
     BandedSymmetric,
     FiniteRestriction,
@@ -307,6 +316,10 @@ class TestShooting:
         for e in (-3.0, -1.0, -0.25):
             assert np.linalg.svd(boundary_block(params, path, e), compute_uv=False)[-1] > 0.5
 
+    def test_empty_path_is_the_identity_product(self):
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), disorder=DisorderSpec.bernoulli())
+        assert np.array_equal(boundary_block(params, np.zeros((0, 2)), 0.5), np.zeros((2, 2)))
+
     def test_overflow_guard(self):
         params = make_params(v=np.array([[400.0]]), ell=1.0)
         path = np.zeros((60, 1))
@@ -320,12 +333,14 @@ class TestShooting:
         with pytest.raises(DimensionError, match="cell configuration must have length 2"):
             boundary_block(params, path, 0.5)
 
-    @pytest.mark.parametrize("call", ["transfer", "boundary_block", "lyapunov_spectrum"])
+    @pytest.mark.parametrize("call", ["transfer", "boundary_block", "lyapunov_spectrum", "generator", "generator_norm"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 1j])
     def test_non_real_energies_are_rejected(self, bad, call):
-        # the transfer layer reads E by the number rule: no InstabilityError, no E = 1 for True
+        # the transfer layer and the generator read E by the number rule: no InstabilityError, no E = 1 for True
         params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.5, disorder=DisorderSpec.bernoulli())
         calls = {
+            "generator": lambda: generator(params, np.zeros(2), bad),
+            "generator_norm": lambda: generator_norm(params, np.zeros(2), bad),
             "transfer": lambda: transfer(params, np.zeros(2), bad),
             "boundary_block": lambda: boundary_block(params, np.zeros((40, 2)), bad),
             "lyapunov_spectrum": lambda: lyapunov_spectrum(params, bad, EstimatorConfig(n_steps=10, n_replicas=2)),
@@ -420,22 +435,22 @@ class TestEigenDecay:
             eigen_decay(params, free_restriction(5, 0.25), EnergyInterval(0.5, 0.5))
 
     def test_size_guard_fails_before_allocating(self):
-        # 2^50 grid steps per cell: about 8e31 bytes of dense workspace
+        # 2^51 - 1 grid points: about 5e17 bytes of band storage and vectors
         restriction = free_restriction(1, 2.0**-50)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeGuardError, match=r"L = 1, h = 8.88178e-16 needs about 8.11e\+22 GB"):
+            with pytest.raises(SizeGuardError, match=r"L = 1, h = 8.88178e-16 needs about 5.04e\+08 GB"):
                 eigen_decay(make_params(ell=1.0), restriction, EnergyInterval(0.5, 0.9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_size_guard_admits_the_readme_localize_block_on_8_gb(self, monkeypatch):
-        # N = 2, L = 400, h = 0.0125: order 12798, about 2.6 GB
+    def test_size_guard_admits_the_readme_localize_block_in_4_mb(self, monkeypatch):
+        # N = 2, L = 400, h = 0.0125: order 12798, about 3.5 MB
         params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.1)
         restriction = free_restriction(400, 0.0125, n=2)
-        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 8 * 2**30 // 4096}
+        sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4 * 2**20 // 4096}
         monkeypatch.setattr(spectrum.os, "sysconf", sysconf.__getitem__)
 
         def reached(*args):
@@ -444,9 +459,85 @@ class TestEigenDecay:
         monkeypatch.setattr(spectrum, "discretize", reached)
         with pytest.raises(RuntimeError, match="guard passed"):
             eigen_decay(params, restriction, EnergyInterval(0.6, 1.0))
-        sysconf["SC_PHYS_PAGES"] //= 4
-        with pytest.raises(SizeGuardError, match="L = 400, h = 0.0125 needs about 2.62 GB"):
+        sysconf["SC_PHYS_PAGES"] = 3 * 2**20 // 4096
+        with pytest.raises(SizeGuardError, match="L = 400, h = 0.0125 needs about 0.00348 GB"):
             eigen_decay(params, restriction, EnergyInterval(0.6, 1.0))
+
+    @staticmethod
+    def with_eig_banded_pairs(monkeypatch):
+        """Make ``eigen_decay`` take its eigenpairs from scipy's ``eig_banded``: the oracle."""
+        def pairs(matrix, window):
+            w, v = eig_banded(matrix.ab, lower=True, select="v", select_range=(window.lo, window.hi))
+            return zip(w.tolist(), v.T)
+
+        monkeypatch.setattr(spectrum, "_eigenpairs", pairs)
+
+    def test_degenerate_pairs_match_the_dense_q_oracle(self, monkeypatch):
+        # V = 0 and one Bernoulli column in both channels: every eigenvalue is double, and the
+        # point mass of any unit vector in a pair's eigenspace is the same
+        params = make_params(n=2, c=np.ones(2), ell=0.1, disorder=DisorderSpec.bernoulli())
+        column = stream(70).integers(0, 2, size=(120, 1)).astype(float)
+        restriction = FiniteRestriction(60, "dirichlet", 0.0125, np.hstack([column, column]))
+        window = EnergyInterval(-1.0, 3.0)
+        pairs = list(spectrum._eigenpairs(discretize(params, restriction), window))
+        vecs = np.array([x for _, x in pairs])
+        assert np.abs(vecs @ vecs.T - np.eye(len(pairs))).max() <= 1e-10  # each pair re-orthogonalised
+        got = eigen_decay(params, restriction, window)
+        self.with_eig_banded_pairs(monkeypatch)
+        want = eigen_decay(params, restriction, window)
+        assert len(got) == len(want) == 12
+        assert np.allclose([r.eigenvalue for r in got[::2]], [r.eigenvalue for r in got[1::2]], rtol=0, atol=1e-9)
+        for g, o in zip(got, want):
+            assert g.eigenvalue == o.eigenvalue
+            assert g.localization_center == o.localization_center
+            assert abs(g.fitted_rate - o.fitted_rate) <= 1e-10
+            assert abs(g.fit_residual - o.fit_residual) <= 1e-10
+
+    def test_disordered_pairs_match_the_dense_q_oracle(self, monkeypatch):
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.1, disorder=DisorderSpec.bernoulli())
+        restriction = sample_restriction(params, 40, 0.0125, "dirichlet", stream(71))
+        window = EnergyInterval(-1.0, 3.0)
+        got = eigen_decay(params, restriction, window)
+        self.with_eig_banded_pairs(monkeypatch)
+        want = eigen_decay(params, restriction, window)
+        assert len(got) == len(want) > 3
+        for g, o in zip(got, want):
+            assert g.eigenvalue == o.eigenvalue
+            assert g.localization_center == o.localization_center
+            assert abs(g.fitted_rate - o.fitted_rate) <= 1e-8
+            assert abs(g.fit_residual - o.fit_residual) <= 1e-8
+
+    def test_an_exactly_singular_shift_is_nudged(self, monkeypatch):
+        # exact eigenvalues of a diagonal matrix make A - lambda I exactly singular
+        mat = BandedSymmetric(ab=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), order=3, bandwidth=1)
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *args, **kwargs: np.array([2.0, 3.0]))
+        pairs = list(spectrum._eigenpairs(mat, EnergyInterval(1.5, 3.5)))
+        assert [lam for lam, _ in pairs] == [2.0, 3.0]
+        assert np.allclose(np.abs([x for _, x in pairs]), [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], atol=1e-12)
+        # each of the 7 shifts 0, +-1e-12, +-2e-12, +-3e-12 of lambda = 0 is a diagonal entry
+        mat = BandedSymmetric(ab=np.array([[0.0, 1e-12, -1e-12, 2e-12, -2e-12, 3e-12, -3e-12]]), order=7, bandwidth=0)
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *args, **kwargs: np.zeros(7))
+        with pytest.raises(FactorizationError, match=r"singular at all 7 shifts within 3e-12 of the eigenvalue 0 "):
+            next(spectrum._eigenpairs(mat, EnergyInterval(-0.5, 0.5)))
+
+    def test_a_dropped_eigenvalue_fails_the_count_audit(self, monkeypatch, tmp_path, capsys):
+        eigvals_banded = scipy.linalg.eigvals_banded
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *args, **kwargs: eigvals_banded(*args, **kwargs)[1:])
+        params = make_params(ell=1.0)
+        with pytest.raises(FactorizationError, match=r"found 6 eigenvalues in \(0.05, 0.6\], but the inertia counts "
+                           r"give 9 at or below 0.6 and 2 at or below 0.05, i.e. 7") as exc:
+            eigen_decay(params, free_restriction(20, 0.25), EnergyInterval(0.05, 0.6))
+        assert exit_code_for(exc.value) == 4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"N": 1, "V": [[0.0]], "c": [1.0], "ell": 0.1, "disorder": {"atoms": [[0.0, 0.5], [1.0, 0.5]]}, '
+                       '"localize": {"window": [-1.0, 3.0], "L": 20, "n_paths": 2, "ref_steps": 10}}')
+        assert main(["localize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert "error: localize path 1 of 2: the banded eigensolver found" in capsys.readouterr().err
+
+    def test_an_inaccurate_vector_fails_the_residual_check(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_banded", lambda l_and_u, ab, b, **kwargs: np.ones_like(b))
+        with pytest.raises(FactorizationError, match=r"eigenvector of 0.0\d+ with relative residual .* above 1e-10"):
+            eigen_decay(make_params(ell=1.0), free_restriction(20, 0.25), EnergyInterval(0.05, 0.6))
 
     def test_disordered_states_decay(self):
         params = make_params(ell=0.1, c=np.array([2.0]), disorder=DisorderSpec.bernoulli())
