@@ -31,7 +31,6 @@ from .linalg import (
     qr_pos,
     sp_dim,
     standard_form,
-    sym_eigenvalues,
     vectorize_sp,
 )
 from .model import (

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linalg import bracket, is_hamiltonian, sp_dim, vectorize_sp
-from .model import EnergyInterval, ModelParams, count
+from .model import EnergyInterval, ModelParams, count, real
 
 __all__ = [
     "ClosureReport",
@@ -225,11 +225,12 @@ def density_certificate(
     condition is ``closure.full``, the closure of ``model_closure``
     reaching 2N^2 + N at every energy.  A false norm condition is
     indeterminate (the criterion simply does not apply), not a refutation
-    of density.
+    of density.  ``energy`` passes ``real``.
     """
+    energy = real(energy, "energy")
     norm_ok = params.ell <= params.rho and window.contains(energy)
     return DensityCertificate(
-        energy=float(energy),
+        energy=energy,
         norm_condition=norm_ok,
         certified=norm_ok and closure.full,
         closure=closure,

@@ -25,7 +25,6 @@ __all__ = [
     "is_symplectic",
     "is_hamiltonian",
     "as_symmetric",
-    "sym_eigenvalues",
     "qr_pos",
     "bracket",
     "vectorize_sp",
@@ -91,11 +90,6 @@ def as_symmetric(m: np.ndarray) -> np.ndarray:
             f"{abs(float(m[i, j]) - float(m[j, i])):g} (relative Frobenius asymmetry {rel:g} > 1e-10)"
         )
     return 0.5 * m + 0.5 * m.T
-
-
-def sym_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(as_symmetric(s))
 
 
 def qr_pos(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
-from .model import _GROWTH_ADVICE, ModelParams, count, path_table, sample_path
+from .model import _GROWTH_ADVICE, ModelParams, count, path_table, reals, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -102,19 +102,23 @@ class SeparabilityResult:
     separated: bool
 
 
-def _check_diag(d: np.ndarray, where: str = "") -> None:
-    if np.min(d) <= _UNDERFLOW:
-        raise InstabilityError(f"R diagonal underflow during QR accumulation{where}: {_GROWTH_ADVICE}")
+def _renormalise(z: np.ndarray, where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """One QR renormalisation step of a frame or a stack of frames: Q and log diag(R) from ``qr_pos``.
 
-
-def _qr_step(z: np.ndarray, where: str = "") -> tuple[np.ndarray, np.ndarray]:
+    A singular frame or an R diagonal entry at or below 1e-290 raises
+    ``InstabilityError``; ``where`` is appended to the message.
+    """
     # degenerate frames are an accumulation failure here, not a caller bug
     try:
-        return qr_pos(z)
+        q, r = qr_pos(z)
     except SingularMatrixError as exc:
         raise InstabilityError(
             f"propagated frame became numerically singular{where}: {_GROWTH_ADVICE}"
         ) from exc
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    if np.min(d) <= _UNDERFLOW:
+        raise InstabilityError(f"R diagonal underflow during QR accumulation{where}: {_GROWTH_ADVICE}")
+    return q, np.log(d)
 
 
 def _block_length(table: np.ndarray) -> int:
@@ -153,11 +157,9 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
     for start, stop in zip(starts, [*starts[1:], total]):
         for cells in table[inverse[start:stop]]:
             q = cells @ q
-        q, r = _qr_step(q, where)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        _check_diag(d, where)
+        q, log_d = _renormalise(q, where)
         if start >= config.burn_in:
-            acc += np.log(d)
+            acc += log_d
 
     per_replica = acc / (config.n_steps * params.ell)
     means = per_replica.mean(axis=0)
@@ -185,10 +187,8 @@ def qr_log_diag_sums(matrices: list[np.ndarray]) -> np.ndarray:
     q = np.eye(n)
     acc = np.zeros(n)
     for m in matrices:
-        q, r = _qr_step(np.asarray(m, dtype=float) @ q)
-        d = np.diag(r)
-        _check_diag(d)
-        acc += np.log(d)
+        q, log_d = _renormalise(np.asarray(m, dtype=float) @ q)
+        acc += log_d
     return acc
 
 
@@ -242,7 +242,7 @@ def separability_scan(
     """
     n = params.n
     results = []
-    for i, energy in enumerate(np.asarray(energy_grid, dtype=float)):
+    for i, energy in enumerate(reals(energy_grid, "energy_grid")):
         cfg = replace(config, master_seed=derive_seed(config.master_seed, i))
         spec = lyapunov_spectrum(params, energy, cfg)
         g, se = spec.gammas, spec.stderrs

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InstabilityError, ScanRangeError, SizeGuardError
-from .linalg import as_symmetric, is_symplectic, sym_eigenvalues
+from .linalg import as_symmetric, is_symplectic
 
 __all__ = [
     "DEFAULT_RHO",
@@ -370,7 +370,7 @@ def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> flo
     max(1, max_i |lambda_i - E|).  ``energy`` passes ``real``.
     """
     energy = real(energy, "energy")
-    spectrum = sym_eigenvalues(cell_matrix(params, omega, 0.0))
+    spectrum = np.linalg.eigvalsh(cell_matrix(params, omega, 0.0))
     return float(np.maximum(1.0, np.max(np.abs(spectrum - energy))))
 
 

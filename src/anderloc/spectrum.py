@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
-from .model import EnergyInterval, ModelParams, cell_matrix, count, path_table, positive, reals, sample_path
+from .model import EnergyInterval, ModelParams, cell_matrix, count, path_table, positive, real, reals, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -89,11 +89,8 @@ class FiniteRestriction:
     def __post_init__(self):
         object.__setattr__(self, "length_cells", count(self.length_cells, "length_cells"))
         boundary_name(self.boundary, "boundary")
-        try:
-            object.__setattr__(self, "h", positive(self.h, "h"))
-        except ValueError as exc:
-            raise GridError(f"grid step {exc}") from None
-        path = np.atleast_2d(np.asarray(self.omega_path, dtype=float))
+        object.__setattr__(self, "h", _grid_step(self.h))
+        path = np.atleast_2d(reals(self.omega_path, "omega_path"))
         if path.shape[0] != 2 * self.length_cells:
             raise ValueError(f"omega_path must have 2L = {2 * self.length_cells} rows")
         path.setflags(write=False)
@@ -163,9 +160,17 @@ def sample_restriction(
     boundary: str,
     rng: np.random.Generator,
 ) -> FiniteRestriction:
-    """Draw one disorder path and wrap it as a finite restriction."""
-    path = sample_path(params, 2 * count(length_cells, "length_cells"), rng)
-    return FiniteRestriction(length_cells, boundary, h, path)
+    """Draw one disorder path and wrap it as a finite restriction; ``_guard_size`` runs before the draw."""
+    length_cells, h = count(length_cells, "length_cells"), _grid_step(h)
+    _guard_size(params, length_cells, h, boundary)
+    return FiniteRestriction(length_cells, boundary, h, sample_path(params, 2 * length_cells, rng))
+
+
+def _grid_step(h: object) -> float:
+    try:
+        return positive(h, "h")
+    except ValueError as exc:
+        raise GridError(f"grid step {exc}") from None
 
 
 def _steps_per_cell(params: ModelParams, h: float) -> int:
@@ -175,10 +180,29 @@ def _steps_per_cell(params: ModelParams, h: float) -> int:
     return m
 
 
-def _grid_points(params: ModelParams, restriction: FiniteRestriction) -> range:
+def _grid_points(params: ModelParams, length_cells: int, h: float, boundary: str) -> range:
     """Steps k from the left edge to each kept grid point: Dirichlet drops both ends, Neumann keeps them."""
-    steps = 2 * restriction.length_cells * _steps_per_cell(params, restriction.h)
-    return range(1, steps) if restriction.boundary == "dirichlet" else range(steps + 1)
+    steps = 2 * length_cells * _steps_per_cell(params, h)
+    return range(1, steps) if boundary == "dirichlet" else range(steps + 1)
+
+
+def _guard_size(params: ModelParams, length_cells: int, h: float, boundary: str) -> None:
+    """Refuse, before anything is allocated, a restriction whose largest consumer would not fit in memory.
+
+    The order is counted as ``_grid_points`` counts it, in O(1) at any size.
+    The estimate, 8 * order * (6 (N + 1) + 16) bytes, is the measured peak of
+    the decay solve (tracemalloc, N = 1-4: under 6 band copies plus 16
+    vectors of order floats), which bounds the inertia counts of ``ids`` as
+    well.  Raises ``SizeGuardError`` naming L, h, the estimate, the order and
+    the physical memory.
+    """
+    order = params.n * len(_grid_points(params, length_cells, h, boundary))
+    need, have = 8 * order * (6 * (params.n + 1) + 16), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SizeGuardError(
+            f"the finite restriction at L = {length_cells}, h = {h:g} needs about {need / 1e9:.3g} GB (matrix "
+            f"order {order}), more than the {have / 1e9:.3g} GB of physical memory; decrease L or increase h"
+        )
 
 
 def _point_cells(params: ModelParams, restriction: FiniteRestriction) -> np.ndarray:
@@ -187,7 +211,7 @@ def _point_cells(params: ModelParams, restriction: FiniteRestriction) -> np.ndar
     The right edge stays in the last cell; integer arithmetic is exact at boundaries.
     """
     m = _steps_per_cell(params, restriction.h)
-    k = _grid_points(params, restriction)
+    k = _grid_points(params, restriction.length_cells, restriction.h, restriction.boundary)
     return np.clip(np.arange(k.start, k.stop) // m, 0, 2 * restriction.length_cells - 1)
 
 
@@ -196,11 +220,14 @@ def discretize(params: ModelParams, restriction: FiniteRestriction) -> BandedSym
 
     Dirichlet drops the boundary points; Neumann keeps them with mirrored
     ghost points (reflection across the half grid step), which preserves
-    symmetry.  Grid points map to cells as in ``_point_cells``.
+    symmetry.  Grid points map to cells as in ``_point_cells``.  A matrix
+    too large for physical memory raises ``SizeGuardError`` first
+    (``_guard_size``).
     """
     n = params.n
     if restriction.omega_path.shape[1] != n:
         raise GridError(f"omega_path has {restriction.omega_path.shape[1]} channels, model has {n}")
+    _guard_size(params, restriction.length_cells, restriction.h, restriction.boundary)
     cell = _point_cells(params, restriction)
     n_pts = len(cell)
     h2 = restriction.h * restriction.h
@@ -419,25 +446,17 @@ def eigen_decay(
     taken as the localization center, and a line fitted to log p_n
     against distance from the center over cells with p_n above 1e-24.
     The amplitude rate is half the mass rate.  An empty window yields an
-    empty list; a zero-width window raises ``ScanRangeError``, a
-    restriction whose solve would not fit in physical memory raises
-    ``SizeGuardError``, and a failed count audit or an inaccurate
-    eigenvector raises ``FactorizationError``.
+    empty list; the ends of any other window must pass ``real``, a
+    zero-width window raises ``ScanRangeError``, a restriction too large for
+    physical memory raises ``SizeGuardError`` (from ``discretize``), and a
+    failed count audit or an inaccurate eigenvector raises
+    ``FactorizationError``.
     """
     if window.is_empty:
         return []
-    if window.lo == window.hi:
+    if real(window.lo, "decay window lo") == real(window.hi, "decay window hi"):
         raise ScanRangeError(f"decay window [{window.lo:g}, {window.hi:g}] has zero width")
     n = params.n
-    order = n * len(_grid_points(params, restriction))
-    # the solve's measured peak (tracemalloc, N = 1-4) stays under 6 band copies plus 16 vectors of order floats
-    need, have = 8 * order * (6 * (n + 1) + 16), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise SizeGuardError(
-            f"localize at L = {restriction.length_cells}, h = {restriction.h:g} needs about {need / 1e9:.3g} GB "
-            f"for the banded eigensolver (order {order}), more than the {have / 1e9:.3g} GB of physical "
-            "memory; decrease L or increase h"
-        )
     mat = discretize(params, restriction)
     big_l = restriction.length_cells
     cell = _point_cells(params, restriction)

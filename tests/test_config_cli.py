@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,10 @@ _ONE = ModelParams(n=1, v=np.zeros((1, 1)), c=np.ones(1), ell=0.1)
         (lambda: FiniteRestriction(1, "dirichlet", True, np.zeros((2, 1))), GridError, "grid step h must be"),
         (lambda: _rng_untouched(lambda rng: sample_restriction(_ONE, 2.5, 0.0125, "dirichlet", rng)),
          ValueError, "length_cells must be an integer >= 1, got 2.5"),
+        (lambda: _rng_untouched(lambda rng: sample_restriction(_ONE, 1, True, "dirichlet", rng)),
+         GridError, "grid step h must be a positive finite number, got True"),
+        (lambda: _rng_untouched(lambda rng: sample_restriction(_ONE, 10**12, 0.0125, "dirichlet", rng)),
+         SizeGuardError, "the finite restriction at L = 1000000000000, h = 0.0125 needs about"),
         (lambda: estimate_ids(_ONE, [0.0], 2, 0.0125, n_samples=1.5), ValueError, "n_samples must be an integer"),
         # entries of V and c follow the number rule: no complex, string or boolean entries
         (lambda: ModelParams(n=2, v=[[0, 1j], [-1j, 0]], c=[1, 1], ell=0.1),
@@ -489,11 +494,20 @@ class TestCommandLine:
         assert main(["certify", "--config", path, "--out", str(tmp_path / "big")]) == 0
         assert "certified 1/1" in capsys.readouterr().out
         assert main(["interval", "--config", path, "--out", str(tmp_path / "big")]) == 0
-        # 2^50 grid steps per cell: the band alone, about 4.5e15 entries, fits no machine
-        path = write_config(tmp_path, localize={"window": [0.5, 0.9], "L": 1, "h": 0.1 / 2**50, "ref_steps": 10})
-        assert main(["localize", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert "localize at L = 1" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "o")
+        # 2^50 grid steps per cell (a band of about 4.5e15 entries) or 10^12 cells (a path of 2e12 entries) fit
+        # no machine: both commands refuse them before drawing a path or building a band
+        for size in ({"L": 1, "h": 0.1 / 2**50}, {"L": 10**12}):
+            for command, block in (("ids", {"n_samples": 1}), ("localize", {"window": [0.5, 0.9], "ref_steps": 10})):
+                path = write_config(tmp_path, **{command: {**block, **size}})
+                tracemalloc.start()
+                try:
+                    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1e6
+                assert f"the finite restriction at L = {size['L']}, h = " in capsys.readouterr().err
+                assert not os.path.exists(tmp_path / "o")
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)

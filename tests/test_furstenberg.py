@@ -519,6 +519,12 @@ class TestDensityCertificate:
                     verdicts.add(oracle)
         assert verdicts == {False, True}
 
+    # a NaN energy used to give a certificate of energy nan, and True certified E = 1
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.5"])
+    def test_energy_passes_the_number_rule(self, bad):
+        with pytest.raises(ValueError, match="^energy must be a finite real number"):
+            certificate(make_params(1, np.zeros((1, 1)), ell=0.1), bad)
+
     def test_closure_does_not_collapse_at_large_energy(self):
         # a closure of the binary generators at |E| = 1e6 loses every bracket
         # to rounding and reports dimension 2; the algebra does not depend on E

@@ -16,7 +16,6 @@ from anderloc.linalg import (
     qr_pos,
     sp_dim,
     standard_form,
-    sym_eigenvalues,
     vectorize_sp,
 )
 
@@ -258,26 +257,7 @@ class TestVectorize:
             vectorize_sp(np.zeros((3, 3)))
 
 
-class TestSymEigenvalues:
-    def test_diagonal(self):
-        assert np.allclose(sym_eigenvalues(np.diag([3.0, -1.0])), [-1.0, 3.0])
-
-    def test_offdiagonal_pair(self):
-        assert np.allclose(sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1.0, 1.0])
-
-    def test_tridiagonal_order3(self):
-        v = np.zeros((3, 3))
-        v[0, 1] = v[1, 0] = v[1, 2] = v[2, 1] = 1.0
-        assert np.allclose(sym_eigenvalues(v), [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
-
-    def test_trace_identity(self):
-        rng = np.random.default_rng(13)
-        s = rng.standard_normal((6, 6))
-        s = s + s.T
-        w = sym_eigenvalues(s)
-        assert np.all(np.diff(w) >= 0)
-        assert abs(w.sum() - np.trace(s)) <= 1e-10 * np.linalg.norm(s)
-
+class TestAsSymmetric:
     # in the second matrix m - t(m) overflows, and a NaN relative asymmetry must not pass as small
     @pytest.mark.parametrize("m", [[[0.0, 1.0], [1.1, 0.0]], [[0.0, 1e308], [-1e308, 0.0]]])
     def test_asymmetric_rejected(self, m):

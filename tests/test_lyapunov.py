@@ -337,6 +337,12 @@ class TestSeparabilityScan:
         assert np.array_equal(alone.gammas, paired.gammas)
         assert np.array_equal(alone.stderrs, paired.stderrs)
 
+    # [True] used to run at E = 1
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.5"])
+    def test_grid_passes_the_number_rule(self, bad):
+        with pytest.raises(ValueError, match="^energy_grid entries must be finite real numbers"):
+            separability_scan(make_params(), [0.3, bad], EstimatorConfig(10))
+
     def test_energies_use_independent_streams(self):
         params = make_params()
         r1 = separability_scan(params, [0.3], EstimatorConfig(2000, master_seed=5))

@@ -282,6 +282,22 @@ class TestGeneratorNorm:
             oracle = np.linalg.svd(x, compute_uv=False)[0]
             assert abs(generator_norm(p, omega, e) - oracle) <= 1e-10 * max(1.0, oracle)
 
+    def test_reads_the_cell_spectrum_as_spectral_bounds_does(self):
+        # couplings of -0.0 with c_i < 0 give the cell matrix -0.0 and +0.0 on the two sides of the
+        # diagonal; symmetrizing it again moved the eigenvalues by an ulp on some of these cells
+        rng = np.random.default_rng(0)
+        for n in (2, 3, 4):
+            for _ in range(300):
+                v = rng.uniform(-1, 1, (n, n))
+                zero = np.triu(rng.random((n, n)) < 0.5, 1)
+                v = np.where(zero | zero.T, -0.0, v + v.T)
+                c = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+                p = make_params(n=n, v=v, c=c)
+                b = spectral_bounds(p)
+                above, below = b.lambda_max + 10.0, b.lambda_min - 10.0
+                assert generator_norm(p, (c < 0).astype(float), above) == above - b.lambda_min
+                assert generator_norm(p, (c > 0).astype(float), below) == b.lambda_max - below
+
 
 class TestSpectralBounds:
     def test_single_channel(self):

@@ -119,6 +119,14 @@ class TestDiscretize:
         with pytest.raises(GridError):
             discretize(params, free_restriction(2, 0.3))
 
+    # a NaN entry used to reach count_below as a pivot breakdown, and "1" and True passed as 1
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "1"])
+    def test_path_entries_pass_the_number_rule(self, bad):
+        path = np.zeros((2, 1), dtype=object)
+        path[1, 0] = bad
+        with pytest.raises(ValueError, match="^omega_path entries must be finite real numbers"):
+            FiniteRestriction(1, "dirichlet", 0.25, path)
+
     def test_channel_mismatch_rejected(self):
         params = make_params(n=2, v=np.zeros((2, 2)), c=np.ones(2))
         with pytest.raises(GridError):
@@ -434,6 +442,12 @@ class TestEigenDecay:
         with pytest.raises(ScanRangeError):
             eigen_decay(params, free_restriction(5, 0.25), EnergyInterval(0.5, 0.5))
 
+    # a NaN end used to raise scipy's LinAlgError from the banded eigensolver
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 0.6), (0.05, math.nan), (-math.inf, 0.6), (0.05, True)])
+    def test_window_ends_pass_the_number_rule(self, lo, hi):
+        with pytest.raises(ValueError, match="^decay window (lo|hi) must be a finite real number"):
+            eigen_decay(make_params(ell=1.0), free_restriction(5, 0.25), EnergyInterval(lo, hi))
+
     def test_size_guard_fails_before_allocating(self):
         # 2^51 - 1 grid points: about 5e17 bytes of band storage and vectors
         restriction = free_restriction(1, 2.0**-50)
@@ -449,19 +463,15 @@ class TestEigenDecay:
     def test_size_guard_admits_the_readme_localize_block_in_4_mb(self, monkeypatch):
         # N = 2, L = 400, h = 0.0125: order 12798, about 3.5 MB
         params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), ell=0.1)
-        restriction = free_restriction(400, 0.0125, n=2)
         sysconf = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4 * 2**20 // 4096}
         monkeypatch.setattr(spectrum.os, "sysconf", sysconf.__getitem__)
-
-        def reached(*args):
-            raise RuntimeError("guard passed")
-
-        monkeypatch.setattr(spectrum, "discretize", reached)
-        with pytest.raises(RuntimeError, match="guard passed"):
-            eigen_decay(params, restriction, EnergyInterval(0.6, 1.0))
+        restriction = sample_restriction(params, 400, 0.0125, "dirichlet", stream(0))
+        assert discretize(params, restriction).order == 12798
         sysconf["SC_PHYS_PAGES"] = 3 * 2**20 // 4096
-        with pytest.raises(SizeGuardError, match="L = 400, h = 0.0125 needs about 0.00348 GB"):
-            eigen_decay(params, restriction, EnergyInterval(0.6, 1.0))
+        for guarded in (lambda: sample_restriction(params, 400, 0.0125, "dirichlet", stream(0)),
+                        lambda: discretize(params, restriction)):
+            with pytest.raises(SizeGuardError, match="L = 400, h = 0.0125 needs about 0.00348 GB"):
+                guarded()
 
     @staticmethod
     def with_eig_banded_pairs(monkeypatch):
