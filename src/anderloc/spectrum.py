@@ -20,13 +20,19 @@ solver's dense order x order Q: the eigenvalues in the window come from
 LAPACK dsbevx without vectors, their number is audited against the
 inertia counts at both window ends, and each eigenvector comes from a few
 steps of inverse iteration with banded solves, so a decay solve holds
-O(order * bandwidth) numbers.  ``eigen_decay`` imports those scipy
-routines when called; they are the only scipy routines the commands use,
-so only ``localize`` (alone or inside ``report``) loads scipy.
+O(order * bandwidth) numbers.  Those LAPACK routines (dsbevx, dgbsv,
+dgtsv) are called straight from scipy's extension module ``_flapack``,
+which ``_lapack`` loads from its file the first time a decay solve runs,
+without running any code of the scipy package: no command puts ``scipy``
+or a ``scipy.*`` module in ``sys.modules``, and only ``localize`` (alone
+or inside ``report``) loads the extension.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
 from dataclasses import dataclass
@@ -363,44 +369,91 @@ def estimate_ids(
     )
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension module ``linalg/_flapack``, loaded once from its file.
+
+    The scipy package directory comes from ``importlib.util.find_spec``,
+    which does not import scipy, and the extension is loaded with an
+    ``ExtensionFileLoader`` under the name ``anderloc._flapack``, so neither
+    ``scipy`` nor any ``scipy.*`` module enters ``sys.modules``.  Raises
+    ``ImportError`` when scipy is not installed or the file is missing,
+    naming the path looked for.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed; localize needs its LAPACK extension module linalg/_flapack")
+    stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    path = next((stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + suffix)),
+                None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension module was not found at {stem}"
+                          f"{{{','.join(importlib.machinery.EXTENSION_SUFFIXES)}}}")
+    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _lapack_failed(routine: str, info: int, order: int) -> FactorizationError:
+    return FactorizationError(f"LAPACK {routine} failed with info = {info} on the matrix of order {order}; "
+                              "change h or L")
+
+
 def _eigenpairs(matrix: BandedSymmetric, window: EnergyInterval):
     """Eigenpairs with eigenvalues in (lo, hi], ascending, one unit eigenvector at a time.
 
-    The eigenvalues come from LAPACK dsbevx without vectors, so its dense
-    order x order Q is never formed.  Their number must equal the inertia
-    count of (lo, hi] (Sylvester's law: ``count_below`` at hi minus at lo).
-    Each vector takes ``_INVERSE_STEPS`` banded solves with A - lambda I
-    from a seeded start, re-orthogonalised after each step against the
-    earlier vectors whose eigenvalues lie within ``_CLUSTER_GAP`` * scale
-    and then normalised; a shift whose LU is exactly singular is nudged as
-    in ``count_below``.  Only that cluster of vectors is kept.  A count
-    mismatch, or a vector whose relative residual exceeds
-    ``_RESIDUAL_LIMIT``, raises ``FactorizationError``.
+    The eigenvalues come from LAPACK dsbevx without vectors, called as
+    scipy's ``eigvals_banded(select="v")`` calls it (same arguments, same
+    bits), so its dense order x order Q is never formed.  Their number must
+    equal the inertia count of (lo, hi] (Sylvester's law: ``count_below``
+    at hi minus at lo).  Each vector takes ``_INVERSE_STEPS`` banded
+    solves with A - lambda I from a seeded start, dispatched as scipy's
+    ``solve_banded`` does (dgtsv at bandwidth 1, else dgbsv on the LU band
+    storage), re-orthogonalised after each step against the earlier vectors
+    whose eigenvalues lie within ``_CLUSTER_GAP`` * scale and then
+    normalised; a shift whose LU is exactly singular is nudged as in
+    ``count_below``.  Only that cluster of vectors is kept.  A count
+    mismatch, a vector whose relative residual exceeds ``_RESIDUAL_LIMIT``,
+    a nonzero dsbevx ``info`` or a negative dgbsv/dgtsv ``info`` raises
+    ``FactorizationError``.
     """
-    from scipy.linalg import LinAlgError, eigvals_banded, solve_banded
-
-    w = eigvals_banded(matrix.ab, lower=True, select="v", select_range=(window.lo, window.hi))
+    lapack = _lapack()
+    n, order, scale = matrix.bandwidth, matrix.order, matrix.scale
+    w, _, found, _, info = lapack.dsbevx(matrix.ab, window.lo, window.hi, 1, 1, compute_v=0, mmax=1, range=1,
+                                         lower=1, abstol=2 * np.finfo(float).tiny, overwrite_ab=0)
+    if info != 0:
+        raise _lapack_failed("dsbevx", info, order)
+    w = w[:found]
     below, upto = count_below(matrix, np.array([window.lo, window.hi]))
     if len(w) != upto - below:
         raise FactorizationError(
             f"the banded eigensolver found {len(w)} eigenvalues in ({window.lo:g}, {window.hi:g}], but the inertia "
             f"counts give {upto} at or below {window.hi:g} and {below} at or below {window.lo:g}, i.e. "
-            f"{upto - below}, on the matrix of order {matrix.order}; an eigenvalue may sit on a window end: move the "
+            f"{upto - below}, on the matrix of order {order}; an eigenvalue may sit on a window end: move the "
             "window ends slightly, or change h or L"
         )
-    n, order, scale = matrix.bandwidth, matrix.order, matrix.scale
-    general = np.zeros((2 * n + 1, order))  # solve_banded's storage: general[n + i - j, j] = A[i, j]
-    general[n:] = matrix.ab
-    for r in range(1, n + 1):
-        general[n - r, r:] = matrix.ab[r, : order - r]
+    if n == 1:
+        off = matrix.ab[1, : order - 1]
+
+        def solve(diagonal: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+            return lapack.dgtsv(off, diagonal, off, x)[3:]
+    else:
+        band = np.zeros((3 * n + 1, order))  # dgbsv's storage: band[2n + i - j, j] = A[i, j], n rows of LU fill on top
+        for r in range(1, n + 1):
+            band[2 * n + r, : order - r] = band[2 * n - r, r:] = matrix.ab[r, : order - r]
+
+        def solve(diagonal: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+            band[2 * n] = diagonal
+            return lapack.dgbsv(n, n, band, x)[2:]
 
     def inverse_step(lam: float, x: np.ndarray) -> np.ndarray:
         for k in _NUDGES:
-            general[n] = matrix.ab[0] - (lam + k * 1e-12 * scale)
-            try:
-                return solve_banded((n, n), general, x, check_finite=False)
-            except LinAlgError:
-                pass
+            y, info = solve(matrix.ab[0] - (lam + k * 1e-12 * scale), x)
+            if info == 0:
+                return y
+            if info < 0:
+                raise _lapack_failed("dgtsv" if n == 1 else "dgbsv", info, order)
         raise FactorizationError(
             f"A - lambda I is singular at all 7 shifts within {3e-12 * scale:.3g} of the eigenvalue {lam:g} (order "
             f"{order}); change h or L"
@@ -439,18 +492,20 @@ def eigen_decay(
     """Decay fits for all eigenfunctions with eigenvalues in the window.
 
     The eigenvalues in (lo, hi] come from LAPACK dsbevx without its dense
-    Q, and their number is audited against the inertia counts at both
-    window ends; each eigenvector comes from three steps of banded inverse
-    iteration (``_eigenpairs``).  For each eigenvector the cell-wise mass
-    p_n (the windowed L2 norm squared) is computed, the maximal-mass cell
-    taken as the localization center, and a line fitted to log p_n
-    against distance from the center over cells with p_n above 1e-24.
+    Q, called from scipy's LAPACK extension module (``_lapack``; the scipy
+    package is never imported), and their number is audited against the
+    inertia counts at both window ends; each eigenvector comes from three
+    steps of banded inverse iteration (``_eigenpairs``).  For each
+    eigenvector the cell-wise mass p_n (the windowed L2 norm squared) is
+    computed, the maximal-mass cell taken as the localization center, and
+    a line fitted to log p_n against distance from the center over cells
+    with p_n above 1e-24.
     The amplitude rate is half the mass rate.  An empty window yields an
     empty list; the ends of any other window must pass ``real``, a
     zero-width window raises ``ScanRangeError``, a restriction too large for
     physical memory raises ``SizeGuardError`` (from ``discretize``), and a
-    failed count audit or an inaccurate eigenvector raises
-    ``FactorizationError``.
+    failed count audit, an inaccurate eigenvector or a LAPACK routine that
+    reports failure raises ``FactorizationError``.
     """
     if window.is_empty:
         return []

@@ -329,6 +329,15 @@ class TestSeparabilityScan:
         assert results[0].spectrum.gammas[0] > 0
         assert not results[0].separated
 
+    def test_replicas_without_spread_are_inconclusive(self):
+        # a point law makes every replica the same free operator (exact gamma 0): the finite-n estimate is
+        # positive and its replica spread exactly 0
+        params = make_params(disorder=DisorderSpec.point(0.0))
+        results = separability_scan(params, [3.0, 5.0], EstimatorConfig(2000))
+        for r in results:
+            assert r.spectrum.gammas[0] > 0 and r.spectrum.stderrs[0] == 0.0
+            assert not r.separated
+
     def test_grid_neighbours_leave_an_energy_unchanged(self):
         params = make_params(n=2, v=tridiagonal_witness(2), c=np.ones(2))
         cfg = EstimatorConfig(1000, master_seed=6)

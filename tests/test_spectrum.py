@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from anderloc.spectrum import (
     sample_restriction,
 )
 from anderloc.seeding import derive_seed, stream
+
+LAPACK = spectrum._lapack  # the real loader, for stand-ins that wrap its routines
 
 
 def make_params(n=1, v=None, c=None, ell=1.0, disorder=None):
@@ -517,22 +520,38 @@ class TestEigenDecay:
             assert abs(g.fitted_rate - o.fitted_rate) <= 1e-8
             assert abs(g.fit_residual - o.fit_residual) <= 1e-8
 
+    @staticmethod
+    def with_lapack(monkeypatch, **routines):
+        """Make ``_eigenpairs`` call the given stand-ins for LAPACK routines; the others stay real."""
+        real = LAPACK()
+        stub = types.SimpleNamespace(**{name: getattr(real, name) for name in ("dsbevx", "dgbsv", "dgtsv")} | routines)
+        monkeypatch.setattr(spectrum, "_lapack", lambda: stub)
+        return real
+
+    @staticmethod
+    def eigenvalues(values, info=0):
+        """A dsbevx stand-in that finds ``values``."""
+        return lambda *args, **kwargs: (np.array(values, dtype=float), None, len(values), None, info)
+
     def test_an_exactly_singular_shift_is_nudged(self, monkeypatch):
         # exact eigenvalues of a diagonal matrix make A - lambda I exactly singular
         mat = BandedSymmetric(ab=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), order=3, bandwidth=1)
-        monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *args, **kwargs: np.array([2.0, 3.0]))
+        self.with_lapack(monkeypatch, dsbevx=self.eigenvalues([2.0, 3.0]))
         pairs = list(spectrum._eigenpairs(mat, EnergyInterval(1.5, 3.5)))
         assert [lam for lam, _ in pairs] == [2.0, 3.0]
         assert np.allclose(np.abs([x for _, x in pairs]), [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], atol=1e-12)
         # each of the 7 shifts 0, +-1e-12, +-2e-12, +-3e-12 of lambda = 0 is a diagonal entry
         mat = BandedSymmetric(ab=np.array([[0.0, 1e-12, -1e-12, 2e-12, -2e-12, 3e-12, -3e-12]]), order=7, bandwidth=0)
-        monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *args, **kwargs: np.zeros(7))
+        self.with_lapack(monkeypatch, dsbevx=self.eigenvalues(np.zeros(7)))
         with pytest.raises(FactorizationError, match=r"singular at all 7 shifts within 3e-12 of the eigenvalue 0 "):
             next(spectrum._eigenpairs(mat, EnergyInterval(-0.5, 0.5)))
 
     def test_a_dropped_eigenvalue_fails_the_count_audit(self, monkeypatch, tmp_path, capsys):
-        eigvals_banded = scipy.linalg.eigvals_banded
-        monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *args, **kwargs: eigvals_banded(*args, **kwargs)[1:])
+        def dropped(*args, **kwargs):
+            w, z, m, ifail, info = real.dsbevx(*args, **kwargs)
+            return w[1:], z, m - 1, ifail, info
+
+        real = self.with_lapack(monkeypatch, dsbevx=dropped)
         params = make_params(ell=1.0)
         with pytest.raises(FactorizationError, match=r"found 6 eigenvalues in \(0.05, 0.6\], but the inertia counts "
                            r"give 9 at or below 0.6 and 2 at or below 0.05, i.e. 7") as exc:
@@ -545,9 +564,85 @@ class TestEigenDecay:
         assert "error: localize path 1 of 2: the banded eigensolver found" in capsys.readouterr().err
 
     def test_an_inaccurate_vector_fails_the_residual_check(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "solve_banded", lambda l_and_u, ab, b, **kwargs: np.ones_like(b))
+        self.with_lapack(monkeypatch, dgtsv=lambda dl, d, du, b, **kwargs: (dl, d, du, np.ones_like(b), 0),
+                         dgbsv=lambda kl, ku, ab, b, **kwargs: (ab, None, np.ones_like(b), 0))
         with pytest.raises(FactorizationError, match=r"eigenvector of 0.0\d+ with relative residual .* above 1e-10"):
             eigen_decay(make_params(ell=1.0), free_restriction(20, 0.25), EnergyInterval(0.05, 0.6))
+
+    def test_a_lapack_failure_is_a_factorization_error(self, monkeypatch, tmp_path, capsys):
+        # order 159 = 2 * 20 * 4 - 1 Dirichlet points of one channel
+        params, window = make_params(ell=1.0), EnergyInterval(0.05, 0.6)
+        self.with_lapack(monkeypatch, dsbevx=self.eigenvalues([0.1], info=3))
+        with pytest.raises(FactorizationError, match=r"^LAPACK dsbevx failed with info = 3 on the matrix of order 159;"):
+            eigen_decay(params, free_restriction(20, 0.25), window)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"N": 1, "V": [[0.0]], "c": [1.0], "ell": 0.1, "disorder": {"atoms": [[0.0, 0.5], [1.0, 0.5]]}, '
+                       '"localize": {"window": [-1.0, 3.0], "L": 20, "n_paths": 2, "ref_steps": 10}}')
+        assert main(["localize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == ("error: localize path 1 of 2: LAPACK dsbevx failed with info = 3 on the "
+                                           "matrix of order 319; change h or L\n")
+        # an illegal argument of the banded solve is not a singular shift: no nudge retries it
+        self.with_lapack(monkeypatch, dgtsv=lambda dl, d, du, b, **kwargs: (dl, d, du, b, -4))
+        with pytest.raises(FactorizationError, match=r"^LAPACK dgtsv failed with info = -4 on the matrix of order 159;"):
+            eigen_decay(params, free_restriction(20, 0.25), window)
+        self.with_lapack(monkeypatch, dgbsv=lambda kl, ku, ab, b, **kwargs: (ab, None, b, -3))
+        with pytest.raises(FactorizationError, match=r"^LAPACK dgbsv failed with info = -3 on the matrix of order 318;"):
+            eigen_decay(make_params(n=2, ell=1.0), free_restriction(20, 0.25, n=2), window)
+
+    @staticmethod
+    def public_scipy_pairs(matrix, window):
+        """The eigenpairs of ``_eigenpairs``, built with scipy's public ``eigvals_banded`` and ``solve_banded``."""
+        w = scipy.linalg.eigvals_banded(matrix.ab, lower=True, select="v", select_range=(window.lo, window.hi))
+        n, order, scale = matrix.bandwidth, matrix.order, matrix.scale
+        general = np.zeros((2 * n + 1, order))  # solve_banded's storage: general[n + i - j, j] = A[i, j]
+        general[n:] = matrix.ab
+        for r in range(1, n + 1):
+            general[n - r, r:] = matrix.ab[r, : order - r]
+        rng = stream(0)
+        pairs = []
+        for lam in w:
+            x = rng.standard_normal(order)
+            for _ in range(spectrum._INVERSE_STEPS):
+                for k in spectrum._NUDGES:
+                    general[n] = matrix.ab[0] - (lam + k * 1e-12 * scale)
+                    try:
+                        x = scipy.linalg.solve_banded((n, n), general, x, check_finite=False)
+                        break
+                    except scipy.linalg.LinAlgError:
+                        pass
+                for mu, y in pairs:
+                    if lam - mu <= spectrum._CLUSTER_GAP * scale:
+                        x -= (y @ x) * y
+                x /= np.linalg.norm(x)
+            pairs.append((float(lam), x))
+        return pairs
+
+    @pytest.mark.parametrize("n, v, c, boundary", [
+        (1, [[0.0]], [2.0], "dirichlet"),  # the dgtsv path
+        (2, [[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], "dirichlet"),
+        (2, [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0], "neumann"),  # repeated eigenvalues: the re-orthogonalised path
+        (3, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [1.0, -1.5, 2.0], "neumann"),
+    ])
+    def test_pairs_match_scipys_public_banded_routines_bit_for_bit(self, n, v, c, boundary):
+        params = make_params(n=n, v=np.array(v), c=np.array(c), ell=0.1, disorder=DisorderSpec.bernoulli())
+        path = np.repeat(stream(72).integers(0, 2, size=(40, 1)).astype(float), n, axis=1)
+        matrix = discretize(params, FiniteRestriction(20, boundary, 0.0125, path))
+        window = EnergyInterval(0.5, 6.0)
+        got = list(spectrum._eigenpairs(matrix, window))
+        want = self.public_scipy_pairs(matrix, window)
+        assert len(got) == len(want) >= 2
+        for (lam, x), (mu, y) in zip(got, want):
+            assert lam == mu and np.array_equal(x, y)
+
+    def test_bandwidth_zero_pairs_match_scipys_public_banded_routines(self):
+        # a diagonal matrix: every shift is exactly singular, so every first solve is nudged
+        mat = BandedSymmetric(ab=np.array([[0.3, 1.2, 0.7, 2.5, 0.9]]), order=5, bandwidth=0)
+        window = EnergyInterval(0.5, 2.0)
+        got = list(spectrum._eigenpairs(mat, window))
+        want = self.public_scipy_pairs(mat, window)
+        assert [lam for lam, _ in got] == [lam for lam, _ in want] == [0.7, 0.9, 1.2]
+        for (_, x), (_, y) in zip(got, want):
+            assert np.array_equal(x, y)
 
     def test_disordered_states_decay(self):
         params = make_params(ell=0.1, c=np.array([2.0]), disorder=DisorderSpec.bernoulli())
