@@ -352,13 +352,22 @@ def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of an (M, N) array of non-negative integers (M may be 0), sorted, and each row's position.
 
     Equal to ``np.unique(idx, axis=0, return_inverse=True)``, but built from
-    1-D integer codes: after each channel the codes are renumbered to their
-    rank, so they stay below M * (max(idx) + 1) for any N.
+    1-D integer codes: the channels are read as the digits of a mixed-radix
+    number, first channel most significant, and the codes are renumbered to
+    their rank only when the next digit would take them past 2**62, so they
+    stay below M * (max(idx) + 1) for any N and one ``np.unique`` serves
+    any N with (max(idx) + 1)**N <= 2**62.
     """
     base = int(idx.max(initial=0)) + 1
     code = np.zeros(len(idx), dtype=np.int64)
+    size = 1  # every code is below this
     for column in idx.T:
-        _, first, code = np.unique(code * base + column, return_index=True, return_inverse=True)
+        if size * base > 2**62:
+            ranks, code = np.unique(code, return_inverse=True)
+            size = len(ranks)
+        code = code * base + column
+        size *= base
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
     return idx[first], code
 
 

@@ -9,10 +9,12 @@ banded matrix of half-bandwidth N.
 
 Eigenvalues below E are counted exactly through the inertia of the
 shifted matrix (negative pivots of an LDL^t factorization, Sylvester's
-law).  The count is one factorization pass for all energies: they ride
-as a vector axis of the band, so a grid costs about one scalar count.
-The integrated density of states is the disorder average of that count
-over 2*ell*L.  A shooting oracle built from exact transfer-matrix
+law).  A few energies (fewer than ``_SCALAR_SHIFTS``) are counted one
+at a time by a pass on Python floats, a few ms each at order 2558; more
+ride as a vector axis of the band in one factorization pass, which costs
+about four scalar passes whatever the number of energies.  Both passes
+give the same pivots bit for bit.  The integrated density of states is
+the disorder average of that count over 2*ell*L.  A shooting oracle built from exact transfer-matrix
 products provides an independent count for cross-checks, and a
 cell-resolved mass profile of eigenvectors yields exponential-decay
 fits for the localization diagnostic.  Those eigenpairs never form the
@@ -65,6 +67,10 @@ DEFAULT_BOUNDARY = "dirichlet"
 _OVERFLOW_ENTRY = 1e300
 _MASS_FLOOR = 1e-24
 _BAND_BYTES = 8 * 2**20  # largest band copy _inertia makes: it cuts the energies into chunks of this size
+# _inertia counts fewer shifts than this one at a time on Python floats.  Best of 5, two runs on a
+# 2-vCPU sandbox, bandwidths 1, 2, 3, 4 and 6 at orders 1500-2558: one vector pass (7-28 ms, the
+# same at 1 to 8 shifts) cost 3.5 to 4.8 scalar passes (2.3-6.3 ms each).
+_SCALAR_SHIFTS = 4
 _NUDGES = (0, 1, -1, 2, -2, 3, -3)  # a shift that meets a zero pivot is retried moved by these multiples of 1e-12 * scale
 _INVERSE_STEPS = 3
 _CLUSTER_GAP = 1e-7  # eigenvalues closer than this times the scale are re-orthogonalised against each other
@@ -259,12 +265,17 @@ def discretize(params: ModelParams, restriction: FiniteRestriction) -> BandedSym
 def _inertia(ab: np.ndarray, shifts: np.ndarray, pivot_floor: float) -> np.ndarray:
     """Negative-pivot count of the LDL^t factorization of A - shift*I for every shift.
 
-    The band is copied column-major, band[j, r] = A[j+r, j], with the
-    shifts as a trailing axis, in chunks of at most ``_BAND_BYTES``; every
-    operation is elementwise along that axis.  A shift whose pivots include
-    one at or below ``pivot_floor`` in magnitude (or a NaN after one) reads
-    -1, so the caller can retry it.
+    Fewer than ``_SCALAR_SHIFTS`` shifts are counted one at a time by
+    ``_inertia_scalar``; more ride along one vector pass, which copies the
+    band column-major, band[j, r] = A[j+r, j], with the shifts as a
+    trailing axis, in chunks of at most ``_BAND_BYTES``; every operation is
+    elementwise along that axis.  Both passes do the same IEEE operations in
+    the same order, so their pivots agree bit for bit.  A shift whose pivots
+    include one at or below ``pivot_floor`` in magnitude (or a NaN after
+    one) reads -1, so the caller can retry it.
     """
+    if len(shifts) < _SCALAR_SHIFTS:
+        return np.array([_inertia_scalar(ab, float(shift), pivot_floor) for shift in shifts], dtype=int)
     bandwidth, order = ab.shape[0] - 1, ab.shape[1]
     step = max(1, _BAND_BYTES // (8 * ab.size))
     counts = np.empty(len(shifts), dtype=int)
@@ -287,6 +298,39 @@ def _inertia(ab: np.ndarray, shifts: np.ndarray, pivot_floor: float) -> np.ndarr
     return counts
 
 
+def _inertia_scalar(ab: np.ndarray, shift: float, pivot_floor: float) -> int:
+    """``_inertia`` at one shift, on Python floats: -1 at the first pivot at or below the floor, or NaN.
+
+    Only the bandwidth + 1 columns that the next pivot touches are held as
+    lists, so the pass allocates a few kB at any order.
+    """
+    bandwidth, order = ab.shape[0] - 1, ab.shape[1]
+    window = [_shifted_column(ab, k, shift) for k in range(min(bandwidth, order))]
+    negative = 0
+    for j in range(order):
+        if j + bandwidth < order:
+            window.append(_shifted_column(ab, j + bandwidth, shift))
+        column = window.pop(0)
+        pivot = column[0]
+        if not (pivot > pivot_floor or pivot < -pivot_floor):
+            return -1
+        if pivot < 0:
+            negative += 1
+        l = [x / pivot for x in column[1 : 1 + len(window)]]
+        for kk, target in enumerate(window):
+            c = column[kk + 1]
+            for r in range(len(window) - kk):
+                target[r] -= l[kk + r] * c
+    return negative
+
+
+def _shifted_column(ab: np.ndarray, j: int, shift: float) -> list[float]:
+    """Column j of the band of A - shift*I, [A[j, j] - shift, A[j+1, j], ...], as Python floats."""
+    column = ab[:, j].tolist()
+    column[0] -= shift
+    return column
+
+
 def count_below(matrix: BandedSymmetric, energy: float | np.ndarray) -> int | np.ndarray:
     """Number of eigenvalues <= energy, exact by Sylvester's law.
 
@@ -301,6 +345,8 @@ def count_below(matrix: BandedSymmetric, energy: float | np.ndarray) -> int | np
     counts = np.full(energies.shape, -1)
     for k in _NUDGES:
         todo = counts < 0
+        if not todo.any():
+            break
         counts[todo] = _inertia(matrix.ab, energies[todo] + k * 1e-12 * scale, 1e-20 * scale)
     if np.any(counts < 0):
         raise FactorizationError(
@@ -317,16 +363,23 @@ def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -
     For Cauchy data starting as (0, u') at the left edge, this block maps
     u' to the value at the right edge, so the energy is a Dirichlet
     eigenvalue of the continuum restriction exactly when it is singular.
+
+    The finished product is tested once: an entry above ``_OVERFLOW_ENTRY``
+    in magnitude, an inf or a NaN raises ``InstabilityError``.  An entry that
+    overflowed the float range on the way stays inf or NaN through every
+    later product, so it always raises; a partial product whose entries
+    passed 1e300 but that later cells shrank back below it does not.
     """
     n = params.n
     table, index = path_table(params, omega_path, energy)
     prod = np.eye(2 * n)
-    for k in index:
-        prod = table[k] @ prod
-        if np.max(np.abs(prod)) > _OVERFLOW_ENTRY:
-            raise InstabilityError(
-                "transfer product overflow; use a shorter restriction or shift the energy"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cell in table[index]:
+            prod = cell @ prod
+    if not np.max(np.abs(prod)) <= _OVERFLOW_ENTRY:
+        raise InstabilityError(
+            "transfer product overflow; use a shorter restriction or shift the energy"
+        )
     return prod[:n, n:]
 
 

@@ -250,6 +250,25 @@ class TestBlockedRecursion:
         lyapunov_spectrum(params, 0.5, cfg)
         assert len(seen) == 1 and np.array_equal(seen[0], params.disorder.values[uniq])
 
+    @pytest.mark.parametrize("n, uniques", [(38, 1), (39, 1), (40, 2), (41, 2), (80, 3)])
+    def test_distinct_cells_renumber_only_past_2_62(self, monkeypatch, n, uniques):
+        # 3**39 < 2**62 < 3**40: the codes of 3 atoms fit up to 39 channels; at 80 they are renumbered twice
+        rng = stream(derive_seed(41, n))
+        idx = rng.integers(0, 3, size=(60, n))[rng.integers(0, 60, size=400)]  # repeated rows
+        want_uniq, want_inverse = np.unique(idx, axis=0, return_inverse=True)
+        original, calls = np.unique, []
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recorded)
+        got_uniq, got_inverse = _distinct_cells(idx)
+        monkeypatch.undo()
+        assert np.array_equal(got_uniq, want_uniq)
+        assert np.array_equal(got_inverse.ravel(), want_inverse.ravel())
+        assert len(calls) == uniques, calls
+
     def test_replicas_draw_sample_paths(self, monkeypatch):
         three_atoms = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
         params = make_params(n=2, v=tridiagonal_witness(2), disorder=three_atoms)

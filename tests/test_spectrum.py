@@ -19,7 +19,7 @@ from anderloc.errors import (
     ScanRangeError,
     SizeGuardError,
 )
-from anderloc.furstenberg import model_closure
+from anderloc.furstenberg import model_closure, tridiagonal_witness
 from anderloc.lyapunov import EstimatorConfig, lyapunov_spectrum
 from anderloc.model import (
     DisorderSpec,
@@ -271,6 +271,88 @@ class TestCountBelow:
             estimate_ids(make_params(disorder=DisorderSpec.bernoulli()), [bad, 1.0], 4, 0.25, n_samples=1)
 
 
+    def test_retries_stop_once_every_energy_is_counted(self, monkeypatch):
+        # eigenvalues -1 and 1; only E = 0 meets a zero pivot, so one retry of one energy follows the first pass
+        original, calls = spectrum._inertia, []
+
+        def recorded(ab, shifts, pivot_floor):
+            calls.append(len(shifts))
+            return original(ab, shifts, pivot_floor)
+
+        monkeypatch.setattr(spectrum, "_inertia", recorded)
+        mat = BandedSymmetric(ab=np.array([[0.0, 0.0], [1.0, 0.0]]), order=2, bandwidth=1)
+        assert count_below(mat, [-2.0, 3.0]).tolist() == [0, 2] and calls == [2]
+        calls.clear()
+        assert count_below(mat, [-2.0, 0.0, 3.0]).tolist() == [0, 1, 2] and calls == [3, 1]
+
+
+class TestInertiaRegimes:
+    """``_inertia`` counts fewer than ``_SCALAR_SHIFTS`` shifts on Python floats and more in one vector pass."""
+
+    @staticmethod
+    def band(rng, order, bw):
+        ab = rng.standard_normal((bw + 1, order))
+        for r in range(1, bw + 1):
+            ab[r, max(order - r, 0):] = 0.0
+        return ab
+
+    @staticmethod
+    def both_passes(monkeypatch, ab, shifts, pivot_floor=1e-20):
+        """Counts of the scalar pass, then of the vector pass, over the same shifts."""
+        counts = []
+        for crossover in (len(shifts) + 1, 0):
+            monkeypatch.setattr(spectrum, "_SCALAR_SHIFTS", crossover)
+            counts.append(spectrum._inertia(ab, np.asarray(shifts, dtype=float), pivot_floor).tolist())
+        return counts
+
+    @pytest.mark.parametrize("bw", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 203])
+    def test_both_passes_count_alike_on_either_side_of_the_crossover(self, monkeypatch, bw, order):
+        rng = stream(derive_seed(2200, 10 * bw + order))
+        ab = self.band(rng, order, bw)
+        dense = np.zeros((order, order))
+        for r in range(min(bw, order - 1) + 1):
+            dense[np.arange(r, order), np.arange(order - r)] = ab[r, : order - r]
+        eigs = np.linalg.eigvalsh(dense)
+        for k in range(1, 9):
+            shifts = rng.uniform(-4.0, 4.0, k)
+            default = spectrum._inertia(ab, shifts, 1e-20).tolist()
+            scalar, vector = self.both_passes(monkeypatch, ab, shifts)
+            assert scalar == vector == default == [int(np.sum(eigs < s)) for s in shifts], (k, scalar, vector)
+
+    @pytest.mark.parametrize("bw", [0, 1, 2, 3])
+    def test_both_passes_mark_a_zero_pivot_alike(self, monkeypatch, bw):
+        ab = self.band(stream(2211), 40, bw)
+        lead = ab[0, 0]
+        scalar, vector = self.both_passes(monkeypatch, ab, [lead, lead + 0.25, lead])
+        assert scalar == vector and scalar[0] == scalar[2] == -1 and scalar[1] >= 1
+        # a pivot exactly at the floor is a breakdown too
+        scalar, vector = self.both_passes(monkeypatch, ab, [lead - 0.5], pivot_floor=0.5)
+        assert scalar == vector == [-1]
+
+    @pytest.mark.parametrize("bw", [0, 1, 2, 3])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_both_passes_mark_a_nan_entry_alike(self, monkeypatch, bw, row):
+        ab = self.band(stream(2212), 60, bw)
+        ab[min(row, bw), 30] = math.nan
+        scalar, vector = self.both_passes(monkeypatch, ab, [-1.0, 0.0, 2.5])
+        assert scalar == vector == [-1, -1, -1]
+
+    def test_scalar_pass_allocates_no_more_than_the_vector_pass(self, monkeypatch):
+        # order and bandwidth of the finest criterion-09 restriction (40 cells, N = 2, m = 32)
+        ab = self.band(stream(2213), 2558, 2)
+        peaks = []
+        for crossover in (2, 0):
+            monkeypatch.setattr(spectrum, "_SCALAR_SHIFTS", crossover)
+            tracemalloc.start()
+            try:
+                spectrum._inertia(ab, np.array([0.3]), 1e-20)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
+
+
 class TestComponentSplitting:
     """Cross-layer oracle: a disconnected coupling graph splits the operator.
 
@@ -336,6 +418,29 @@ class TestShooting:
         path = np.zeros((60, 1))
         with pytest.raises(InstabilityError):
             boundary_block(params, path, 0.0)
+
+    def test_a_finite_product_above_the_overflow_entry_raises(self):
+        # each cell multiplies the largest entry by about e^20: 35 cells end near 1e305, 34 near 1e296
+        params = make_params(v=np.array([[400.0]]), ell=1.0)
+        path = np.zeros((35, 1))
+        prod = np.eye(2)
+        for omega in path:
+            prod = transfer(params, omega, 0.0) @ prod
+        assert np.all(np.isfinite(prod)) and np.max(np.abs(prod)) > 1e300
+        with pytest.raises(InstabilityError, match="transfer product overflow"):
+            boundary_block(params, path, 0.0)
+        assert np.max(np.abs(boundary_block(params, path[:34], 0.0))) < 1e300
+
+    def test_product_is_the_explicit_transfer_chain_bit_for_bit(self):
+        # the criterion-09 path
+        params = make_params(n=2, v=tridiagonal_witness(2), c=np.array([1.0, 1.5]), ell=0.5,
+                             disorder=DisorderSpec.bernoulli())
+        path = params.disorder.values[stream(424242).integers(0, 2, size=(40, 2))]
+        for e in np.linspace(0.4, 1.9, 50):
+            prod = np.eye(4)
+            for omega in path:
+                prod = transfer(params, omega, float(e)) @ prod
+            assert np.array_equal(boundary_block(params, path, float(e)), prod[:2, 2:]), e
 
     @pytest.mark.parametrize("channels", [1, 3, 4])
     def test_path_with_the_wrong_channel_count_is_a_dimension_error(self, channels):
