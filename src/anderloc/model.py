@@ -355,8 +355,8 @@ def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     1-D integer codes: the channels are read as the digits of a mixed-radix
     number, first channel most significant, and the codes are renumbered to
     their rank only when the next digit would take them past 2**62, so they
-    stay below M * (max(idx) + 1) for any N and one ``np.unique`` serves
-    any N with (max(idx) + 1)**N <= 2**62.
+    stay below max(2**62, M * (max(idx) + 1)) and int64 never overflows for
+    any N; one ``np.unique`` serves any N with (max(idx) + 1)**N <= 2**62.
     """
     base = int(idx.max(initial=0)) + 1
     code = np.zeros(len(idx), dtype=np.int64)

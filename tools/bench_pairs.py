@@ -2,13 +2,14 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
 Usage: python tools/bench_pairs.py --pr PR --workload NAME [--workload NAME ...]
-           [--pairs 10] [--seconds 25] [--parent HEAD] [--claim TEXT] [--note TEXT]
+           [--pairs 10] [--parent HEAD] [--claim TEXT] [--note TEXT]
 
 Run from the root of the repository.  The change is the working tree; the
 parent is the commit ``--parent`` names, exported with ``git archive`` into a
 temporary directory (no worktree is registered).  Pair i runs
 ``perfbench/run.py --workload NAME --seed i --seconds S --trace 0`` once in
-each tree, the parent first in even pairs and the change first in odd ones.
+each tree, the parent first in even pairs and the change first in odd ones;
+S is the ``run_seconds`` that ``BENCHMARK.json`` declares.
 
 Writes ``BENCH_<PR>.json``: the command, the parent's short hash, the
 machine, the claim and a note, and per workload the environment line of the
@@ -100,16 +101,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pr", required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--claim", default="")
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_root:
-        doc = {"command": COMMAND.format(seconds=args.seconds), "parent": export(args.parent, parent_root),
+        doc = {"command": COMMAND.format(seconds=seconds), "parent": export(args.parent, parent_root),
                "machine": machine(), "claim": args.claim, "note": args.note, "workloads": {}}
         roots = {"parent": parent_root, "change": os.getcwd()}
         for workload in args.workload:
@@ -118,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"pair": i, "first": order[0]}
                 for side in order:
-                    side_env, pair[side] = run_side(roots[side], workload, i, args.seconds)
+                    side_env, pair[side] = run_side(roots[side], workload, i, seconds)
                     env = env or side_env
                 pairs.append(pair)
                 print(workload, json.dumps(pair), file=sys.stderr, flush=True)
