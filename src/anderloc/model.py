@@ -17,7 +17,11 @@ caller lists the 2^N cells (``binary_cells`` does, for library and test
 use, up to N = 20).  Every decision about that
 window is made here: ``energy_interval`` is its one formula, which the
 density certificates read, and ``certified_window`` is the one refusal
-of an empty window where a command needs energies inside it.
+of an empty window where a command needs energies inside it.  A disorder
+path becomes transfer matrices here too: ``path_table`` finds the path's
+distinct cells with one row sort, transfers each once and indexes every
+cell into that table.  Every number the module takes, paths included,
+passes one rule: ``real`` for a scalar, ``reals`` for an array.
 """
 
 from __future__ import annotations
@@ -206,7 +210,14 @@ def reals(values: object, name: str) -> np.ndarray:
 
     Bools, strings, None and complex numbers are rejected, as lists and as
     numpy arrays alike; so is ragged nesting, whose rows become the entries.
+    A float or integer array is converted at once and passes when
+    ``np.isfinite`` holds everywhere; otherwise the entry walk names the bad
+    entry.  The result is a copy either way.
     """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        out = values.astype(float)
+        if np.isfinite(out).all():
+            return out
     entries = np.asarray(values, dtype=object)
     for entry in entries.flat:
         if not _is_real(entry):
@@ -340,35 +351,25 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
     return t
 
 
-def path_table(params: ModelParams, path: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer matrices of a path's (..., N) distinct cells, and each cell's row: ``table[index]``."""
-    path = np.atleast_2d(np.asarray(path, dtype=float))
-    values, codes = np.unique(path, return_inverse=True)
-    rows, index = _distinct_cells(codes.reshape(-1, path.shape[-1]))
-    return transfer_table(params, values[rows], energy), index.reshape(path.shape[:-1])
+def path_table(params: ModelParams, path: object, energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices of a path's distinct cells, and each cell's row of the table: ``table[index]``.
 
-
-def _distinct_cells(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (M, N) array of non-negative integers (M may be 0), sorted, and each row's position.
-
-    Equal to ``np.unique(idx, axis=0, return_inverse=True)``, but built from
-    1-D integer codes: the channels are read as the digits of a mixed-radix
-    number, first channel most significant, and the codes are renumbered to
-    their rank only when the next digit would take them past 2**62, so they
-    stay below max(2**62, M * (max(idx) + 1)) and int64 never overflows for
-    any N; one ``np.unique`` serves any N with (max(idx) + 1)**N <= 2**62.
+    ``path`` is a (..., N) stack of cell configurations whose entries pass
+    ``reals``.  One stable lexicographic sort of its cells, first channel
+    most significant, puts equal cells side by side; the table holds the
+    distinct cells in that order, and ``index`` (shape ``path.shape[:-1]``)
+    numbers each cell by its run.  -0.0 and 0.0 are one value; the first
+    cell of a run in path order is the one the table transfers.
     """
-    base = int(idx.max(initial=0)) + 1
-    code = np.zeros(len(idx), dtype=np.int64)
-    size = 1  # every code is below this
-    for column in idx.T:
-        if size * base > 2**62:
-            ranks, code = np.unique(code, return_inverse=True)
-            size = len(ranks)
-        code = code * base + column
-        size *= base
-    _, first, code = np.unique(code, return_index=True, return_inverse=True)
-    return idx[first], code
+    path = np.atleast_2d(reals(path, "path"))
+    cells = path.reshape(-1, path.shape[-1])
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    new = np.ones(len(cells), dtype=bool)
+    new[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    index = np.empty(len(cells), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return transfer_table(params, cells[new], energy), index.reshape(path.shape[:-1])
 
 
 def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> float:

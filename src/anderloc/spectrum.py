@@ -111,16 +111,21 @@ class FiniteRestriction:
 
 @dataclass(frozen=True)
 class BandedSymmetric:
-    """Symmetric banded matrix in lower band storage: ab[r, j] = A[j+r, j]."""
+    """Symmetric banded matrix in lower band storage: ab[r, j] = A[j+r, j].
+
+    ``ab`` is read through ``reals``, so a NaN or infinite entry raises
+    ``ValueError`` here rather than a pivot breakdown in ``count_below``.
+    """
 
     ab: np.ndarray
     order: int
     bandwidth: int
 
     def __post_init__(self):
-        if np.shape(self.ab) != (self.bandwidth + 1, self.order):
+        object.__setattr__(self, "ab", reals(self.ab, "ab"))
+        if self.ab.shape != (self.bandwidth + 1, self.order):
             raise DimensionError(f"band storage of order {self.order} and bandwidth {self.bandwidth} must have "
-                                 f"shape ({self.bandwidth + 1}, {self.order}), got {np.shape(self.ab)}")
+                                 f"shape ({self.bandwidth + 1}, {self.order}), got {self.ab.shape}")
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.order, self.order))
@@ -172,8 +177,9 @@ def sample_restriction(
     boundary: str,
     rng: np.random.Generator,
 ) -> FiniteRestriction:
-    """Draw one disorder path and wrap it as a finite restriction; ``_guard_size`` runs before the draw."""
+    """Draw one disorder path and wrap it as a finite restriction; the arguments and ``_guard_size`` come first."""
     length_cells, h = count(length_cells, "length_cells"), _grid_step(h)
+    boundary_name(boundary, "boundary")
     _guard_size(params, length_cells, h, boundary)
     return FiniteRestriction(length_cells, boundary, h, sample_path(params, 2 * length_cells, rng))
 

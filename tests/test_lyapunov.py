@@ -20,7 +20,7 @@ import anderloc.model
 from anderloc.model import (
     DisorderSpec,
     ModelParams,
-    _distinct_cells,
+    path_table,
     sample_cell,
     sample_path,
     transfer,
@@ -229,16 +229,16 @@ class TestBlockedRecursion:
         oracle = np.sort(acc / (n_steps * ell))[::-1]
         assert np.all(np.abs(spec.gammas - oracle) <= 1e-10 * np.maximum(1.0, np.abs(oracle)))
 
-    def test_distinct_cells_beyond_int64_codes(self, monkeypatch):
-        # 3**41 > 2**63: a positional code over all channels would overflow
+    def test_path_table_beyond_int64_codes(self, monkeypatch):
+        # 3**41 > 2**63: a positional code over all channels would overflow; the row sort needs none
         params = make_params(n=41, disorder=DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4))))
         cfg = EstimatorConfig(n_steps=3, n_replicas=3, burn_in=2, master_seed=8)
         idx = np.stack([replica_draws(params, cfg, r) for r in range(cfg.n_replicas)], axis=1)
-        flat = idx.reshape(-1, params.n)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-        got_uniq, got_inverse = _distinct_cells(flat)
-        assert np.array_equal(got_uniq, uniq)
-        assert np.array_equal(got_inverse.ravel(), inverse.ravel())
+        uniq, inverse = np.unique(idx.reshape(-1, params.n), axis=0, return_inverse=True)
+        values = params.disorder.values
+        table, index = path_table(params, values[idx], 0.5)
+        assert np.array_equal(table, transfer_table(params, values[uniq], 0.5))
+        assert np.array_equal(index, inverse.reshape(idx.shape[:-1]))
 
         seen = []
 
@@ -248,26 +248,18 @@ class TestBlockedRecursion:
 
         monkeypatch.setattr(anderloc.model, "transfer_table", recorded)
         lyapunov_spectrum(params, 0.5, cfg)
-        assert len(seen) == 1 and np.array_equal(seen[0], params.disorder.values[uniq])
+        assert len(seen) == 1 and np.array_equal(seen[0], values[uniq])
 
-    @pytest.mark.parametrize("n, uniques", [(38, 1), (39, 1), (40, 2), (41, 2), (80, 3)])
-    def test_distinct_cells_renumber_only_past_2_62(self, monkeypatch, n, uniques):
-        # 3**39 < 2**62 < 3**40: the codes of 3 atoms fit up to 39 channels; at 80 they are renumbered twice
+    @pytest.mark.parametrize("n, rows", [(1, 400), (38, 400), (39, 400), (40, 400), (41, 400), (80, 400), (2, 0)])
+    def test_path_table_sorts_cells_as_unique_rows(self, monkeypatch, n, rows):
+        # distinct cells sorted first channel first, as np.unique(axis=0) sorts them; repeated rows, and an empty path
         rng = stream(derive_seed(41, n))
-        idx = rng.integers(0, 3, size=(60, n))[rng.integers(0, 60, size=400)]  # repeated rows
+        idx = rng.integers(0, 3, size=(60, n))[rng.integers(0, 60, size=rows)]
         want_uniq, want_inverse = np.unique(idx, axis=0, return_inverse=True)
-        original, calls = np.unique, []
-
-        def recorded(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", recorded)
-        got_uniq, got_inverse = _distinct_cells(idx)
-        monkeypatch.undo()
+        monkeypatch.setattr(anderloc.model, "transfer_table", lambda p, configs, energy: configs)
+        got_uniq, got_index = path_table(make_params(n=n), idx.astype(float), 0.5)
         assert np.array_equal(got_uniq, want_uniq)
-        assert np.array_equal(got_inverse.ravel(), want_inverse.ravel())
-        assert len(calls) == uniques, calls
+        assert got_index.shape == (rows,) and np.array_equal(got_index, want_inverse.ravel())
 
     def test_replicas_draw_sample_paths(self, monkeypatch):
         three_atoms = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))

@@ -120,6 +120,21 @@ class TestNumberRule:
             assert got.dtype == float and np.array_equal(got, np.asarray(values, dtype=float))
         assert real(np.int64(3), "x") == 3.0 and real(np.float32(0.5), "x") == 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_arrays_are_checked_at_once_with_the_walk_s_message(self, bad, dtype):
+        values = np.array([[1.0, 2.0], [bad, 3.0]], dtype=dtype)
+        with pytest.raises(ValueError) as at_once:
+            reals(values, "x")
+        with pytest.raises(ValueError) as walked:
+            reals(values.astype(object), "x")
+        assert str(at_once.value) == str(walked.value) == f"x entries must be finite real numbers, got {bad!r}"
+
+    def test_arrays_come_back_as_copies(self):
+        for values in (np.arange(4.0), np.arange(4), np.arange(4, dtype=np.uint8), np.arange(4.0).astype(object)):
+            got = reals(values, "x")
+            assert got.dtype == float and not np.shares_memory(got, values)
+
     def test_radius_message_names_the_value(self):
         for value in (1.5, 0.0, True, "0.5"):
             with pytest.raises(ValueError, match=re.escape(f"rho must lie in (0, 1], got {value!r}")):
@@ -258,6 +273,12 @@ class TestPathTable:
         assert len(table) == len(np.unique(path.reshape(-1, 2), axis=0))
         want = transfer_table(p, path.reshape(-1, 2), 0.7).reshape(10, 3, 4, 4)
         assert np.array_equal(table[index], want)
+
+    def test_signed_zeros_are_one_cell(self):
+        p = make_params(n=2, v=V0_2, c=np.array([1.0, 1.5]))
+        table, index = path_table(p, [[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0]], 0.7)
+        assert np.array_equal(index, [0, 0, 1])
+        assert np.array_equal(table, transfer_table(p, [[-0.0, 1.0], [1.0, -0.0]], 0.7))
 
 
 class TestGeneratorNorm:

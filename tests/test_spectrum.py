@@ -1,6 +1,7 @@
 """Finite-volume checks: discretization, inertia counting, shooting, IDS, decay."""
 
 import math
+import re
 import tracemalloc
 import types
 
@@ -182,6 +183,13 @@ class TestCountBelow:
         ab = self.random_banded(stream(66), 30, 2).ab
         with pytest.raises(DimensionError, match=r"must have shape \(\d+, \d+\), got \(3, 30\)"):
             BandedSymmetric(ab=ab, order=order, bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_band_is_rejected_at_construction(self, bad):
+        # such a band used to reach count_below as a persistent pivot breakdown "within inf of E"
+        ab = np.array([[1.0, bad], [0.5, 0.0]])
+        with pytest.raises(ValueError, match=f"^ab entries must be finite real numbers, got {bad!r}$"):
+            BandedSymmetric(ab=ab, order=2, bandwidth=1)
 
     @pytest.mark.parametrize("energy, want", [(0.0, 1), ([-2.0, 0.0, 0.5, 0.0, 3.0], [0, 1, 1, 1, 2])])
     def test_zero_pivot_retries(self, energy, want):
@@ -449,6 +457,14 @@ class TestShooting:
         with pytest.raises(DimensionError, match="cell configuration must have length 2"):
             boundary_block(params, path, 0.5)
 
+    # a NaN entry used to raise InstabilityError advising a smaller ell, and True and "1" passed as 1
+    @pytest.mark.parametrize("form", [list, np.array])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "1"])
+    def test_path_entries_pass_the_number_rule(self, bad, form):
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), disorder=DisorderSpec.bernoulli())
+        with pytest.raises(ValueError, match=f"^path entries must be finite real numbers, got {re.escape(repr(bad))}$"):
+            boundary_block(params, form([[bad, bad]] * 3), 0.5)
+
     @pytest.mark.parametrize("call", ["transfer", "boundary_block", "lyapunov_spectrum", "generator", "generator_norm"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, 1j])
     def test_non_real_energies_are_rejected(self, bad, call):
@@ -580,6 +596,17 @@ class TestEigenDecay:
                         lambda: discretize(params, restriction)):
             with pytest.raises(SizeGuardError, match="L = 400, h = 0.0125 needs about 0.00348 GB"):
                 guarded()
+
+    def test_boundary_name_is_checked_before_the_guard_and_the_draw(self, monkeypatch):
+        # a bad name used to be found only after the draw, and at L = 10^13 the size guard raised first
+        drawn = []
+        monkeypatch.setattr(spectrum, "sample_path", lambda *args: drawn.append(args))
+        rng = stream(0)
+        state = rng.bit_generator.state
+        for length_cells in (10, 10**13):
+            with pytest.raises(ValueError, match="^boundary must be 'dirichlet' or 'neumann', got 'bogus'$"):
+                sample_restriction(make_params(), length_cells, 0.25, "bogus", rng)
+        assert drawn == [] and rng.bit_generator.state == state
 
     @staticmethod
     def with_eig_banded_pairs(monkeypatch):

@@ -1,4 +1,4 @@
-"""The repository tools: the code-line counter and the pair summary of the benchmark runner."""
+"""The repository tools: the code-line counter and the pair summary and verdicts of the benchmark runner."""
 
 import importlib.util
 from pathlib import Path
@@ -72,3 +72,23 @@ def test_bench_summary_quartiles_and_wins():
 def test_bench_quartiles_interpolate_and_accept_one_pair():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
     assert bench_pairs.quartiles([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def verdicts_of(pairs, **bounds):
+    better = {"wall_s": "lower", "peak_rss_mb": "lower", "rate": "higher"}
+    metrics = [{"name": name, "better": better[name], "bound": bound} for name, bound in bounds.items()]
+    return bench_pairs.verdicts(pairs, bench_pairs.summarize(pairs, better), metrics)
+
+
+def test_bench_verdicts_against_relative_bounds():
+    pairs = synthetic_pairs()
+    # parent walls: median 0.9, interquartile range 0.2 (0.22 of the median); rss 30 -> 31 MB (+3.3%); rates 2 -> 4
+    assert verdicts_of(pairs, wall_s=0.25, peak_rss_mb=0.1, rate=0.1) == \
+        {"wall_s": "ok", "peak_rss_mb": "ok", "rate": "ok"}
+    assert verdicts_of(pairs, wall_s=0.2, peak_rss_mb=0.03, rate=0.1) == \
+        {"wall_s": "unresolved", "peak_rss_mb": "worse", "rate": "ok"}
+    for pair in pairs:
+        pair["change"]["wall_s"] = 0.65  # beats every parent run: the parent's spread no longer leaves it open
+        pair["change"]["rate"] = 1.7  # 15% below the parent's 2.0, and higher is better
+    assert verdicts_of(pairs, wall_s=0.2, rate=0.1) == {"wall_s": "ok", "rate": "worse"}
+    assert verdicts_of(pairs, rate=0.2) == {"rate": "ok"}

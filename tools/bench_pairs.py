@@ -16,9 +16,9 @@ machine, the claim and a note, and per workload the environment line of the
 first run, every pair's end-to-end metrics, each side's median and inclusive
 quartiles (``statistics.quantiles(..., n=4, method="inclusive")``) of every
 end-to-end metric that ``BENCHMARK.json`` declares, the failed operations,
-and each side's win count: the pairs in which its value is better in the
-metric's declared direction (ties count for neither side).  Standard library
-only.
+each side's win count: the pairs in which its value is better in the
+metric's declared direction (ties count for neither side), and a verdict per
+metric (``verdicts``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -64,6 +64,31 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         summary[f"{side}_wins"] = wins
     summary["n_pairs"] = len(pairs)
     return summary
+
+
+def verdicts(pairs: list[dict], summary: dict, metrics: list[dict]) -> dict[str, str]:
+    """Each metric's verdict on a workload's pairs, judged against its bound.
+
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``; a
+    bound is relative to the parent's median.  ``worse``: the change's median
+    is worse than the parent's by more than the bound.  ``unresolved``: the
+    parent's interquartile range exceeds the bound and not every change run
+    beats every parent run.  ``ok`` otherwise.
+    """
+    out = {}
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * value grows as the metric gets worse
+        parent, change = summary["parent"][name], summary["change"][name]
+        scale = bound * parent["median"]
+        beats_all = max(sign * p["change"][name] for p in pairs) < min(sign * p["parent"][name] for p in pairs)
+        if sign * (change["median"] - parent["median"]) > scale:
+            out[name] = "worse"
+        elif parent["q3"] - parent["q1"] > scale and not beats_all:
+            out[name] = "unresolved"
+        else:
+            out[name] = "ok"
+    return out
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -124,7 +149,9 @@ def main(argv: list[str] | None = None) -> int:
                     env = env or side_env
                 pairs.append(pair)
                 print(workload, json.dumps(pair), file=sys.stderr, flush=True)
-            doc["workloads"][workload] = {"env": env, "pairs": pairs, **summarize(pairs, better)}
+            summary = summarize(pairs, better)
+            summary["verdict"] = verdicts(pairs, summary, benchmark["end_to_end"])
+            doc["workloads"][workload] = {"env": env, "pairs": pairs, **summary}
     out = f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
