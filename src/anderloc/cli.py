@@ -10,9 +10,9 @@ ids        integrated density of states curve                -> ids.csv
 localize   eigenfunction decay diagnostic                    -> decay.csv
 report     all of the above plus a cross-referencing summary
 
-Exit status: 0 success; 2 configuration error; 3 non-generic interaction
-detected by ``critical``; 4 numeric failure (overflow, factorization
-breakdown).
+Exit status: 0 success; 2 configuration error, a size guard or an output
+that cannot be written; 3 non-generic interaction detected by ``critical``;
+4 numeric failure (overflow, factorization breakdown).
 
 Each subcommand is a function ``(cfg, seed) -> CommandResult`` that
 computes its tables, its stdout text and its exit status without touching
@@ -423,10 +423,14 @@ def main(argv: list[str] | None = None) -> int:
     except AnderlocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    for table in result.tables:
-        write_csv(os.path.join(args.out, table.name), table.header, table.rows)
-    for name, text in result.texts.items():
-        _write_text(os.path.join(args.out, name), text)
+    try:
+        for table in result.tables:
+            write_csv(os.path.join(args.out, table.name), table.header, table.rows)
+        for name, text in result.texts.items():
+            _write_text(os.path.join(args.out, name), text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     sys.stdout.write(result.stdout)
     sys.stderr.write(result.stderr)
     return result.status

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,6 +234,11 @@ def count(value: object, name: str, minimum: int = 1) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the ceiling of every size guard."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def positive(value: object, name: str) -> float:

@@ -9,12 +9,14 @@ banded matrix of half-bandwidth N.
 
 Eigenvalues below E are counted exactly through the inertia of the
 shifted matrix (negative pivots of an LDL^t factorization, Sylvester's
-law).  A few energies (fewer than ``_SCALAR_SHIFTS``) are counted one
-at a time by a pass on Python floats, a few ms each at order 2558; more
-ride as a vector axis of the band in one factorization pass, which costs
-about four scalar passes whatever the number of energies.  Both passes
-give the same pivots bit for bit.  The integrated density of states is
-the disorder average of that count over 2*ell*L.  A shooting oracle built from exact transfer-matrix
+law).  One column-by-column pass over a rolling window of the band does
+the counting: a few energies (fewer than ``_SCALAR_SHIFTS``) one at a time
+on Python floats, a few ms each at order 2558, and more together as float
+arrays over the energies, which costs about 3 to 5 float passes at N = 1-2
+and 5 to 8 at N = 3-6 for up to a few hundred energies.  Both regimes run
+the same statements, so they give the same pivots bit for bit.  The
+integrated density of states is the disorder average of that count over
+2*ell*L.  A shooting oracle built from exact transfer-matrix
 products provides an independent count for cross-checks, and a
 cell-resolved mass profile of eigenvectors yields exponential-decay
 fits for the localization diagnostic.  Those eigenpairs never form the
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
-from .model import EnergyInterval, ModelParams, cell_matrix, count, path_table, positive, real, reals, sample_path
+from .model import (EnergyInterval, ModelParams, _physical_memory, cell_matrix, count, path_table, positive, real,
+                    reals, sample_path)
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -66,10 +70,12 @@ DEFAULT_BOUNDARY = "dirichlet"
 
 _OVERFLOW_ENTRY = 1e300
 _MASS_FLOOR = 1e-24
-_BAND_BYTES = 8 * 2**20  # largest band copy _inertia makes: it cuts the energies into chunks of this size
-# _inertia counts fewer shifts than this one at a time on Python floats.  Best of 5, two runs on a
-# 2-vCPU sandbox, bandwidths 1, 2, 3, 4 and 6 at orders 1500-2558: one vector pass (7-28 ms, the
-# same at 1 to 8 shifts) cost 3.5 to 4.8 scalar passes (2.3-6.3 ms each).
+# _inertia counts many shifts in chunks of _BAND_BYTES // (8 * ab.size): a chunk's pivots then take at most
+# _BAND_BYTES / (N + 1), and the rolling window holds about (N + 1)^2 arrays of the chunk's length.
+_BAND_BYTES = 8 * 2**20
+# _inertia counts fewer shifts than this one at a time on Python floats, more as arrays.  Best of 5, two
+# runs on a 2-vCPU sandbox at orders 1598 and 2558: one array pass of 4 to 8 shifts (5-62 ms) cost 2.6 to
+# 5.1 float passes (2-8 ms each) at bandwidths 1 and 2, 4.7 to 5.9 at 3, and 5.4 to 7.7 at 4 and 6.
 _SCALAR_SHIFTS = 4
 _NUDGES = (0, 1, -1, 2, -2, 3, -3)  # a shift that meets a zero pivot is retried moved by these multiples of 1e-12 * scale
 _INVERSE_STEPS = 3
@@ -114,7 +120,9 @@ class BandedSymmetric:
     """Symmetric banded matrix in lower band storage: ab[r, j] = A[j+r, j].
 
     ``ab`` is read through ``reals``, so a NaN or infinite entry raises
-    ``ValueError`` here rather than a pivot breakdown in ``count_below``.
+    ``ValueError`` here rather than a pivot breakdown in ``count_below``;
+    ``order`` (at least 1) and ``bandwidth`` (at least 0) are read through
+    ``count``.
     """
 
     ab: np.ndarray
@@ -123,6 +131,8 @@ class BandedSymmetric:
 
     def __post_init__(self):
         object.__setattr__(self, "ab", reals(self.ab, "ab"))
+        object.__setattr__(self, "order", count(self.order, "order"))
+        object.__setattr__(self, "bandwidth", count(self.bandwidth, "bandwidth", minimum=0))
         if self.ab.shape != (self.bandwidth + 1, self.order):
             raise DimensionError(f"band storage of order {self.order} and bandwidth {self.bandwidth} must have "
                                  f"shape ({self.bandwidth + 1}, {self.order}), got {self.ab.shape}")
@@ -215,7 +225,7 @@ def _guard_size(params: ModelParams, length_cells: int, h: float, boundary: str)
     the physical memory.
     """
     order = params.n * len(_grid_points(params, length_cells, h, boundary))
-    need, have = 8 * order * (6 * (params.n + 1) + 16), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need, have = 8 * order * (6 * (params.n + 1) + 16), _physical_memory()
     if need > have:
         raise SizeGuardError(
             f"the finite restriction at L = {length_cells}, h = {h:g} needs about {need / 1e9:.3g} GB (matrix "
@@ -272,69 +282,52 @@ def _inertia(ab: np.ndarray, shifts: np.ndarray, pivot_floor: float) -> np.ndarr
     """Negative-pivot count of the LDL^t factorization of A - shift*I for every shift.
 
     Fewer than ``_SCALAR_SHIFTS`` shifts are counted one at a time by
-    ``_inertia_scalar``; more ride along one vector pass, which copies the
-    band column-major, band[j, r] = A[j+r, j], with the shifts as a
-    trailing axis, in chunks of at most ``_BAND_BYTES``; every operation is
-    elementwise along that axis.  Both passes do the same IEEE operations in
-    the same order, so their pivots agree bit for bit.  A shift whose pivots
-    include one at or below ``pivot_floor`` in magnitude (or a NaN after
-    one) reads -1, so the caller can retry it.
+    ``_ldlt_count`` on Python floats; more are counted together by the same
+    pass on float arrays, in chunks of ``_BAND_BYTES // (8 * ab.size)``
+    shifts.  The two regimes run
+    the same statements, so their pivots agree bit for bit.  A shift whose
+    pivots include one at or below ``pivot_floor`` in magnitude (or a NaN
+    after one) reads -1, so the caller can retry it.
     """
     if len(shifts) < _SCALAR_SHIFTS:
-        return np.array([_inertia_scalar(ab, float(shift), pivot_floor) for shift in shifts], dtype=int)
-    bandwidth, order = ab.shape[0] - 1, ab.shape[1]
+        return np.array([_ldlt_count(ab, float(shift), pivot_floor) for shift in shifts], dtype=int)
     step = max(1, _BAND_BYTES // (8 * ab.size))
-    counts = np.empty(len(shifts), dtype=int)
-    whole = np.empty((order, bandwidth + 1, min(step, len(shifts))))
-    for lo in range(0, len(shifts), step):
-        band = whole[:, :, : len(shifts) - lo]  # the last chunk may be narrower
-        band[:] = ab.T[:, :, None]
-        band[:, 0] -= shifts[lo : lo + step]
-        columns = list(band)  # per-column views: a list index costs less than slicing the 3-D band
-        with np.errstate(all="ignore"):
-            for j in range(order):
-                w = min(bandwidth, order - 1 - j)
-                col = columns[j][1 : 1 + w]
-                l = col / columns[j][0]
-                for kk in range(1, w + 1):
-                    columns[j + kk][: w - kk + 1] -= l[kk - 1 : w] * col[kk - 1]
-        pivots = band[:, 0]
-        live = np.all((pivots > pivot_floor) | (pivots < -pivot_floor), axis=0)
-        counts[lo : lo + step] = np.where(live, np.sum(pivots < 0, axis=0), -1)
-    return counts
+    return np.concatenate([_ldlt_count(ab, shifts[lo : lo + step], pivot_floor)
+                           for lo in range(0, len(shifts), step)])
 
 
-def _inertia_scalar(ab: np.ndarray, shift: float, pivot_floor: float) -> int:
-    """``_inertia`` at one shift, on Python floats: -1 at the first pivot at or below the floor, or NaN.
+def _ldlt_count(ab: np.ndarray, shift: float | np.ndarray, pivot_floor: float) -> int | np.ndarray:
+    """``_inertia`` at a Python float ``shift``, or at each entry of a float array of shifts.
 
-    Only the bandwidth + 1 columns that the next pivot touches are held as
-    lists, so the pass allocates a few kB at any order.
+    A rolling window holds the bandwidth + 1 columns that the next pivot
+    touches, as lists whose entries are Python floats or arrays over the
+    shifts, so no band copy is made.  The pivots go into one array and are
+    tested once at the end; a Python-float pivot of exactly 0 that a division
+    meets ends the pass as -1.
     """
     bandwidth, order = ab.shape[0] - 1, ab.shape[1]
-    window = [_shifted_column(ab, k, shift) for k in range(min(bandwidth, order))]
-    negative = 0
-    for j in range(order):
-        if j + bandwidth < order:
-            window.append(_shifted_column(ab, j + bandwidth, shift))
-        column = window.pop(0)
-        pivot = column[0]
-        if not (pivot > pivot_floor or pivot < -pivot_floor):
+    pivots = np.empty((order, *np.shape(shift)))
+    window: list[list] = []  # the shifted columns that pivot j touches, column j first
+    arrivals = itertools.chain(map(np.ndarray.tolist, ab.T), [None] * bandwidth)  # column j + bandwidth, if any
+    with np.errstate(all="ignore"):
+        try:
+            for j, fresh in enumerate(arrivals, -bandwidth):
+                if fresh is not None:
+                    fresh[0] -= shift
+                    window.append(fresh)
+                if j < 0:
+                    continue
+                column = window.pop(0)
+                pivots[j] = pivot = column[0]
+                l = [x / pivot for x in column[1 : 1 + len(window)]]
+                for kk, target in enumerate(window):
+                    c = column[kk + 1]
+                    for r in range(len(window) - kk):
+                        target[r] -= l[kk + r] * c
+        except ZeroDivisionError:
             return -1
-        if pivot < 0:
-            negative += 1
-        l = [x / pivot for x in column[1 : 1 + len(window)]]
-        for kk, target in enumerate(window):
-            c = column[kk + 1]
-            for r in range(len(window) - kk):
-                target[r] -= l[kk + r] * c
-    return negative
-
-
-def _shifted_column(ab: np.ndarray, j: int, shift: float) -> list[float]:
-    """Column j of the band of A - shift*I, [A[j, j] - shift, A[j+1, j], ...], as Python floats."""
-    column = ab[:, j].tolist()
-    column[0] -= shift
-    return column
+        live = np.all((pivots > pivot_floor) | (pivots < -pivot_floor), axis=0)
+    return np.where(live, np.sum(pivots < 0, axis=0), -1)
 
 
 def count_below(matrix: BandedSymmetric, energy: float | np.ndarray) -> int | np.ndarray:

@@ -509,6 +509,23 @@ class TestCommandLine:
                 assert f"the finite restriction at L = {size['L']}, h = " in capsys.readouterr().err
                 assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("sizes", [{"n_steps": 10**12}, {"n_replicas": 10**12}])
+    def test_lyapunov_size_guard_exits_two(self, tmp_path, capsys, sizes):
+        path = write_config(tmp_path, lyapunov={"energies": [0.3], "n_steps": 400, **sizes})
+        assert main(["lyapunov", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the Lyapunov estimate at n_steps = ") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_output_that_cannot_be_written_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file where the output directory should go\n")
+        path = write_config(tmp_path, **SMALL_BLOCKS)
+        assert main(["critical", "--config", path, "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write output: ") and "Traceback" not in captured.err
+        assert captured.out == "" and taken.read_text().startswith("a regular file")
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,12 +1,14 @@
 """Lyapunov estimator checks: closed forms, symmetry, exterior-power oracle."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import anderloc.lyapunov
-from anderloc.errors import InstabilityError, OracleRangeError, SingularMatrixError
+from anderloc.errors import InstabilityError, OracleRangeError, SingularMatrixError, SizeGuardError
 from anderloc.furstenberg import model_closure, tridiagonal_witness
 from anderloc.linalg import qr_pos
 from anderloc.lyapunov import (
@@ -110,6 +112,24 @@ class TestSpectrumStructure:
             EstimatorConfig(n_steps=10, n_replicas=0)
         with pytest.raises(ValueError):
             EstimatorConfig(n_steps=10, burn_in=-1)
+
+    @pytest.mark.parametrize("n_steps, n_replicas", [(10**12, 8), (400, 10**12)])
+    def test_a_draw_beyond_physical_memory_is_refused_before_drawing(self, monkeypatch, n_steps, n_replicas):
+        # numpy used to fail allocating 10^12 steps (14.6 TiB); 10^12 replicas ran on for minutes
+        drawn = []
+        monkeypatch.setattr(anderloc.lyapunov, "sample_path", lambda *args: drawn.append(args))
+        cfg = EstimatorConfig(n_steps=n_steps, n_replicas=n_replicas)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="^" + re.escape(
+                    f"the Lyapunov estimate at n_steps = {n_steps}, burn_in = 100, n_replicas = {n_replicas} "
+                    "needs about ") + r"[0-9.e+]+ GB, more than the [0-9.]+ GB of physical memory; "
+                    "decrease n_steps, burn_in or n_replicas$"):
+                lyapunov_spectrum(make_params(n=2, v=tridiagonal_witness(2)), 0.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6 and drawn == []
 
 
 class TestExteriorOracle:

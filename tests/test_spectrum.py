@@ -184,6 +184,16 @@ class TestCountBelow:
         with pytest.raises(DimensionError, match=r"must have shape \(\d+, \d+\), got \(3, 30\)"):
             BandedSymmetric(ab=ab, order=order, bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("shape, order, bandwidth, message", [
+        ((1, 0), 0, 0, "order must be an integer >= 1, got 0"),  # count_below used to fail inside numpy's max
+        ((2, 3), 3.0, 1, "order must be an integer >= 1, got 3.0"),
+        ((2, 3), 3, True, "bandwidth must be an integer >= 0, got True"),
+        ((0, 3), 3, -1, "bandwidth must be an integer >= 0, got -1"),
+    ])
+    def test_order_and_bandwidth_must_be_counts(self, shape, order, bandwidth, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            BandedSymmetric(ab=np.ones(shape), order=order, bandwidth=bandwidth)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_band_is_rejected_at_construction(self, bad):
         # such a band used to reach count_below as a persistent pivot breakdown "within inf of E"
@@ -313,7 +323,7 @@ class TestInertiaRegimes:
             counts.append(spectrum._inertia(ab, np.asarray(shifts, dtype=float), pivot_floor).tolist())
         return counts
 
-    @pytest.mark.parametrize("bw", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bw", [0, 1, 2, 3, 4, 6])
     @pytest.mark.parametrize("order", [1, 2, 203])
     def test_both_passes_count_alike_on_either_side_of_the_crossover(self, monkeypatch, bw, order):
         rng = stream(derive_seed(2200, 10 * bw + order))
@@ -328,7 +338,7 @@ class TestInertiaRegimes:
             scalar, vector = self.both_passes(monkeypatch, ab, shifts)
             assert scalar == vector == default == [int(np.sum(eigs < s)) for s in shifts], (k, scalar, vector)
 
-    @pytest.mark.parametrize("bw", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bw", [0, 1, 2, 3, 4, 6])
     def test_both_passes_mark_a_zero_pivot_alike(self, monkeypatch, bw):
         ab = self.band(stream(2211), 40, bw)
         lead = ab[0, 0]
@@ -337,8 +347,14 @@ class TestInertiaRegimes:
         # a pivot exactly at the floor is a breakdown too
         scalar, vector = self.both_passes(monkeypatch, ab, [lead - 0.5], pivot_floor=0.5)
         assert scalar == vector == [-1]
+        # a zero pivot in the last column: no division follows it, so only the final pivot test marks it
+        for r in range(1, bw + 1):
+            ab[r, -1 - r] = 0.0  # the last column is uncoupled, so its pivot is A[-1, -1] - shift exactly
+        last = ab[0, -1]
+        scalar, vector = self.both_passes(monkeypatch, ab, [last, last + 0.25, last])
+        assert scalar == vector and scalar[0] == scalar[2] == -1 and scalar[1] >= 0
 
-    @pytest.mark.parametrize("bw", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bw", [0, 1, 2, 3, 4, 6])
     @pytest.mark.parametrize("row", [0, 1])
     def test_both_passes_mark_a_nan_entry_alike(self, monkeypatch, bw, row):
         ab = self.band(stream(2212), 60, bw)

@@ -66,6 +66,7 @@ def test_bench_summary_quartiles_and_wins():
     assert summary["change_wins"] == {"wall_s": 3, "peak_rss_mb": 0, "rate": 4}
     assert summary["parent_wins"] == {"wall_s": 1, "peak_rss_mb": 5, "rate": 0}
     assert summary["parent"]["failed"] == 0 and summary["change"]["failed"] == 1
+    assert summary["parent"]["attempted"] == 100 and summary["change"]["attempted"] == 105
     assert summary["n_pairs"] == 5
 
 
@@ -92,3 +93,17 @@ def test_bench_verdicts_against_relative_bounds():
         pair["change"]["rate"] = 1.7  # 15% below the parent's 2.0, and higher is better
     assert verdicts_of(pairs, wall_s=0.2, rate=0.1) == {"wall_s": "ok", "rate": "worse"}
     assert verdicts_of(pairs, rate=0.2) == {"rate": "ok"}
+
+
+def test_bench_failed_share_compares_failed_over_attempted():
+    pairs = synthetic_pairs()
+    better = {"wall_s": "lower"}
+    # one failure in 105 change operations against none in 100 parent operations
+    assert bench_pairs.failed_share(bench_pairs.summarize(pairs, better)) == "worse"
+    pairs[0]["parent"]["failed"] = 1  # 1 of 100 against 1 of 105: the change's share is smaller
+    assert bench_pairs.failed_share(bench_pairs.summarize(pairs, better)) == "ok"
+    pairs[0]["parent"]["failed"], pairs[4]["change"]["failed"] = 0, 0
+    assert bench_pairs.failed_share(bench_pairs.summarize(pairs, better)) == "ok"
+    for pair in pairs:  # no operation attempted on either side reads a share of 0
+        pair["parent"]["attempted"] = pair["change"]["attempted"] = 0
+    assert bench_pairs.failed_share(bench_pairs.summarize(pairs, better)) == "ok"

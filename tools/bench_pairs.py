@@ -15,10 +15,11 @@ Writes ``BENCH_<PR>.json``: the command, the parent's short hash, the
 machine, the claim and a note, and per workload the environment line of the
 first run, every pair's end-to-end metrics, each side's median and inclusive
 quartiles (``statistics.quantiles(..., n=4, method="inclusive")``) of every
-end-to-end metric that ``BENCHMARK.json`` declares, the failed operations,
-each side's win count: the pairs in which its value is better in the
-metric's declared direction (ties count for neither side), and a verdict per
-metric (``verdicts``).  Standard library only.
+end-to-end metric that ``BENCHMARK.json`` declares, the failed and the
+attempted operations, each side's win count: the pairs in which its value is
+better in the metric's declared direction (ties count for neither side), and
+a verdict per metric (``verdicts``) plus a ``failed_share`` verdict
+(``failed_share``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -45,16 +46,17 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per-side quartiles and failures, and per-side win counts, of a workload's pairs.
+    """Per-side quartiles, failed and attempted operations, and per-side win counts, of a workload's pairs.
 
     ``pairs`` are records with a ``parent`` and a ``change`` entry, each a
-    dict of metric values plus ``failed``; ``better`` maps each metric name to
-    ``"lower"`` or ``"higher"``.
+    dict of metric values plus ``failed`` and ``attempted``; ``better`` maps
+    each metric name to ``"lower"`` or ``"higher"``.
     """
     summary = {}
     for side in SIDES:
         stats = {name: quartiles([pair[side][name] for pair in pairs]) for name in better}
         stats["failed"] = sum(pair[side]["failed"] for pair in pairs)
+        stats["attempted"] = sum(pair[side]["attempted"] for pair in pairs)
         summary[side] = stats
     for side, other in (("change", "parent"), ("parent", "change")):
         wins = {}
@@ -89,6 +91,16 @@ def verdicts(pairs: list[dict], summary: dict, metrics: list[dict]) -> dict[str,
         else:
             out[name] = "ok"
     return out
+
+
+def failed_share(summary: dict) -> str:
+    """``worse`` when the change's share of failed operations exceeds the parent's, else ``ok``.
+
+    A side's share is its failed over its attempted operations, 0 when it attempted none.
+    """
+    share = {side: summary[side]["failed"] / summary[side]["attempted"] if summary[side]["attempted"] else 0.0
+             for side in SIDES}
+    return "worse" if share["change"] > share["parent"] else "ok"
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -150,7 +162,8 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
                 print(workload, json.dumps(pair), file=sys.stderr, flush=True)
             summary = summarize(pairs, better)
-            summary["verdict"] = verdicts(pairs, summary, benchmark["end_to_end"])
+            summary["verdict"] = {**verdicts(pairs, summary, benchmark["end_to_end"]),
+                                  "failed_share": failed_share(summary)}
             doc["workloads"][workload] = {"env": env, "pairs": pairs, **summary}
     out = f"BENCH_{args.pr}.json"
     with open(out, "w", encoding="utf-8") as fh:
