@@ -21,13 +21,19 @@ list ``"energies": [...]`` or as ``"grid": {"lo":, "hi":, "count":}``,
 not both; when absent they default to 21 evenly spaced points across the
 certified energy window, from end to end, and ``localize.window`` to its
 middle quarter.  Both defaults read ``model.certified_window``, which
-refuses an empty window.  Unknown keys are rejected at every level,
-except ``critical.grid_step`` and ``critical.refine_iters``: they are
-accepted but have no effect, since the genericity check that
+refuses an empty window.  Each command block, "disorder" and each "grid"
+must be a JSON object (``_object``): any other value gives one violation,
+"'<name>' block must be a JSON object", and none about its keys; a null
+"disorder" reads as a law without atoms.  Unknown keys are rejected at
+every level, except ``critical.grid_step`` and ``critical.refine_iters``:
+they are accepted but have no effect, since the genericity check that
 ``critical`` runs needs no energy grid.  Neither ``certify`` nor
 ``critical`` takes a tolerance: both read the exact verdict of
 ``furstenberg.model_closure``, so ``tol`` is an unknown key there.
-``null`` is rejected wherever a value belongs.
+``null`` is rejected wherever a value belongs.  Once the model is valid, a
+given ``ids.h`` or ``localize.h`` that does not divide ``ell`` by spectrum's
+rule (``_steps_per_cell``) is a violation naming the key, so every command
+refuses it before running.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -42,12 +48,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import AnderlocError, ConfigError
+from .errors import AnderlocError, ConfigError, GridError
 from .lyapunov import EstimatorConfig
 from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, certified_window, couplings
 from .model import count, interaction, positive, radius, real, reals
 from .seeding import as_seed
-from .spectrum import DEFAULT_BOUNDARY, boundary_name
+from .spectrum import DEFAULT_BOUNDARY, _steps_per_cell, boundary_name
 
 __all__ = [
     "GridSpec",
@@ -153,6 +159,20 @@ def _checked(violations: list[str], check: Callable[..., Any], *args: Any) -> An
         return None
 
 
+def _object(violations: list[str], value: Any, where: str, keys: set[str]) -> dict | None:
+    """``value`` when it is a JSON object, after adding a violation for each key outside ``keys``; else None.
+
+    ``where`` is the dotted name of the object, empty for the document; a
+    value that is not an object adds "'<where>' block must be a JSON object".
+    """
+    if not isinstance(value, dict):
+        violations.append(f"'{where}' block must be a JSON object")
+        return None
+    dotted = f"{where}." if where else ""
+    violations.extend(f"{dotted}{key} is not a known key" for key in sorted(value.keys() - keys))
+    return value
+
+
 def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
     """The grid of a block that holds "energies" or "grid"."""
     if "energies" in block and "grid" in block:
@@ -161,11 +181,9 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
     if "energies" in block:
         energies = _checked(violations, _energies, block["energies"], f"{where}.energies")
         return GridSpec() if energies is None else GridSpec(energies=energies)
-    g = block["grid"]
-    if not isinstance(g, dict):
-        violations.append(f"{where}.grid must carry finite numeric 'lo' and 'hi'")
+    g = _object(violations, block["grid"], f"{where}.grid", {"lo", "hi", "count"})
+    if g is None:
         return GridSpec()
-    violations.extend(f"{where}.grid.{key} is not a known key" for key in sorted(g.keys() - {"lo", "hi", "count"}))
     lo = _checked(violations, real, g.get("lo"), f"{where}.grid.lo")
     hi = _checked(violations, real, g.get("hi"), f"{where}.grid.hi")
     n_points = _checked(violations, count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count")
@@ -189,6 +207,14 @@ def _window(val: Any, name: str) -> tuple[float, float]:
     if window.shape != (2,) or window[0] >= window[1]:
         raise ValueError(f"{name} must be [lo, hi] with finite lo < hi")
     return tuple(window.tolist())
+
+
+def _divides_ell(params: ModelParams, h: float, name: str) -> None:
+    """Refuse a grid step that spectrum's ``_steps_per_cell`` refuses, naming the key."""
+    try:
+        _steps_per_cell(params, h)
+    except GridError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _atoms(val: Any, name: str) -> DisorderSpec:
@@ -224,11 +250,11 @@ def _block_keys(name: str) -> set[str]:
     return table.keys() | (_GRID_KEYS if "grid" in settings.__dataclass_fields__ else set())
 
 
-def _parse_block(name: str, block: dict, violations: list[str]) -> Any:
+def _parse_block(name: str, block: Any, violations: list[str]) -> Any:
     """Settings of one command block; every key left out keeps its dataclass default."""
     settings, table = _BLOCKS[name]
     known = _block_keys(name)
-    violations.extend(f"{name}.{key} is not a known key" for key in sorted(block.keys() - known))
+    block = _object(violations, block, name, known) or {}
     values = {}
     if known & block.keys() & _GRID_KEYS:
         values["grid"] = _parse_grid(block, name, violations)
@@ -252,35 +278,28 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top-level JSON value must be an object"])
-    violations.extend(f"{key} is not a known key" for key in sorted(doc.keys() - _MODEL_KEYS - _BLOCKS.keys()))
+    _object(violations, doc, "", _MODEL_KEYS | _BLOCKS.keys())
 
     # V's shape and c's length are checked against N only when N itself is valid
     n = _checked(violations, count, doc.get("N"), "N")
-
-    v_raw = doc.get("V")
-    if v_raw is None:
-        violations.append("V is required (N x N array)")
-    elif n is None:
-        _checked(violations, reals, v_raw, "V")
-    else:
-        v = _checked(violations, interaction, v_raw, n)
-
-    c_raw = doc.get("c")
-    if c_raw is None:
-        violations.append("c is required (length-N array of non-zero couplings)")
-    elif n is None:
-        _checked(violations, reals, c_raw, "c")
-    else:
-        c = _checked(violations, couplings, c_raw, n)
+    arrays = {}
+    for key, rule, form in (("V", interaction, "N x N array"),
+                            ("c", couplings, "length-N array of non-zero couplings")):
+        if doc.get(key) is None:
+            violations.append(f"{key} is required ({form})")
+        elif n is None:
+            _checked(violations, reals, doc[key], key)
+        else:
+            arrays[key] = _checked(violations, rule, doc[key], n)
 
     ell = _checked(violations, positive, doc.get("ell"), "ell")
     rho = _checked(violations, radius, doc.get("rho", DEFAULT_RHO))
 
     disorder = DisorderSpec.bernoulli()
     if "disorder" in doc:
-        d_raw = doc["disorder"] if isinstance(doc["disorder"], dict) else {}
-        violations.extend(f"disorder.{key} is not a known key" for key in sorted(d_raw.keys() - {"atoms"}))
-        disorder = _checked(violations, _atoms, d_raw.get("atoms"), "disorder.atoms")
+        # null reads as a law without atoms, as {} does
+        law = _object(violations, {} if doc["disorder"] is None else doc["disorder"], "disorder", {"atoms"})
+        disorder = None if law is None else _checked(violations, _atoms, law.get("atoms"), "disorder.atoms")
         if disorder is not None and not disorder.has_binary_support:
             violations.append(
                 "disorder.atoms must include both 0 and 1: the model requires "
@@ -288,16 +307,14 @@ def parse_config(text: str) -> RunConfig:
             )
 
     seed = _checked(violations, as_seed, doc.get("seed", 0))
-
-    blocks = {name: doc.get(name, {}) for name in _BLOCKS}
-    for name, block in blocks.items():
-        if not isinstance(block, dict):
-            violations.append(f"'{name}' block must be a JSON object")
-    settings = {name: _parse_block(name, block if isinstance(block, dict) else {}, violations)
-                for name, block in blocks.items()}
+    settings = {name: _parse_block(name, doc.get(name, {}), violations) for name in _BLOCKS}
 
     if not violations:
-        model = _checked(violations, ModelParams, n, v, c, ell, rho, disorder)
+        model = _checked(violations, ModelParams, n, arrays["V"], arrays["c"], ell, rho, disorder)
+    if not violations:
+        for name in ("ids", "localize"):
+            if settings[name].h is not None:
+                _checked(violations, _divides_ell, model, settings[name].h, f"{name}.h")
     if violations:
         raise ConfigError(violations)
     return RunConfig(model=model, seed=seed, **settings)

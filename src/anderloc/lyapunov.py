@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InstabilityError, OracleRangeError, SingularMatrixError, SizeGuardError
+from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
-from .model import _GROWTH_ADVICE, ModelParams, _physical_memory, count, path_table, reals, sample_path
+from .model import _GROWTH_ADVICE, ModelParams, _guard_memory, count, path_table, reals, sample_path
 from .seeding import derive_seed, stream
 
 __all__ = [
@@ -145,18 +145,15 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
 
     Before anything is drawn, an estimate of 8 (3N + 5) bytes per cell and
     replica (the measured tracemalloc peak, N = 1-4: 57 to 129 bytes) above
-    the physical memory raises ``SizeGuardError`` naming ``n_steps``,
-    ``burn_in``, ``n_replicas``, the estimate and the memory.
+    the physical memory raises ``SizeGuardError`` (``model._guard_memory``)
+    naming ``n_steps``, ``burn_in``, ``n_replicas``, the estimate and the
+    memory.
     """
     two_n = 2 * params.n
     total = config.burn_in + config.n_steps
-    need, have = 8 * (3 * params.n + 5) * total * config.n_replicas, _physical_memory()
-    if need > have:
-        raise SizeGuardError(
-            f"the Lyapunov estimate at n_steps = {config.n_steps}, burn_in = {config.burn_in}, n_replicas = "
-            f"{config.n_replicas} needs about {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB of physical "
-            "memory; decrease n_steps, burn_in or n_replicas"
-        )
+    _guard_memory(8 * (3 * params.n + 5) * total * config.n_replicas,
+                  f"the Lyapunov estimate at n_steps = {config.n_steps}, burn_in = {config.burn_in}, "
+                  f"n_replicas = {config.n_replicas}", "decrease n_steps, burn_in or n_replicas")
     streams = (stream(derive_seed(config.master_seed, r)) for r in range(config.n_replicas))
     paths = np.stack([sample_path(params, total, rng) for rng in streams], axis=1)  # (total, n_replicas, N)
     table, inverse = path_table(params, paths, energy)

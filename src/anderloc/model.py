@@ -236,9 +236,16 @@ def count(value: object, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory, the ceiling of every size guard."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def _guard_memory(need: int, what: str, advice: str, detail: str = "") -> None:
+    """Refuse an estimate of ``need`` bytes above physical memory, the ceiling of every size guard.
+
+    Raises ``SizeGuardError`` reading "<what> needs about <need> GB<detail>,
+    more than the <memory> GB of physical memory; <advice>".
+    """
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SizeGuardError(f"{what} needs about {need / 1e9:.3g} GB{detail}, more than the {have / 1e9:.3g} GB "
+                             f"of physical memory; {advice}")
 
 
 def positive(value: object, name: str) -> float:

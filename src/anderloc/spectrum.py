@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError, SizeGuardError
-from .model import (EnergyInterval, ModelParams, _physical_memory, cell_matrix, count, path_table, positive, real,
+from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError
+from .model import (EnergyInterval, ModelParams, _guard_memory, cell_matrix, count, path_table, positive, real,
                     reals, sample_path)
 from .seeding import derive_seed, stream
 
@@ -221,16 +221,12 @@ def _guard_size(params: ModelParams, length_cells: int, h: float, boundary: str)
     The estimate, 8 * order * (6 (N + 1) + 16) bytes, is the measured peak of
     the decay solve (tracemalloc, N = 1-4: under 6 band copies plus 16
     vectors of order floats), which bounds the inertia counts of ``ids`` as
-    well.  Raises ``SizeGuardError`` naming L, h, the estimate, the order and
-    the physical memory.
+    well.  ``model._guard_memory`` raises ``SizeGuardError`` naming L, h, the
+    estimate, the order and the physical memory.
     """
     order = params.n * len(_grid_points(params, length_cells, h, boundary))
-    need, have = 8 * order * (6 * (params.n + 1) + 16), _physical_memory()
-    if need > have:
-        raise SizeGuardError(
-            f"the finite restriction at L = {length_cells}, h = {h:g} needs about {need / 1e9:.3g} GB (matrix "
-            f"order {order}), more than the {have / 1e9:.3g} GB of physical memory; decrease L or increase h"
-        )
+    _guard_memory(8 * order * (6 * (params.n + 1) + 16), f"the finite restriction at L = {length_cells}, h = {h:g}",
+                  "decrease L or increase h", f" (matrix order {order})")
 
 
 def _point_cells(params: ModelParams, restriction: FiniteRestriction) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import anderloc
+from anderloc import cli, spectrum
 from anderloc.cli import build_parser, exit_code_for, main, write_csv
 from anderloc.config import parse_config, resolve_h
 from anderloc.errors import (
@@ -29,7 +30,7 @@ from anderloc.errors import (
 )
 from anderloc.furstenberg import tridiagonal_witness
 from anderloc.lyapunov import EstimatorConfig
-from anderloc.model import DisorderSpec, ModelParams
+from anderloc.model import DisorderSpec, ModelParams, certified_window
 from anderloc.spectrum import FiniteRestriction, estimate_ids, sample_restriction
 
 MINIMAL = {
@@ -212,6 +213,10 @@ _ONE = ModelParams(n=1, v=np.zeros((1, 1)), c=np.ones(1), ell=0.1)
         (lambda: DisorderSpec(((0.0, 0.5), (True, 0.5))), ValueError, "disorder atom entries must be"),
         (lambda: DisorderSpec(((0.0, 0.5), ("1", 0.5))), ValueError, "disorder atom entries must be"),
         (lambda: DisorderSpec(((0.0, 0.5), (1j, 0.5))), ValueError, "disorder atom entries must be"),
+        (lambda: DisorderSpec(()), ValueError, "disorder law needs a non-empty list of (value, probability) pairs"),
+        (lambda: DisorderSpec(((1.0, 0.5), (1.0, 0.5))), ValueError, "disorder atoms must have distinct values"),
+        (lambda: FiniteRestriction(1, "dirichlet", 0.0125, np.zeros((3, 1))),
+         ValueError, "omega_path must have 2L = 2 rows"),
     ],
 )
 def test_library_rejects_the_sizes_the_config_rejects(build, error, message):
@@ -307,6 +312,24 @@ def test_config_and_model_give_one_message_for_a_bad_interaction(v):
         # the genericity verdict is exact, so neither block takes a rank tolerance
         ({"certify": {"tol": 1e-8}, "critical": {"tol": 1e-8}},
          ["certify.tol is not a known key", "critical.tol is not a known key"]),
+        # the parser's other refusals, each with its one message
+        ({"V": None}, ["V is required (N x N array)"]),
+        ({"c": None}, ["c is required (length-N array of non-zero couplings)"]),
+        # a block, a grid or a disorder law that is not an object gets one message, none about its keys
+        ({"certify": None}, ["'certify' block must be a JSON object"]),
+        ({"ids": [1, 2], "localize": "x"},
+         ["'ids' block must be a JSON object", "'localize' block must be a JSON object"]),
+        ({"lyapunov": {"grid": [0.0, 1.0]}}, ["'lyapunov.grid' block must be a JSON object"]),
+        ({"disorder": [1, 2]}, ["'disorder' block must be a JSON object"]),
+        ({"ids": {"grid": {"lo": 1.0, "hi": 0.0}}}, ["ids.grid needs lo <= hi"]),
+        ({"certify": {"energies": []}}, ["certify.energies must be a non-empty list of finite numbers"]),
+        # a given grid step must divide ell, by the rule the restriction applies
+        ({"ids": {"h": 0.03}}, ["ids.h: grid step h = 0.03 does not divide the cell length ell = 0.1"]),
+        ({"ids": {"h": 0.2}, "localize": {"h": 0.03}},
+         ["ids.h: grid step h = 0.2 does not divide the cell length ell = 0.1",
+          "localize.h: grid step h = 0.03 does not divide the cell length ell = 0.1"]),
+        # the step is checked against a valid model only
+        ({"ids": {"h": 0.03}, "ell": -1.0}, ["ell must be a positive finite number, got -1.0"]),
     ],
 )
 def test_unknown_keys_are_config_errors(overrides, violations):
@@ -319,6 +342,26 @@ def test_grid_step_defaults_to_an_eighth_of_ell():
     cfg = parse_config(config_with(ids={"h": 0.025}))
     assert resolve_h(cfg.ids.h, cfg.model) == 0.025
     assert resolve_h(cfg.localize.h, cfg.model) == 0.1 / 8.0
+
+
+def test_top_level_value_must_be_an_object():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[1, 2]")
+    assert exc.value.violations == ["top-level JSON value must be an object"]
+
+
+@pytest.mark.parametrize("ell", [0.1, 0.3, 1.0 / 3.0, 0.7, 1e-7, 123.456])
+def test_the_default_grid_step_is_never_refused(ell):
+    cfg = parse_config(config_with(ell=ell))
+    assert cfg.ids.h is None and cfg.localize.h is None
+    assert spectrum._steps_per_cell(cfg.model, resolve_h(None, cfg.model)) == 8
+
+
+def test_default_localize_window_is_the_middle_quarter():
+    cfg = parse_config(config_with())
+    full, window = certified_window(cfg.model), cfg.localize.resolve_window(cfg.model)
+    assert window.length == pytest.approx(full.length / 4.0, rel=1e-12)
+    assert window.lo + window.hi == pytest.approx(full.lo + full.hi, rel=1e-12)
 
 
 class TestExitCodeMapping:
@@ -338,6 +381,15 @@ class TestCsvWriter:
         text = open(path).read()
         assert text == "a,b,flag\n0.1,2,1\n0.25,-3,0\n"
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path / "sub"))
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_csv(str(tmp_path / "table.csv"), ["a"], [(1,)])
+        assert os.listdir(tmp_path) == []
 
 
 SMALL_BLOCKS = {
@@ -455,6 +507,25 @@ class TestCommandLine:
         bad = write_config(tmp_path, name="bad.json", **blocks)
         assert main(["ids", "--config", bad, "--out", out]) == 2
 
+    DESK = {"N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [1.0, 1.0], "ell": 0.1,
+            "lyapunov": {"grid": {"lo": -4.5, "hi": 0.0, "count": 10}, "n_steps": 20000, "n_replicas": 8}}
+
+    @pytest.mark.parametrize("command", ["interval", "certify", "critical", "lyapunov", "ids", "localize", "report"])
+    @pytest.mark.parametrize("key", ["ids", "localize"])
+    def test_a_grid_step_that_does_not_divide_ell_runs_no_command(self, tmp_path, capsys, monkeypatch, command, key):
+        # report used to run certify, critical and the Lyapunov scan before ids exited 2
+        def scan(*args):
+            raise AssertionError("the Lyapunov scan ran")
+
+        monkeypatch.setattr(cli, "separability_scan", scan)
+        monkeypatch.setattr(cli, "lyapunov_spectrum", scan)
+        path = write_config(tmp_path, **self.DESK, **{key: {"h": 0.03}})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error:\n"
+                                f"  - {key}.h: grid step h = 0.03 does not divide the cell length ell = 0.1\n")
+        assert captured.out == "" and not os.path.exists(tmp_path / "o")
+
     def test_localize_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)
         out = str(tmp_path / "out")
@@ -499,6 +570,8 @@ class TestCommandLine:
         for size in ({"L": 1, "h": 0.1 / 2**50}, {"L": 10**12}):
             for command, block in (("ids", {"n_samples": 1}), ("localize", {"window": [0.5, 0.9], "ref_steps": 10})):
                 path = write_config(tmp_path, **{command: {**block, **size}})
+                # the first call imports what the command needs; only the second one is traced
+                assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
                 tracemalloc.start()
                 try:
                     assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2

@@ -194,6 +194,16 @@ class TestQrVersusOracle:
         with pytest.raises(InstabilityError):
             qr_log_diag_sums([tiny])
 
+    def test_r_diagonal_underflow_guard(self):
+        # a well-conditioned frame, so qr_pos accepts it, whose R diagonal lies below 1e-290
+        with pytest.raises(InstabilityError, match="^R diagonal underflow during QR accumulation: "):
+            qr_log_diag_sums([1e-300 * np.eye(2)])
+
+    @pytest.mark.parametrize("oracle", [qr_log_diag_sums, lambda matrices: exterior_log_norm(matrices, 1)])
+    def test_empty_product_rejected(self, oracle):
+        with pytest.raises(ValueError, match="^need at least one matrix$"):
+            oracle([])
+
     def test_singular_frame_names_energy_and_block(self, monkeypatch):
         def singular(z):
             raise SingularMatrixError("matrix is numerically singular in qr_pos")

@@ -577,6 +577,13 @@ class TestEigenDecay:
         assert eigen_decay(params, free_restriction(5, 0.25), EnergyInterval(-5.0, -4.0)) == []
         assert eigen_decay(params, free_restriction(5, 0.25), EnergyInterval.empty()) == []
 
+    def test_states_on_fewer_than_three_cells_are_not_fitted(self):
+        # L = 1 leaves two cells, too few for a line through log p_n: all 6 states in the window are skipped
+        params, restriction = make_params(ell=1.0), free_restriction(1, 0.25)
+        mat = discretize(params, restriction)
+        assert count_below(mat, 60.0) - count_below(mat, 0.05) == 6
+        assert eigen_decay(params, restriction, EnergyInterval(0.05, 60.0)) == []
+
     def test_zero_width_window_rejected(self):
         params = make_params(ell=1.0)
         with pytest.raises(ScanRangeError):

@@ -1,4 +1,4 @@
-"""The repository tools: the code-line counter and the pair summary and verdicts of the benchmark runner."""
+"""The repository tools: the code-line counter, the unreached-line lister and the benchmark runner's pair verdicts."""
 
 import importlib.util
 from pathlib import Path
@@ -10,6 +10,9 @@ _spec.loader.exec_module(code_lines)
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+_spec = importlib.util.spec_from_file_location("uncovered", ROOT / "tools" / "uncovered.py")
+uncovered = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(uncovered)
 
 SYNTHETIC = '''"""Module docstring,
 over two lines."""
@@ -46,6 +49,39 @@ def test_main_prints_every_module_and_a_total(capsys):
     counts = [int(line.split()[0]) for line in lines]
     assert [line.split()[1] for line in lines] == sorted(p.name for p in package.glob("*.py")) + ["total"]
     assert counts[-1] == sum(counts[:-1]) > 0
+
+
+TWO_FUNCTIONS = '''"""A package of two functions, one of them never called."""
+
+
+def used(x):
+    """Docstring lines hold no bytecode."""
+    if x > 0:
+        return x + 1
+    return 0
+
+
+def unused(x):
+    return x - 1
+'''
+
+
+def test_uncovered_lists_the_lines_no_call_reaches(tmp_path):
+    package = tmp_path / "twofunctions"
+    package.mkdir()
+    (package / "__init__.py").write_text(TWO_FUNCTIONS)
+    spec = importlib.util.spec_from_file_location("twofunctions", package / "__init__.py")
+
+    def run():
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.used(2)
+
+    # the module docstring, both def lines, the if and the return of x + 1 run; the else return and unused's body do not
+    assert uncovered.executable_lines(TWO_FUNCTIONS) == {1, 4, 6, 7, 8, 11, 12}
+    result, reached = uncovered.trace_lines(package, run)
+    assert result == 3
+    assert uncovered.unreached(package, reached) == {"__init__.py": ([8, 12], 7)}
 
 
 def synthetic_pairs():
