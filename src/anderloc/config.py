@@ -24,7 +24,7 @@ middle quarter.  Both defaults read ``model.certified_window``, which
 refuses an empty window.  Each command block, "disorder" and each "grid"
 must be a JSON object (``_object``): any other value gives one violation,
 "'<name>' block must be a JSON object", and none about its keys; a null
-"disorder" reads as a law without atoms.  Unknown keys are rejected at
+"disorder" or block is refused the same way.  Unknown keys are rejected at
 every level, except ``critical.grid_step`` and ``critical.refine_iters``:
 they are accepted but have no effect, since the genericity check that
 ``critical`` runs needs no energy grid.  Neither ``certify`` nor
@@ -297,8 +297,7 @@ def parse_config(text: str) -> RunConfig:
 
     disorder = DisorderSpec.bernoulli()
     if "disorder" in doc:
-        # null reads as a law without atoms, as {} does
-        law = _object(violations, {} if doc["disorder"] is None else doc["disorder"], "disorder", {"atoms"})
+        law = _object(violations, doc["disorder"], "disorder", {"atoms"})
         disorder = None if law is None else _checked(violations, _atoms, law.get("atoms"), "disorder.atoms")
         if disorder is not None and not disorder.has_binary_support:
             violations.append(

@@ -36,7 +36,12 @@ class SingularMatrixError(AnderlocError):
 
 
 class SizeGuardError(AnderlocError):
-    """A combinatorial enumeration or a dense solve would exceed its size limit."""
+    """A computation would exceed its size limit.
+
+    ``model._guard_memory`` raises it when an estimate of the memory a
+    computation needs is above physical memory, and ``model.binary_cells``
+    when 2^N binary cells would pass its guard (N above 20).
+    """
 
 
 class GridError(AnderlocError):

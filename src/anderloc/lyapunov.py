@@ -14,7 +14,9 @@ Exponents are reported per unit length (the accumulated logs are divided
 by n * ell), so they are directly comparable with eigenfunction decay
 rates and independent of the cell-length bookkeeping; multiply by ``ell``
 to recover per-cell rates.  Symplecticity forces the symmetric spectrum
-gamma, -gamma, so only the first N exponents carry information.
+gamma, -gamma, so only the first N exponents carry information.  Each
+exponent is the mean over independent replicas, with the standard error
+of ``seeding._mean_stderr``, which reads 0 for a single replica.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
 from .model import _GROWTH_ADVICE, ModelParams, _guard_memory, count, path_table, reals, sample_path
-from .seeding import derive_seed, stream
+from .seeding import _mean_stderr, derive_seed, stream
 
 __all__ = [
     "EstimatorConfig",
@@ -170,15 +172,9 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
         if start >= config.burn_in:
             acc += log_d
 
-    per_replica = acc / (config.n_steps * params.ell)
-    means = per_replica.mean(axis=0)
+    means, stderrs = _mean_stderr(acc / (config.n_steps * params.ell))
     order = np.argsort(-means, kind="stable")
-    gammas = means[order]
-    if config.n_replicas > 1:
-        stderrs = per_replica.std(axis=0, ddof=1)[order] / math.sqrt(config.n_replicas)
-    else:
-        stderrs = np.zeros(two_n)
-    return LyapunovSpectrum(gammas=gammas, stderrs=stderrs, energy=float(energy), config=config)
+    return LyapunovSpectrum(gammas=means[order], stderrs=stderrs[order], energy=float(energy), config=config)
 
 
 def qr_log_diag_sums(matrices: list[np.ndarray]) -> np.ndarray:
@@ -246,12 +242,12 @@ def separability_scan(
     exponent itself clears three of its own.  With 8 replicas, three
     standard errors of the replica spread make a one-sided test at about
     1.0% per comparison (Student t with 7 degrees of freedom:
-    P(T > 3) = 0.0100), not the 0.13% of a normal law.  With fewer than
-    two replicas, or when a compared standard error is 0 (replicas that do
-    not spread), there is no spread to measure, so the verdict is False
-    (inconclusive).  These are statistical verdicts about strict
-    inequalities, never proofs; grid energies are independent tasks
-    seeded from (master_seed, index).
+    P(T > 3) = 0.0100), not the 0.13% of a normal law.  A compared
+    standard error of 0 means there is no spread to measure, so the verdict
+    is False (inconclusive): ``seeding._mean_stderr`` gives 0 for a single
+    replica, and replicas that do not spread give 0 too.  These are
+    statistical verdicts about strict inequalities, never proofs; grid
+    energies are independent tasks seeded from (master_seed, index).
     """
     n = params.n
     results = []

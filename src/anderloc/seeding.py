@@ -4,10 +4,14 @@ Every stochastic computation receives its randomness through a stream
 derived from ``(master_seed, *path)`` where the path identifies the task
 (command id, grid index, replica index, ...).  Derivation is a fixed
 64-bit mix (splitmix64), so results are reproducible across runs and
-independent of scheduling order.
+independent of scheduling order.  The same streams make replicas and
+disorder paths independent samples, and ``_mean_stderr`` turns their
+results into a mean and a standard error.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,3 +48,14 @@ def derive_seed(master_seed: int, *path: int) -> int:
 def stream(seed: int) -> np.random.Generator:
     """Random stream for one task; exclusive to its caller."""
     return np.random.default_rng(seed & _MASK64)
+
+
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 of independent samples, and its standard error.
+
+    The error is the sample standard deviation (ddof 1) over sqrt(n).  One
+    sample has no spread to measure, and its error reads 0.
+    """
+    mean = samples.mean(axis=0)
+    n = len(samples)
+    return mean, (samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean))

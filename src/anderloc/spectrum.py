@@ -16,8 +16,10 @@ arrays over the energies, which costs about 3 to 5 float passes at N = 1-2
 and 5 to 8 at N = 3-6 for up to a few hundred energies.  Both regimes run
 the same statements, so they give the same pivots bit for bit.  The
 integrated density of states is the disorder average of that count over
-2*ell*L.  A shooting oracle built from exact transfer-matrix
-products provides an independent count for cross-checks, and a
+2*ell*L, a mean over independent paths with the standard error of
+``seeding._mean_stderr`` (0 for a single path).  A shooting oracle built
+from exact transfer-matrix products provides an independent count for
+cross-checks, and a
 cell-resolved mass profile of eigenvectors yields exponential-decay
 fits for the localization diagnostic.  Those eigenpairs never form the
 solver's dense order x order Q: the eigenvalues in the window come from
@@ -38,7 +40,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError
 from .model import (EnergyInterval, ModelParams, _guard_memory, cell_matrix, count, path_table, positive, real,
                     reals, sample_path)
-from .seeding import derive_seed, stream
+from .seeding import _mean_stderr, derive_seed, stream
 
 __all__ = [
     "BOUNDARIES",
@@ -399,13 +400,7 @@ def estimate_ids(
     paths = (sample_restriction(params, length_cells, h, boundary, stream(derive_seed(master_seed, s)))
              for s in range(n_samples))
     counts = [count_below(discretize(params, restriction), grid) for restriction in paths]
-    values = np.array(counts, dtype=float) / (2.0 * params.ell * length_cells)
-    mean = values.mean(axis=0)
-    stderr = (
-        values.std(axis=0, ddof=1) / math.sqrt(n_samples)
-        if n_samples > 1
-        else np.zeros_like(mean)
-    )
+    mean, stderr = _mean_stderr(np.array(counts, dtype=float) / (2.0 * params.ell * length_cells))
     return IDSCurve(
         energies=grid,
         values=mean,

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import csv
 import importlib
 import json
 import math
@@ -265,7 +266,7 @@ NAN, INF = float("nan"), float("inf")
         ({"ids": {"h": None}}, "ids.h"),
         ({"localize": {"h": None}}, "localize.h"),
         ({"localize": {"window": None}}, "localize.window"),
-        ({"disorder": None}, "disorder.atoms"),
+        ({"disorder": None}, "'disorder' block must be a JSON object"),
         ({"N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [True, 1.0]}, "c entries"),
         ({"disorder": {"atoms": [[0.0, 0.5], [True, 0.5]]}}, "disorder.atoms"),
     ],
@@ -687,6 +688,17 @@ class TestCommandLine:
         lines = (out / "summary.txt").read_text().splitlines()
         header = next(i for i, line in enumerate(lines) if line.split()[:1] == ["E"])
         assert [line.split()[-1] for line in lines[header + 1 : header + 3]] == ["no", "no"]
+
+    @pytest.mark.parametrize("command, block", [("ids", {"n_samples": 1}), ("lyapunov", {"n_replicas": 1})])
+    def test_one_sample_has_a_standard_error_of_zero(self, tmp_path, command, block):
+        # one disorder path or one replica has no spread to measure (seeding._mean_stderr); that a single
+        # replica's verdict is inconclusive is checked in test_lyapunov.py
+        path = write_config(tmp_path, **{command: dict(SMALL_BLOCKS[command], **block)})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        with open(out / f"{command}.csv") as fh:
+            errors = [v for row in csv.DictReader(fh) for k, v in row.items() if k.startswith("stderr")]
+        assert errors and set(errors) == {"0.0"}
 
 
 def test_readme_flags_match_the_parser():

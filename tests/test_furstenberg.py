@@ -87,6 +87,11 @@ class TestLieClosure:
             report = lie_closure(binary_generators(params, e))
             assert report.dim_reached == 6 < report.target_dim
 
+    def test_commuting_generators_span_only_themselves(self):
+        zero = np.zeros((2, 2))
+        report = lie_closure([hamiltonian(np.diag(d), zero, zero) for d in ([1.0, 0.0], [0.0, 1.0])])
+        assert (report.dim_reached, report.target_dim, report.full) == (2, sp_dim(2), False)
+
     def test_basis_is_orthonormal(self):
         params = make_params(2, tridiagonal_witness(2))
         report = lie_closure(binary_generators(params, 0.3))
@@ -402,7 +407,8 @@ class TestCouplingGraphCriterion:
         # a random spanning tree at N = 8 reaches the whole algebra
         v, c = random_interaction(rng, 8, [(int(rng.integers(0, k)), k) for k in range(1, 8)])
         params = ModelParams(n=8, v=v, c=c, ell=0.1)
-        assert model_closure(params).full and lie_closure(energy_free_generators(params)).dim_reached == sp_dim(8)
+        report = lie_closure(energy_free_generators(params))
+        assert model_closure(params).full and report.full and report.dim_reached == sp_dim(8)
 
     def test_components_are_the_coupling_graph_components(self):
         v = np.zeros((5, 5))

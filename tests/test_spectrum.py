@@ -365,15 +365,19 @@ class TestInertiaRegimes:
     def test_scalar_pass_allocates_no_more_than_the_vector_pass(self, monkeypatch):
         # order and bandwidth of the finest criterion-09 restriction (40 cells, N = 2, m = 32)
         ab = self.band(stream(2213), 2558, 2)
-        peaks = []
-        for crossover in (2, 0):
-            monkeypatch.setattr(spectrum, "_SCALAR_SHIFTS", crossover)
+
+        def peak():
             tracemalloc.start()
             try:
                 spectrum._inertia(ab, np.array([0.3]), 1e-20)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+
+        peaks = []
+        for crossover in (2, 0):
+            monkeypatch.setattr(spectrum, "_SCALAR_SHIFTS", crossover)
+            peaks.append(min(peak() for _ in range(3)))  # an allocation outside _inertia only raises a peak
         assert peaks[0] <= peaks[1], peaks
 
 
