@@ -14,26 +14,31 @@ A run configuration is a single JSON document.  Model block (top level):
     }
 
 Each subcommand reads an optional block of the same name ("certify",
-"critical", "lyapunov", "ids", "localize"), whose keys ``_BLOCKS`` lists;
-a key left out takes the default of its ``*Settings`` field.  Energy
-grids ("certify", "lyapunov", "ids") are given either as an explicit
-list ``"energies": [...]`` or as ``"grid": {"lo":, "hi":, "count":}``,
-not both; when absent they default to 21 evenly spaced points across the
-certified energy window, from end to end, and ``localize.window`` to its
-middle quarter.  Both defaults read ``model.certified_window``, which
-refuses an empty window.  Each command block, "disorder" and each "grid"
-must be a JSON object (``_object``): any other value gives one violation,
-"'<name>' block must be a JSON object", and none about its keys; a null
-"disorder" or block is refused the same way.  Unknown keys are rejected at
-every level, except ``critical.grid_step`` and ``critical.refine_iters``:
-they are accepted but have no effect, since the genericity check that
-``critical`` runs needs no energy grid.  Neither ``certify`` nor
-``critical`` takes a tolerance: both read the exact verdict of
-``furstenberg.model_closure``, so ``tol`` is an unknown key there.
-``null`` is rejected wherever a value belongs.  Once the model is valid, a
-given ``ids.h`` or ``localize.h`` that does not divide ``ell`` by spectrum's
-rule (``_steps_per_cell``) is a violation naming the key, so every command
-refuses it before running.
+"critical", "lyapunov", "ids", "localize"), whose keys ``_BLOCKS``
+lists; a key left out takes the default of its ``*Settings`` field.
+Energy grids ("certify", "lyapunov", "ids") are given either as an
+explicit list ``"energies": [...]`` or as ``"grid": {"lo":, "hi":,
+"count":}``, not both; when absent they default to 21 evenly spaced
+points across the certified energy window, from end to end, and
+``localize.window`` to its middle quarter.  Both defaults read
+``model.certified_window``, which refuses an empty window.  A grid
+``count`` whose energies would outgrow physical memory
+(``_GRID_ENERGY_BYTES`` each) is refused through
+``model._guard_memory``, naming ``<block>.grid.count``.  Each command
+block, "disorder" and each "grid" must be a JSON object (``_object``):
+any other value gives one violation, "'<name>' block must be a JSON
+object", and none about its keys; a null "disorder" or block is refused
+the same way, and a "disorder" without "atoms" reads "disorder.atoms is
+required (list of [value, probability] pairs)".  Unknown keys are
+rejected at every level, except ``critical.grid_step`` and
+``critical.refine_iters``: they are accepted but have no effect, since
+the genericity check that ``critical`` runs needs no energy grid.
+Neither ``certify`` nor ``critical`` takes a tolerance: both read the
+exact verdict of ``furstenberg.model_closure``, so ``tol`` is an unknown
+key there.  ``null`` is rejected wherever a value belongs.  Once the
+model is valid, a given ``ids.h`` or ``localize.h`` that does not divide
+``ell`` by spectrum's rule (``_steps_per_cell``) is a violation naming
+the key, so every command refuses it before running.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -50,25 +55,22 @@ import numpy as np
 
 from .errors import AnderlocError, ConfigError, GridError
 from .lyapunov import EstimatorConfig
-from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, certified_window, couplings
+from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, _guard_memory, certified_window, couplings
 from .model import count, interaction, positive, radius, real, reals
 from .seeding import as_seed
 from .spectrum import DEFAULT_BOUNDARY, _steps_per_cell, boundary_name
 
 __all__ = [
-    "GridSpec",
-    "CertifySettings",
-    "CriticalSettings",
-    "LyapunovSettings",
-    "IdsSettings",
-    "LocalizeSettings",
-    "resolve_h",
     "RunConfig",
     "parse_config",
     "load_config",
 ]
 
 DEFAULT_GRID_COUNT = 21
+# Bytes per grid energy that a command and its CSV text hold, rounded up from
+# the largest measured peak (tracemalloc, 6000 to 10^5 energies): about 350 for
+# certify and ids, 1.4 K for lyapunov at N = 2 and 1.9 K at N = 4.
+_GRID_ENERGY_BYTES = 2000
 
 
 @dataclass(frozen=True)
@@ -186,13 +188,20 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
         return GridSpec()
     lo = _checked(violations, real, g.get("lo"), f"{where}.grid.lo")
     hi = _checked(violations, real, g.get("hi"), f"{where}.grid.hi")
-    n_points = _checked(violations, count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count")
+    n_points = _checked(violations, _grid_count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count")
     if None in (lo, hi, n_points):
         return GridSpec()
     if lo > hi:
         violations.append(f"{where}.grid needs lo <= hi")
         return GridSpec()
     return GridSpec(lo=lo, hi=hi, count=n_points)
+
+
+def _grid_count(val: Any, name: str) -> int:
+    """A grid count by the count rule, refused by ``model._guard_memory`` when its energies outgrow memory."""
+    n_points = count(val, name)
+    _guard_memory(_GRID_ENERGY_BYTES * n_points, f"{name} = {n_points}", f"decrease {name}")
+    return n_points
 
 
 def _energies(val: Any, name: str) -> tuple[float, ...]:
@@ -218,6 +227,8 @@ def _divides_ell(params: ModelParams, h: float, name: str) -> None:
 
 
 def _atoms(val: Any, name: str) -> DisorderSpec:
+    if val is None:
+        raise ValueError(f"{name} is required (list of [value, probability] pairs)")
     try:
         return DisorderSpec(val)
     except ValueError as exc:

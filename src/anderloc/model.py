@@ -41,13 +41,6 @@ __all__ = [
     "DEFAULT_RHO",
     "DisorderSpec",
     "ModelParams",
-    "couplings",
-    "count",
-    "interaction",
-    "positive",
-    "radius",
-    "real",
-    "reals",
     "SpectralBounds",
     "EnergyInterval",
     "cell_matrix",

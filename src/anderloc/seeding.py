@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["as_seed", "derive_seed", "stream"]
+__all__ = ["derive_seed", "stream"]
 
 _MASK64 = (1 << 64) - 1
 

@@ -51,9 +51,6 @@ from .model import (EnergyInterval, ModelParams, _guard_memory, cell_matrix, cou
 from .seeding import _mean_stderr, derive_seed, stream
 
 __all__ = [
-    "BOUNDARIES",
-    "DEFAULT_BOUNDARY",
-    "boundary_name",
     "FiniteRestriction",
     "BandedSymmetric",
     "IDSCurve",
@@ -347,8 +344,8 @@ def count_below(matrix: BandedSymmetric, energy: float | np.ndarray) -> int | np
     if np.any(counts < 0):
         raise FactorizationError(
             f"persistent pivot breakdown in inertia count at E={energies[counts < 0][0]:g}: the matrix of order "
-            f"{matrix.order} hit a zero pivot at all 7 shifts within {3e-12 * scale:.3g} of E; move E by more than "
-            "that (edit the energy grid), or change h or L"
+            f"{matrix.order} hit a zero pivot at all {len(_NUDGES)} shifts within {max(_NUDGES) * 1e-12 * scale:.3g} "
+            "of E; move E by more than that (edit the energy grid), or change h or L"
         )
     return int(counts) if counts.ndim == 0 else counts
 
@@ -498,8 +495,8 @@ def _eigenpairs(matrix: BandedSymmetric, window: EnergyInterval):
             if info < 0:
                 raise _lapack_failed("dgtsv" if n == 1 else "dgbsv", info, order)
         raise FactorizationError(
-            f"A - lambda I is singular at all 7 shifts within {3e-12 * scale:.3g} of the eigenvalue {lam:g} (order "
-            f"{order}); change h or L"
+            f"A - lambda I is singular at all {len(_NUDGES)} shifts within {max(_NUDGES) * 1e-12 * scale:.3g} of the "
+            f"eigenvalue {lam:g} (order {order}); change h or L"
         )
 
     rng = stream(0)

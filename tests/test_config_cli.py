@@ -1,7 +1,6 @@
 """Configuration parsing and command-line driver behavior."""
 
 import argparse
-import ast
 import csv
 import importlib
 import json
@@ -12,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -331,6 +331,9 @@ def test_config_and_model_give_one_message_for_a_bad_interaction(v):
           "localize.h: grid step h = 0.03 does not divide the cell length ell = 0.1"]),
         # the step is checked against a valid model only
         ({"ids": {"h": 0.03}, "ell": -1.0}, ["ell must be a positive finite number, got -1.0"]),
+        # a disorder law without atoms names the missing key, as a missing V or c does
+        ({"disorder": {}}, ["disorder.atoms is required (list of [value, probability] pairs)"]),
+        ({"disorder": {"atoms": None}}, ["disorder.atoms is required (list of [value, probability] pairs)"]),
     ],
 )
 def test_unknown_keys_are_config_errors(overrides, violations):
@@ -591,6 +594,22 @@ class TestCommandLine:
         assert err.startswith("error: the Lyapunov estimate at n_steps = ") and "Traceback" not in err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command", ["certify", "lyapunov", "ids"])
+    def test_grid_count_guard_exits_two(self, tmp_path, capsys, command):
+        # 10^12 grid energies fit no machine: the configuration refuses the count before the command runs
+        path = write_config(tmp_path, **{command: {"grid": {"lo": 0.0, "hi": 1.0, "count": 10**12}}})
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        err = capsys.readouterr().err
+        assert f"{command}.grid.count = 1000000000000 needs about 2e+06 GB, more than the " in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_output_that_cannot_be_written_exits_two(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("a regular file where the output directory should go\n")
@@ -754,16 +773,14 @@ def test_readme_configuration_matches_the_parser():
 
 
 def test_exports_resolve():
-    # every __all__ name exists, and every name the package imports is in its module's __all__
-    modules = {}
+    # the modules' __all__ lists are the one list of the names the package publishes
+    published = set()
     for info in pkgutil.iter_modules(anderloc.__path__):
         module = importlib.import_module(f"anderloc.{info.name}")
-        modules[info.name] = module
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"anderloc.{info.name}.__all__ lists missing {name}"
-    tree = ast.parse(open(anderloc.__file__).read())
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            exported = modules[node.module].__all__
-            for alias in node.names:
-                assert alias.name in exported, f"anderloc imports {alias.name}, not in {node.module}.__all__"
+            assert getattr(anderloc, name) is getattr(module, name), f"anderloc.{name} is not anderloc.{info.name}.{name}"
+            published.add(name)
+    public = {name for name, value in vars(anderloc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == published
