@@ -10,14 +10,16 @@ ids        integrated density of states curve                -> ids.csv
 localize   eigenfunction decay diagnostic                    -> decay.csv
 report     all of the above plus a cross-referencing summary
 
-Exit status: 0 success; 2 configuration error, a size guard or an output
-that cannot be written; 3 non-generic interaction detected by ``critical``;
-4 numeric failure (overflow, factorization breakdown).
+Exit status: 0 success; 2 configuration error, an output that cannot be
+written or any package error other than a numeric failure (a size guard,
+an empty energy window); 3 non-generic interaction detected by
+``critical``; 4 numeric failure, exactly an ``errors.NumericError``
+(overflow, a singular matrix, factorization breakdown).
 
 Each subcommand is a function ``(cfg, seed) -> CommandResult`` that
 computes its tables, its stdout text and its exit status without touching
 the disk; ``main`` writes every result the same way, and ``report`` is the
-composition of the five table-producing subcommands plus a summary.
+composition of the other six subcommands plus a summary.
 
 Determinism: every stochastic task draws from a stream derived as a
 64-bit mix of (master seed, command id, task index), so identical
@@ -38,14 +40,12 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .config import RunConfig, load_config, resolve_h
+from .config import RunConfig, load_config
 from .errors import (
     AnderlocError,
     ConfigError,
     FactorizationError,
-    GridError,
-    ScanRangeError,
-    SizeGuardError,
+    NumericError,
 )
 from .furstenberg import density_certificate, model_closure
 from .lyapunov import EstimatorConfig, lyapunov_spectrum, separability_scan
@@ -123,7 +123,7 @@ class CommandResult:
     stderr: str = ""
 
 
-def _interval_text(cfg: RunConfig) -> str:
+def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
     bounds = spectral_bounds(cfg.model)
     window = energy_interval(cfg.model)
     lines = [
@@ -136,11 +136,7 @@ def _interval_text(cfg: RunConfig) -> str:
         lines.append("I = empty (ell >= ell_C)")
     else:
         lines.append(f"I = [{window.lo:.12g}, {window.hi:.12g}]")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_interval(cfg: RunConfig, seed: int) -> CommandResult:
-    return CommandResult(stdout=_interval_text(cfg))
+    return CommandResult(stdout="\n".join(lines) + "\n")
 
 
 def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
@@ -213,7 +209,7 @@ def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
         cfg.model,
         cfg.ids.grid.resolve(cfg.model),
         length_cells=cfg.ids.length_cells,
-        h=resolve_h(cfg.ids.h, cfg.model),
+        h=cfg.ids.h,
         n_samples=cfg.ids.n_samples,
         master_seed=derive_seed(seed, CMD_IDS),
         boundary=cfg.ids.boundary,
@@ -235,7 +231,6 @@ def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
 def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
     loc = cfg.localize
     window = loc.resolve_window(cfg.model)
-    h = resolve_h(loc.h, cfg.model)
     center = 0.5 * (window.lo + window.hi)
     ref = lyapunov_spectrum(
         cfg.model,
@@ -246,7 +241,7 @@ def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
     reports = []
     for path_idx in range(loc.n_paths):
         rng = stream(derive_seed(seed, CMD_LOCALIZE, 1 + path_idx))
-        restriction = sample_restriction(cfg.model, loc.length_cells, h, loc.boundary, rng)
+        restriction = sample_restriction(cfg.model, loc.length_cells, loc.h, loc.boundary, rng)
         try:
             reports.extend(eigen_decay(cfg.model, restriction, window, gamma_ref=gamma_ref))
         except FactorizationError as exc:
@@ -256,7 +251,7 @@ def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
         ["eigenvalue", "center", "fitted_rate", "residual", "L", "h"],
         [
             (r.eigenvalue, r.localization_center, r.fitted_rate, r.fit_residual,
-             loc.length_cells, h)
+             loc.length_cells, loc.h)
             for r in reports
         ],
     )
@@ -319,7 +314,7 @@ print("wrote report.png")
 
 
 def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
-    interval_text = _interval_text(cfg)
+    interval_text = cmd_interval(cfg, seed).stdout
     commands = (cmd_certify, cmd_critical, cmd_lyapunov, cmd_ids, cmd_localize)
     parts = [command(cfg, seed) for command in commands]
     certify, critical, lyapunov, _, localize = parts
@@ -399,10 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code_for(exc: AnderlocError) -> int:
-    """Map package errors onto the documented exit statuses."""
-    if isinstance(exc, (ConfigError, GridError, ScanRangeError, SizeGuardError)):
-        return EXIT_CONFIG
-    return EXIT_NUMERIC
+    """Map package errors onto the documented exit statuses: 4 for a ``NumericError``, else 2."""
+    return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_CONFIG
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,13 +18,16 @@ Each subcommand reads an optional block of the same name ("certify",
 lists; a key left out takes the default of its ``*Settings`` field.
 Energy grids ("certify", "lyapunov", "ids") are given either as an
 explicit list ``"energies": [...]`` or as ``"grid": {"lo":, "hi":,
-"count":}``, not both; when absent they default to 21 evenly spaced
-points across the certified energy window, from end to end, and
-``localize.window`` to its middle quarter.  Both defaults read
-``model.certified_window``, which refuses an empty window.  A grid
-``count`` whose energies would outgrow physical memory
+"count":}``, not both; a range becomes its ``count`` energies at parse
+time, so ``GridSpec`` holds explicit energies or none.  When absent they
+default to 21 evenly spaced points across the certified energy window,
+from end to end, and ``localize.window`` to its middle quarter.  Both
+defaults read ``model.certified_window``, which refuses an empty window,
+so they stay lazy: a command that needs neither runs on an empty window.
+A grid ``count`` whose energies would outgrow physical memory
 (``_GRID_ENERGY_BYTES`` each) is refused through
-``model._guard_memory``, naming ``<block>.grid.count``.  Each command
+``model._guard_memory``, naming ``<block>.grid.count``, before any energy
+is made.  Each command
 block, "disorder" and each "grid" must be a JSON object (``_object``):
 any other value gives one violation, "'<name>' block must be a JSON
 object", and none about its keys; a null "disorder" or block is refused
@@ -36,9 +39,10 @@ the genericity check that ``critical`` runs needs no energy grid.
 Neither ``certify`` nor ``critical`` takes a tolerance: both read the
 exact verdict of ``furstenberg.model_closure``, so ``tol`` is an unknown
 key there.  ``null`` is rejected wherever a value belongs.  Once the
-model is valid, a given ``ids.h`` or ``localize.h`` that does not divide
-``ell`` by spectrum's rule (``_steps_per_cell``) is a violation naming
-the key, so every command refuses it before running.
+model is valid, a missing ``ids.h`` or ``localize.h`` is set to ell / 8,
+and a given one that does not divide ``ell`` by spectrum's rule
+(``_steps_per_cell``) is a violation naming the key, so every command
+refuses it before running.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -47,7 +51,7 @@ the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable
 
@@ -75,18 +79,14 @@ _GRID_ENERGY_BYTES = 2000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Energy grid: explicit points, an (lo, hi, count) range, or the default window."""
+    """Energy grid: explicit points, or ``count`` points across the certified window."""
 
     energies: tuple[float, ...] | None = None
-    lo: float | None = None
-    hi: float | None = None
     count: int = DEFAULT_GRID_COUNT
 
     def resolve(self, params: ModelParams) -> np.ndarray:
         if self.energies is not None:
             return np.asarray(self.energies, dtype=float)
-        if self.lo is not None and self.hi is not None:
-            return np.linspace(self.lo, self.hi, self.count)
         window = certified_window(params)
         return np.linspace(window.lo, window.hi, self.count)
 
@@ -113,7 +113,7 @@ class LyapunovSettings:
 class IdsSettings:
     grid: GridSpec = field(default_factory=GridSpec)
     length_cells: int = 50
-    h: float | None = None  # default ell / 8, see resolve_h
+    h: float | None = None  # default ell / 8, set by parse_config
     n_samples: int = 4
     boundary: str = DEFAULT_BOUNDARY
 
@@ -122,7 +122,7 @@ class IdsSettings:
 class LocalizeSettings:
     window: tuple[float, float] | None = None  # default: middle quarter of the window
     length_cells: int = 200
-    h: float | None = None  # default ell / 8, see resolve_h
+    h: float | None = None  # default ell / 8, set by parse_config
     boundary: str = DEFAULT_BOUNDARY
     n_paths: int = 1
     ref_steps: int = 20000  # estimator length for the reference exponent
@@ -134,11 +134,6 @@ class LocalizeSettings:
         center = 0.5 * (full.lo + full.hi)
         half = full.length / 8.0
         return EnergyInterval(center - half, center + half)
-
-
-def resolve_h(h: float | None, params: ModelParams) -> float:
-    """Grid step of the ``ids`` and ``localize`` blocks: ``h`` when given, else ell / 8."""
-    return params.ell / 8.0 if h is None else h
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,7 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
     if lo > hi:
         violations.append(f"{where}.grid needs lo <= hi")
         return GridSpec()
-    return GridSpec(lo=lo, hi=hi, count=n_points)
+    return GridSpec(energies=tuple(np.linspace(lo, hi, n_points).tolist()))
 
 
 def _grid_count(val: Any, name: str) -> int:
@@ -323,7 +318,9 @@ def parse_config(text: str) -> RunConfig:
         model = _checked(violations, ModelParams, n, arrays["V"], arrays["c"], ell, rho, disorder)
     if not violations:
         for name in ("ids", "localize"):
-            if settings[name].h is not None:
+            if settings[name].h is None:
+                settings[name] = replace(settings[name], h=model.ell / 8.0)
+            else:
                 _checked(violations, _divides_ell, model, settings[name].h, f"{name}.h")
     if violations:
         raise ConfigError(violations)

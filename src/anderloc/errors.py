@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Configuration-level problems (bad input data, impossible scan ranges)
-are separated from numeric failures at run time (overflow, factorization
-breakdown) because the command-line driver maps them to different exit
-statuses.
+Numeric failures at run time (overflow, a singular matrix, factorization
+breakdown) are the subclasses of ``NumericError``, and the command-line
+driver exits 4 on them; it exits 2 on every other package error (bad
+input data, impossible scan ranges, size guards).  The class tree is the
+one statement of that split.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class DimensionError(AnderlocError):
     """Matrix arguments have incompatible or invalid shapes."""
 
 
-class SingularMatrixError(AnderlocError):
-    """A matrix required to be invertible is numerically singular."""
-
-
 class SizeGuardError(AnderlocError):
     """A computation would exceed its size limit.
 
@@ -54,6 +51,10 @@ class ScanRangeError(AnderlocError):
 
 class NumericError(AnderlocError):
     """Base class for run-time numeric failures (exit status 4 in the CLI)."""
+
+
+class SingularMatrixError(NumericError):
+    """A matrix required to be invertible is numerically singular."""
 
 
 class InstabilityError(NumericError):

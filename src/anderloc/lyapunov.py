@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
 from .model import _GROWTH_ADVICE, ModelParams, _guard_memory, count, path_table, reals, sample_path
-from .seeding import _mean_stderr, derive_seed, stream
+from .seeding import _mean_stderr, as_seed, derive_seed, stream
 
 __all__ = [
     "EstimatorConfig",
@@ -83,6 +83,7 @@ class EstimatorConfig:
         object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps"))
         object.__setattr__(self, "n_replicas", count(self.n_replicas, "n_replicas"))
         object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", minimum=0))
+        object.__setattr__(self, "master_seed", as_seed(self.master_seed))
 
 
 @dataclass

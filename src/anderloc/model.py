@@ -146,6 +146,8 @@ class ModelParams:
         c = couplings(self.c, self.n)
         object.__setattr__(self, "ell", positive(self.ell, "ell"))
         object.__setattr__(self, "rho", radius(self.rho))
+        if not isinstance(self.disorder, DisorderSpec):
+            raise ValueError(f"disorder must be a DisorderSpec, got {self.disorder!r}")
         v.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "v", v)

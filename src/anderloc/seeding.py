@@ -12,6 +12,7 @@ results into a mean and a standard error.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,13 +29,14 @@ def _splitmix64(x: int) -> int:
 
 
 def as_seed(value: object) -> int:
-    """``value`` as a master seed: an int, not a bool, in [0, 2^64); else ``ValueError``.
+    """``value`` as a master seed: a Python int in [0, 2^64); else ``ValueError``.
 
+    Python and numpy integers pass; bools, floats and strings do not.
     ``derive_seed`` reduces seeds modulo 2^64, so -1 would alias 2^64 - 1.
     """
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= _MASK64:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or not 0 <= int(value) <= _MASK64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    return value
+    return int(value)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

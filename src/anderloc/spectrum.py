@@ -48,7 +48,7 @@ import numpy as np
 from .errors import DimensionError, FactorizationError, GridError, InstabilityError, ScanRangeError
 from .model import (EnergyInterval, ModelParams, _guard_memory, cell_matrix, count, path_table, positive, real,
                     reals, sample_path)
-from .seeding import _mean_stderr, derive_seed, stream
+from .seeding import _mean_stderr, as_seed, derive_seed, stream
 
 __all__ = [
     "FiniteRestriction",
@@ -393,6 +393,7 @@ def estimate_ids(
     is independent of the others.
     """
     count(n_samples, "n_samples")
+    master_seed = as_seed(master_seed)
     grid = np.sort(reals(energy_grid, "energy_grid"))
     paths = (sample_restriction(params, length_cells, h, boundary, stream(derive_seed(master_seed, s)))
              for s in range(n_samples))

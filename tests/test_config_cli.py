@@ -19,14 +19,17 @@ import pytest
 import anderloc
 from anderloc import cli, spectrum
 from anderloc.cli import build_parser, exit_code_for, main, write_csv
-from anderloc.config import parse_config, resolve_h
+from anderloc.config import parse_config
 from anderloc.errors import (
+    AnderlocError,
     ConfigError,
     DimensionError,
     FactorizationError,
     GridError,
     InstabilityError,
+    OracleRangeError,
     ScanRangeError,
+    SingularMatrixError,
     SizeGuardError,
 )
 from anderloc.furstenberg import tridiagonal_witness
@@ -138,6 +141,8 @@ class TestParseConfig:
         assert cfg.lyapunov.grid.resolve(cfg.model).tolist() == [0.1, 0.2]
         cfg = parse_config(config_with(lyapunov={"grid": {"lo": 0.0, "hi": 1.0, "count": 5}}))
         assert len(cfg.lyapunov.grid.resolve(cfg.model)) == 5
+        # a range is stored as its energies
+        assert np.array_equal(cfg.lyapunov.grid.energies, np.linspace(0.0, 1.0, 5))
         cfg = parse_config(config_with())
         grid = cfg.lyapunov.grid.resolve(cfg.model)
         assert len(grid) == 21  # default grid spans the certified window
@@ -194,6 +199,17 @@ _ONE = ModelParams(n=1, v=np.zeros((1, 1)), c=np.ones(1), ell=0.1)
         (lambda: _rng_untouched(lambda rng: sample_restriction(_ONE, 10**12, 0.0125, "dirichlet", rng)),
          SizeGuardError, "the finite restriction at L = 1000000000000, h = 0.0125 needs about"),
         (lambda: estimate_ids(_ONE, [0.0], 2, 0.0125, n_samples=1.5), ValueError, "n_samples must be an integer"),
+        # library seeds follow the seed rule of the config's seed key and --seed
+        *((lambda seed=seed: EstimatorConfig(n_steps=10, master_seed=seed), ValueError, "seed must be an unsigned")
+          for seed in (-1, True, 1.5, "3", 2**64)),
+        *((lambda seed=seed: estimate_ids(_ONE, [0.0], 2, 0.0125, n_samples=1, master_seed=seed),
+           ValueError, "seed must be an unsigned") for seed in (-1, True, 1.5, "3", np.int64(-1))),
+        (lambda: ModelParams(n=1, v=np.eye(1), c=np.ones(1), ell=0.1, disorder=((0.0, 0.5), (1.0, 0.5))),
+         ValueError, "disorder must be a DisorderSpec, got ((0.0, 0.5), (1.0, 0.5))"),
+        (lambda: ModelParams(n=1, v=np.eye(1), c=np.ones(1), ell=0.1, disorder=None),
+         ValueError, "disorder must be a DisorderSpec, got None"),
+        (lambda: ModelParams(n=1, v=np.eye(1), c=np.ones(1), ell=0.1, disorder="bernoulli"),
+         ValueError, "disorder must be a DisorderSpec, got 'bernoulli'"),
         # entries of V and c follow the number rule: no complex, string or boolean entries
         (lambda: ModelParams(n=2, v=[[0, 1j], [-1j, 0]], c=[1, 1], ell=0.1),
          ValueError, "V entries must be finite real numbers, got 1j"),
@@ -228,12 +244,15 @@ def test_library_rejects_the_sizes_the_config_rejects(build, error, message):
 def test_library_accepts_numpy_integers():
     params = ModelParams(n=np.int64(1), v=np.zeros((1, 1)), c=np.ones(1), ell=np.float64(0.1))
     assert params.n == 1 and type(params.n) is int
-    est = EstimatorConfig(n_steps=np.int32(10), n_replicas=np.int64(2), burn_in=np.uint8(0))
-    assert (est.n_steps, est.n_replicas, est.burn_in) == (10, 2, 0)
+    est = EstimatorConfig(n_steps=np.int32(10), n_replicas=np.int64(2), burn_in=np.uint8(0), master_seed=np.int64(3))
+    assert (est.n_steps, est.n_replicas, est.burn_in, est.master_seed) == (10, 2, 0, 3)
+    assert type(est.master_seed) is int
     restriction = FiniteRestriction(np.int64(1), "neumann", np.float32(0.0125), np.zeros((2, 1)))
     assert restriction.length_cells == 1 and restriction.h == float(np.float32(0.0125))
     curve = estimate_ids(params, [0.0], np.int64(2), 0.0125, n_samples=np.int64(2))
     assert curve.n_samples == 2
+    assert np.array_equal(estimate_ids(params, [0.0], 2, 0.0125, n_samples=2, master_seed=np.uint64(0)).values,
+                          curve.values)
     # numpy integer and float arrays pass the number rule
     wide = ModelParams(n=2, v=np.array([[0, 1], [1, 0]], dtype=np.int32), c=np.array([1, 2], dtype=np.int8),
                        ell=0.1, disorder=DisorderSpec(np.array([[0.0, 0.5], [1.0, 0.5]], dtype=np.float32)))
@@ -344,8 +363,8 @@ def test_unknown_keys_are_config_errors(overrides, violations):
 
 def test_grid_step_defaults_to_an_eighth_of_ell():
     cfg = parse_config(config_with(ids={"h": 0.025}))
-    assert resolve_h(cfg.ids.h, cfg.model) == 0.025
-    assert resolve_h(cfg.localize.h, cfg.model) == 0.1 / 8.0
+    assert cfg.ids.h == 0.025
+    assert cfg.localize.h == 0.1 / 8.0
 
 
 def test_top_level_value_must_be_an_object():
@@ -357,8 +376,8 @@ def test_top_level_value_must_be_an_object():
 @pytest.mark.parametrize("ell", [0.1, 0.3, 1.0 / 3.0, 0.7, 1e-7, 123.456])
 def test_the_default_grid_step_is_never_refused(ell):
     cfg = parse_config(config_with(ell=ell))
-    assert cfg.ids.h is None and cfg.localize.h is None
-    assert spectrum._steps_per_cell(cfg.model, resolve_h(None, cfg.model)) == 8
+    assert cfg.ids.h == cfg.localize.h == ell / 8.0
+    assert spectrum._steps_per_cell(cfg.model, cfg.ids.h) == 8
 
 
 def test_default_localize_window_is_the_middle_quarter():
@@ -370,11 +389,12 @@ def test_default_localize_window_is_the_middle_quarter():
 
 class TestExitCodeMapping:
     def test_config_like_errors_map_to_two(self):
-        for exc in (ConfigError(["x"]), GridError("x"), ScanRangeError("x"), SizeGuardError("x")):
+        for exc in (ConfigError(["x"]), GridError("x"), ScanRangeError("x"), SizeGuardError("x"),
+                    DimensionError("x"), AnderlocError("x")):
             assert exit_code_for(exc) == 2
 
     def test_numeric_errors_map_to_four(self):
-        for exc in (InstabilityError("x"), FactorizationError("x")):
+        for exc in (InstabilityError("x"), FactorizationError("x"), SingularMatrixError("x"), OracleRangeError("x")):
             assert exit_code_for(exc) == 4
 
 
