@@ -39,10 +39,10 @@ the genericity check that ``critical`` runs needs no energy grid.
 Neither ``certify`` nor ``critical`` takes a tolerance: both read the
 exact verdict of ``furstenberg.model_closure``, so ``tol`` is an unknown
 key there.  ``null`` is rejected wherever a value belongs.  Once the
-model is valid, a missing ``ids.h`` or ``localize.h`` is set to ell / 8,
-and a given one that does not divide ``ell`` by spectrum's rule
-(``_steps_per_cell``) is a violation naming the key, so every command
-refuses it before running.
+model is valid, a given ``ids.h`` or ``localize.h`` that does not divide
+``ell`` by spectrum's rule (``_steps_per_cell``) is a violation naming the
+key, so every command refuses it before running; ``RunConfig`` sets a
+missing one to ell / 8, however it is built.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -79,16 +79,15 @@ _GRID_ENERGY_BYTES = 2000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Energy grid: explicit points, or ``count`` points across the certified window."""
+    """Energy grid: explicit points, or ``DEFAULT_GRID_COUNT`` points across the certified window."""
 
     energies: tuple[float, ...] | None = None
-    count: int = DEFAULT_GRID_COUNT
 
     def resolve(self, params: ModelParams) -> np.ndarray:
         if self.energies is not None:
             return np.asarray(self.energies, dtype=float)
         window = certified_window(params)
-        return np.linspace(window.lo, window.hi, self.count)
+        return np.linspace(window.lo, window.hi, DEFAULT_GRID_COUNT)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class LyapunovSettings:
 class IdsSettings:
     grid: GridSpec = field(default_factory=GridSpec)
     length_cells: int = 50
-    h: float | None = None  # default ell / 8, set by parse_config
+    h: float | None = None  # default ell / 8, set by RunConfig
     n_samples: int = 4
     boundary: str = DEFAULT_BOUNDARY
 
@@ -122,7 +121,7 @@ class IdsSettings:
 class LocalizeSettings:
     window: tuple[float, float] | None = None  # default: middle quarter of the window
     length_cells: int = 200
-    h: float | None = None  # default ell / 8, set by parse_config
+    h: float | None = None  # default ell / 8, set by RunConfig
     boundary: str = DEFAULT_BOUNDARY
     n_paths: int = 1
     ref_steps: int = 20000  # estimator length for the reference exponent
@@ -145,6 +144,12 @@ class RunConfig:
     lyapunov: LyapunovSettings
     ids: IdsSettings
     localize: LocalizeSettings
+
+    def __post_init__(self) -> None:
+        """Set a missing ``ids.h`` or ``localize.h`` to ell / 8."""
+        for name in ("ids", "localize"):
+            if getattr(self, name).h is None:
+                object.__setattr__(self, name, replace(getattr(self, name), h=self.model.ell / 8.0))
 
 
 def _checked(violations: list[str], check: Callable[..., Any], *args: Any) -> Any:
@@ -318,9 +323,9 @@ def parse_config(text: str) -> RunConfig:
         model = _checked(violations, ModelParams, n, arrays["V"], arrays["c"], ell, rho, disorder)
     if not violations:
         for name in ("ids", "localize"):
-            if settings[name].h is None:
-                settings[name] = replace(settings[name], h=model.ell / 8.0)
-            else:
+            # a given step only: RunConfig's default ell / 8 divides ell, and at a
+            # subnormal ell it is 0, which _steps_per_cell would divide by
+            if settings[name].h is not None:
                 _checked(violations, _divides_ell, model, settings[name].h, f"{name}.h")
     if violations:
         raise ConfigError(violations)

@@ -19,7 +19,16 @@ import pytest
 import anderloc
 from anderloc import cli, spectrum
 from anderloc.cli import build_parser, exit_code_for, main, write_csv
-from anderloc.config import parse_config
+from anderloc.config import (
+    CertifySettings,
+    CriticalSettings,
+    GridSpec,
+    IdsSettings,
+    LocalizeSettings,
+    LyapunovSettings,
+    RunConfig,
+    parse_config,
+)
 from anderloc.errors import (
     AnderlocError,
     ConfigError,
@@ -378,6 +387,25 @@ def test_the_default_grid_step_is_never_refused(ell):
     cfg = parse_config(config_with(ell=ell))
     assert cfg.ids.h == cfg.localize.h == ell / 8.0
     assert spectrum._steps_per_cell(cfg.model, cfg.ids.h) == 8
+
+
+def test_a_run_config_built_without_the_parser_defaults_the_grid_step():
+    blocks = {"ids": {"energies": [0.5, 2.0], "L": 2, "n_samples": 1},
+              "localize": {"window": [0.5, 0.9], "L": 4, "ref_steps": 100}}
+    parsed = parse_config(config_with(**blocks))
+    built = RunConfig(
+        model=parsed.model,
+        seed=parsed.seed,
+        certify=CertifySettings(),
+        critical=CriticalSettings(),
+        lyapunov=LyapunovSettings(),
+        ids=IdsSettings(grid=GridSpec(energies=(0.5, 2.0)), length_cells=2, n_samples=1),
+        localize=LocalizeSettings(window=(0.5, 0.9), length_cells=4, ref_steps=100),
+    )
+    assert built.ids.h == built.localize.h == 0.1 / 8.0
+    for command in (cli.cmd_ids, cli.cmd_localize):
+        ours, theirs = command(built, 7), command(parsed, 7)
+        assert (ours.stdout, ours.tables, ours.status) == (theirs.stdout, theirs.tables, theirs.status)
 
 
 def test_default_localize_window_is_the_middle_quarter():
