@@ -323,8 +323,7 @@ def parse_config(text: str) -> RunConfig:
         model = _checked(violations, ModelParams, n, arrays["V"], arrays["c"], ell, rho, disorder)
     if not violations:
         for name in ("ids", "localize"):
-            # a given step only: RunConfig's default ell / 8 divides ell, and at a
-            # subnormal ell it is 0, which _steps_per_cell would divide by
+            # a given step only: RunConfig's default ell / 8 divides ell
             if settings[name].h is not None:
                 _checked(violations, _divides_ell, model, settings[name].h, f"{name}.h")
     if violations:

@@ -130,7 +130,10 @@ class ModelParams:
     the radius of the ball certified to lie inside the log of the density
     criterion's identity neighborhood.  ``rho`` defaults to log 2, the
     computable radius on which log(exp(ell X)) = ell X is guaranteed; it
-    is configuration so users can tighten it.
+    is configuration so users can tighten it.  An ``ell`` so small that
+    2 rho / ell, which bounds the width of the certified window that the
+    default energy grids span, is not a finite float raises ``ValueError``
+    naming ell.
     """
 
     n: int
@@ -146,6 +149,9 @@ class ModelParams:
         c = couplings(self.c, self.n)
         object.__setattr__(self, "ell", positive(self.ell, "ell"))
         object.__setattr__(self, "rho", radius(self.rho))
+        if not math.isfinite(2.0 * self.rho / self.ell):
+            raise ValueError(f"ell = {self.ell!r} is too small: the certified window's width bound 2 rho / ell "
+                             f"overflows (rho = {self.rho:.12g})")
         if not isinstance(self.disorder, DisorderSpec):
             raise ValueError(f"disorder must be a DisorderSpec, got {self.disorder!r}")
         v.setflags(write=False)

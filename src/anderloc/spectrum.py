@@ -419,7 +419,9 @@ def _lapack():
     ``ExtensionFileLoader`` under the name ``anderloc._flapack``, so neither
     ``scipy`` nor any ``scipy.*`` module enters ``sys.modules``.  Raises
     ``ImportError`` when scipy is not installed or the file is missing,
-    naming the path looked for.
+    naming the path looked for.  The OpenBLAS library that the extension
+    links reads ``OPENBLAS_NUM_THREADS`` when it loads, so it runs on the
+    one thread that importing ``anderloc`` sets unless the variable is set.
     """
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:

@@ -46,6 +46,21 @@ from anderloc.lyapunov import EstimatorConfig
 from anderloc.model import DisorderSpec, ModelParams, certified_window
 from anderloc.spectrum import FiniteRestriction, estimate_ids, sample_restriction
 
+
+def fresh_python(*args, **env):
+    """Stdout of ``python *args`` in a new interpreter that imports this package; ``env`` None values are unset."""
+    src = os.path.dirname(os.path.dirname(anderloc.__file__))
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for key, value in env.items():
+        if value is None:
+            child.pop(key, None)
+        else:
+            child[key] = value
+    proc = subprocess.run([sys.executable, *args], env=child, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 MINIMAL = {
     "N": 1,
     "V": [[0.0]],
@@ -297,6 +312,9 @@ NAN, INF = float("nan"), float("inf")
         ({"disorder": None}, "'disorder' block must be a JSON object"),
         ({"N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [True, 1.0]}, "c entries"),
         ({"disorder": {"atoms": [[0.0, 0.5], [True, 0.5]]}}, "disorder.atoms"),
+        # 2 rho / ell overflows: the window read [-inf, inf] and the default grids NaN
+        ({"ell": 5e-324}, "ell = 5e-324 is too small"),
+        ({"ell": 1e-310}, "ell = 1e-310 is too small"),
     ],
 )
 def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, overrides, violation):
@@ -306,7 +324,7 @@ def test_non_finite_numbers_and_bool_counts_are_config_errors(tmp_path, capsys, 
     assert any(v.startswith(violation) for v in exc.value.violations)
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    for command in ("interval", "certify"):
+    for command in ("interval", "certify", "ids"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert violation in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
@@ -723,12 +741,8 @@ class TestCommandLine:
             "    assert main([command, '--config', cfg, '--out', out]) == 0, command",
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
         ])
-        src = os.path.dirname(os.path.dirname(anderloc.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-c", script, write_config(tmp_path, **SMALL_BLOCKS), str(tmp_path / "out")]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        stdout = fresh_python("-c", script, write_config(tmp_path, **SMALL_BLOCKS), str(tmp_path / "out"))
+        assert json.loads(stdout.splitlines()[-1]) == []
 
     def test_summary_prints_the_separation_verdict(self, tmp_path, capsys):
         # gamma_1 > 0 here, but 200 steps cannot clear the 3 sigma bar at E = 2
@@ -818,6 +832,37 @@ def test_readme_configuration_matches_the_parser():
         explicit = parse_config(json.dumps({**required, key: json.loads(rows[key].strip().strip("`"))}))
         assert value(explicit) == value(implicit), key
     assert rows["rho"].strip() == "log 2" and implicit.model.rho == math.log(2.0)
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_import_sets_one_openblas_thread_unless_set(preset, threads):
+    script = ("import json, os, sys, anderloc; threads = os.environ.get('OPENBLAS_NUM_THREADS'); import anderloc.cli; "
+              "print(json.dumps([threads, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    assert json.loads(fresh_python("-c", script, OPENBLAS_NUM_THREADS=preset)) == [threads, []]
+
+
+# perfbench's report-desk configuration (perfbench/run.py DESK)
+DESK = {
+    "N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [1.0, 1.0], "ell": 0.1,
+    "disorder": {"atoms": [[0.0, 0.5], [1.0, 0.5]]},
+    "certify": {"grid": {"lo": -4.5, "hi": 5.5, "count": 21}},
+    "critical": {"grid_step": 0.1},
+    "lyapunov": {"grid": {"lo": -4.5, "hi": 0.0, "count": 10}, "n_steps": 1000, "n_replicas": 8},
+    "ids": {"grid": {"lo": 0.0, "hi": 8.0, "count": 17}, "L": 50, "h": 0.0125, "n_samples": 2},
+    "localize": {"window": [-1.0, 3.0], "L": 60, "h": 0.0125, "n_paths": 2, "ref_steps": 4000},
+}
+
+
+def test_openblas_thread_count_leaves_every_csv_unchanged(tmp_path):
+    cfg = tmp_path / "desk.json"
+    cfg.write_text(json.dumps(DESK))
+    tables = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        fresh_python("-m", "anderloc.cli", "report", "--config", str(cfg), "--out", str(out), "--seed", "0",
+                     OPENBLAS_NUM_THREADS=threads)
+        tables[threads] = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    assert len(tables["1"]) == 5 and tables["1"] == tables["2"]
 
 
 def test_exports_resolve():

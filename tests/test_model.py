@@ -405,6 +405,18 @@ class TestEnergyInterval:
         assert lengths[0] < lengths[1] < lengths[2]
         assert lengths[2] > 1000
 
+    @pytest.mark.parametrize("rho", [DEFAULT_RHO, 1.0, 1e-3])
+    def test_smallest_accepted_ell_gives_a_finite_window(self, rho):
+        # the float just below the first ell with a finite 2 rho / ell is refused, naming ell
+        ell = float(np.nextafter(2.0 * rho / np.finfo(float).max, 0.0))
+        while not math.isfinite(2.0 * rho / ell):
+            ell = float(np.nextafter(ell, 1.0))
+        with pytest.raises(ValueError, match=r"^ell = .* is too small"):
+            make_params(ell=float(np.nextafter(ell, 0.0)), rho=rho)
+        window = energy_interval(make_params(ell=ell, rho=rho))
+        assert not window.is_empty
+        assert math.isfinite(window.lo) and math.isfinite(window.hi) and math.isfinite(window.hi - window.lo)
+
     def test_norm_condition_inside_window(self):
         # with ell <= rho, every binary cell satisfies ell * norm <= rho on the window
         rng = np.random.default_rng(25)
