@@ -17,9 +17,10 @@ an empty energy window); 3 non-generic interaction detected by
 (overflow, a singular matrix, factorization breakdown).
 
 Each subcommand is a function ``(cfg, seed) -> CommandResult`` that
-computes its tables, its stdout text and its exit status without touching
-the disk; ``main`` writes every result the same way, and ``report`` is the
-composition of the other six subcommands plus a summary.
+computes its output files (file name -> exact text), its stdout text and
+its exit status without touching the disk; ``main`` writes every file the
+same way, and ``report`` is the composition of the other six subcommands
+plus a summary.
 
 Determinism: every stochastic task draws from a stream derived as a
 64-bit mix of (master seed, command id, task index), so identical
@@ -75,10 +76,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV atomically with the fixed documented header."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text of a CSV file: the fixed documented header, then one line per row."""
     lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -96,28 +97,18 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class Table:
-    """One CSV artifact: file name in the output directory, fixed header, rows."""
-
-    name: str
-    header: Sequence[str]
-    rows: list
-
-
 @dataclass
 class CommandResult:
     """Everything a subcommand produced; ``main`` writes it out.
 
-    ``tables`` and ``texts`` (file name -> contents) go to the output
-    directory, ``stdout`` and ``stderr`` to the standard streams, ``status``
-    becomes the exit status, and ``data`` holds the domain objects
-    ``report`` summarizes.
+    ``files`` maps each file name in the output directory to the exact text
+    written there, ``stdout`` and ``stderr`` go to the standard streams,
+    ``status`` becomes the exit status, and ``data`` holds the domain
+    objects ``report`` summarizes.
     """
 
     stdout: str
-    tables: list[Table] = field(default_factory=list)
-    texts: dict[str, str] = field(default_factory=dict)
+    files: dict[str, str] = field(default_factory=dict)
     status: int = EXIT_OK
     data: Any = None
     stderr: str = ""
@@ -145,15 +136,14 @@ def cmd_certify(cfg: RunConfig, seed: int) -> CommandResult:
     window = energy_interval(cfg.model)  # may be empty on an explicit grid: then no norm_ok
     certs = [density_certificate(cfg.model, e, closure, window) for e in grid]
     n_cert = sum(c.certified for c in certs)
-    table = Table(
-        "certificates.csv",
+    text = csv_text(
         ["E", "norm_ok", "closure_dim", "target_dim", "certified"],
-        [(c.energy, c.norm_condition, c.closure.dim_reached, c.closure.target_dim, c.certified)
-         for c in certs],
+        ((c.energy, c.norm_condition, c.closure.dim_reached, c.closure.target_dim, c.certified)
+         for c in certs),
     )
     return CommandResult(
         stdout=f"certified {n_cert}/{len(certs)} energies (rho = {cfg.model.rho:.12g})\n",
-        tables=[table],
+        files={"certificates.csv": text},
         data=certs,
     )
 
@@ -162,14 +152,14 @@ def cmd_critical(cfg: RunConfig, seed: int) -> CommandResult:
     window = certified_window(cfg.model)
     closure = model_closure(cfg.model)
     # the closure is deficient everywhere or nowhere, so there is no bracket to list
-    table = Table("critical.csv", ["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"], [])
+    files = {"critical.csv": csv_text(["E_lo", "E_hi", "E_mid", "dim_reached", "target_dim", "tol"], [])}
     if not closure.full:
         groups = ", ".join("{" + ", ".join(map(str, k)) + "}" for k in closure.components)
         note = f"non-generic interaction: closure deficient at every energy (uncoupled channel groups {groups})\n"
-        return CommandResult(stdout="", tables=[table], status=EXIT_NON_GENERIC, data=closure, stderr=note)
+        return CommandResult(stdout="", files=files, status=EXIT_NON_GENERIC, data=closure, stderr=note)
     return CommandResult(
         stdout=f"0 critical energies in [{window.lo:.6g}, {window.hi:.6g}]\n",
-        tables=[table],
+        files=files,
         data=closure,
     )
 
@@ -192,14 +182,14 @@ def cmd_lyapunov(cfg: RunConfig, seed: int) -> CommandResult:
         master_seed=derive_seed(seed, CMD_LYAPUNOV),
     )
     scan = separability_scan(cfg.model, cfg.lyapunov.grid.resolve(cfg.model), est)
-    rows = [
+    rows = (
         (r.spectrum.energy, *r.spectrum.gammas, *r.spectrum.stderrs,
          est.n_steps, est.n_replicas, r.spectrum.config.master_seed)
         for r in scan
-    ]
+    )
     return CommandResult(
-        stdout=f"estimated spectra at {len(rows)} energies\n",
-        tables=[Table("lyapunov.csv", _lyapunov_header(cfg.model.n), rows)],
+        stdout=f"estimated spectra at {len(scan)} energies\n",
+        files={"lyapunov.csv": csv_text(_lyapunov_header(cfg.model.n), rows)},
         data=scan,
     )
 
@@ -214,17 +204,16 @@ def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
         master_seed=derive_seed(seed, CMD_IDS),
         boundary=cfg.ids.boundary,
     )
-    table = Table(
-        "ids.csv",
+    text = csv_text(
         ["E", "N_hat", "stderr", "L", "h", "n_samples", "boundary"],
-        [
+        (
             (e, v, s, curve.length_cells, curve.h, curve.n_samples, curve.boundary)
             for e, v, s in zip(curve.energies, curve.values, curve.stderrs)
-        ],
+        ),
     )
     return CommandResult(
         stdout=f"IDS sampled at {len(curve.energies)} energies, {curve.n_samples} disorder paths\n",
-        tables=[table],
+        files={"ids.csv": text},
     )
 
 
@@ -246,19 +235,18 @@ def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
             reports.extend(eigen_decay(cfg.model, restriction, window, gamma_ref=gamma_ref))
         except FactorizationError as exc:
             raise FactorizationError(f"localize path {path_idx + 1} of {loc.n_paths}: {exc}") from None
-    table = Table(
-        "decay.csv",
+    text = csv_text(
         ["eigenvalue", "center", "fitted_rate", "residual", "L", "h"],
-        [
+        (
             (r.eigenvalue, r.localization_center, r.fitted_rate, r.fit_residual,
              loc.length_cells, loc.h)
             for r in reports
-        ],
+        ),
     )
     return CommandResult(
         stdout=f"{len(reports)} states in [{window.lo:.6g}, {window.hi:.6g}]; "
         f"reference exponent {gamma_ref:.6g}\n",
-        tables=[table],
+        files={"decay.csv": text},
         data=(reports, window, gamma_ref),
     )
 
@@ -352,8 +340,8 @@ def cmd_report(cfg: RunConfig, seed: int) -> CommandResult:
     lines.append("")
     return CommandResult(
         stdout=interval_text,
-        tables=[table for part in parts for table in part.tables],
-        texts={"summary.txt": "\n".join(lines), "plot_results.py": _PLOT_SCRIPT},
+        files={name: text for part in parts for name, text in part.files.items()}
+        | {"summary.txt": "\n".join(lines), "plot_results.py": _PLOT_SCRIPT},
         status=critical.status,
         stderr=critical.stderr,
     )
@@ -417,9 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     try:
-        for table in result.tables:
-            write_csv(os.path.join(args.out, table.name), table.header, table.rows)
-        for name, text in result.texts.items():
+        for name, text in result.files.items():
             _write_text(os.path.join(args.out, name), text)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

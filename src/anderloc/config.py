@@ -39,10 +39,13 @@ the genericity check that ``critical`` runs needs no energy grid.
 Neither ``certify`` nor ``critical`` takes a tolerance: both read the
 exact verdict of ``furstenberg.model_closure``, so ``tol`` is an unknown
 key there.  ``null`` is rejected wherever a value belongs.  Once the
-model is valid, a given ``ids.h`` or ``localize.h`` that does not divide
-``ell`` by spectrum's rule (``_steps_per_cell``) is a violation naming the
-key, so every command refuses it before running; ``RunConfig`` sets a
-missing one to ell / 8, however it is built.
+model is valid, a given ``ids.h`` or ``localize.h`` that spectrum refuses,
+one too small for its kinetic term 2 / h^2 to be a finite float
+(``_grid_step``) or one that does not divide ``ell`` (``_steps_per_cell``),
+is a violation naming the key, so every command refuses it before running;
+``RunConfig`` sets a missing one to ell / 8, however it is built, and
+only ``ids`` and ``localize``, when they make a restriction, test that
+default against ``_grid_step``.
 
 Validation is all-at-once: every violation found is reported, not just
 the first.
@@ -62,7 +65,7 @@ from .lyapunov import EstimatorConfig
 from .model import DEFAULT_RHO, DisorderSpec, EnergyInterval, ModelParams, _guard_memory, certified_window, couplings
 from .model import count, interaction, positive, radius, real, reals
 from .seeding import as_seed
-from .spectrum import DEFAULT_BOUNDARY, _steps_per_cell, boundary_name
+from .spectrum import DEFAULT_BOUNDARY, _grid_step, _steps_per_cell, boundary_name
 
 __all__ = [
     "RunConfig",
@@ -72,8 +75,9 @@ __all__ = [
 
 DEFAULT_GRID_COUNT = 21
 # Bytes per grid energy that a command and its CSV text hold, rounded up from
-# the largest measured peak (tracemalloc, 6000 to 10^5 energies): about 350 for
-# certify and ids, 1.4 K for lyapunov at N = 2 and 1.9 K at N = 4.
+# the largest measured peak (tracemalloc, 6000 to 10^5 energies, the write
+# included): about 340 for certify, 410 for ids, 1.2 K for lyapunov at N = 2
+# and 1.6 K at N = 4.
 _GRID_ENERGY_BYTES = 2000
 
 
@@ -218,10 +222,10 @@ def _window(val: Any, name: str) -> tuple[float, float]:
     return tuple(window.tolist())
 
 
-def _divides_ell(params: ModelParams, h: float, name: str) -> None:
-    """Refuse a grid step that spectrum's ``_steps_per_cell`` refuses, naming the key."""
+def _usable_step(params: ModelParams, h: float, name: str) -> None:
+    """Refuse a grid step that spectrum's ``_grid_step`` or ``_steps_per_cell`` refuses, naming the key."""
     try:
-        _steps_per_cell(params, h)
+        _steps_per_cell(params, _grid_step(h))
     except GridError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
@@ -323,9 +327,9 @@ def parse_config(text: str) -> RunConfig:
         model = _checked(violations, ModelParams, n, arrays["V"], arrays["c"], ell, rho, disorder)
     if not violations:
         for name in ("ids", "localize"):
-            # a given step only: RunConfig's default ell / 8 divides ell
+            # a given step only: the default ell / 8 divides ell, and only ids and localize need its 2/h^2 finite
             if settings[name].h is not None:
-                _checked(violations, _divides_ell, model, settings[name].h, f"{name}.h")
+                _checked(violations, _usable_step, model, settings[name].h, f"{name}.h")
     if violations:
         raise ConfigError(violations)
     return RunConfig(model=model, seed=seed, **settings)

@@ -40,6 +40,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -193,10 +194,19 @@ def sample_restriction(
 
 
 def _grid_step(h: object) -> float:
+    """``h`` as a float when it is positive and the kinetic term 2 / h^2 is a finite float; else ``GridError``.
+
+    h * h is tested before it divides, so a step whose square underflows to
+    0 (below about 1.5e-162) is refused like one whose 2 / h^2 overflows
+    (below about 1.06e-154).
+    """
     try:
-        return positive(h, "h")
+        h = positive(h, "h")
     except ValueError as exc:
         raise GridError(f"grid step {exc}") from None
+    if not (h * h > 0.0 and math.isfinite(2.0 / (h * h))):
+        raise GridError(f"grid step h = {h!r} is too small: the kinetic term 2/h^2 is not a finite float")
+    return h
 
 
 def _steps_per_cell(params: ModelParams, h: float) -> int:

@@ -18,7 +18,7 @@ import pytest
 
 import anderloc
 from anderloc import cli, spectrum
-from anderloc.cli import build_parser, exit_code_for, main, write_csv
+from anderloc.cli import _write_text, build_parser, csv_text, exit_code_for, main
 from anderloc.config import (
     CertifySettings,
     CriticalSettings,
@@ -375,6 +375,11 @@ def test_config_and_model_give_one_message_for_a_bad_interaction(v):
         ({"ids": {"h": 0.2}, "localize": {"h": 0.03}},
          ["ids.h: grid step h = 0.2 does not divide the cell length ell = 0.1",
           "localize.h: grid step h = 0.03 does not divide the cell length ell = 0.1"]),
+        # a given step whose kinetic term 2/h^2 overflows (about h < 1.06e-154) is refused under its key
+        ({"ell": 1e-150, "ids": {"h": 1e-155}},
+         ["ids.h: grid step h = 1e-155 is too small: the kinetic term 2/h^2 is not a finite float"]),
+        ({"ell": 1e-150, "localize": {"h": 1e-160}},
+         ["localize.h: grid step h = 1e-160 is too small: the kinetic term 2/h^2 is not a finite float"]),
         # the step is checked against a valid model only
         ({"ids": {"h": 0.03}, "ell": -1.0}, ["ell must be a positive finite number, got -1.0"]),
         # a disorder law without atoms names the missing key, as a missing V or c does
@@ -423,7 +428,7 @@ def test_a_run_config_built_without_the_parser_defaults_the_grid_step():
     assert built.ids.h == built.localize.h == 0.1 / 8.0
     for command in (cli.cmd_ids, cli.cmd_localize):
         ours, theirs = command(built, 7), command(parsed, 7)
-        assert (ours.stdout, ours.tables, ours.status) == (theirs.stdout, theirs.tables, theirs.status)
+        assert (ours.stdout, ours.files, ours.status) == (theirs.stdout, theirs.files, theirs.status)
 
 
 def test_default_localize_window_is_the_middle_quarter():
@@ -447,9 +452,10 @@ class TestExitCodeMapping:
 class TestCsvWriter:
     def test_atomic_write_and_formatting(self, tmp_path):
         path = str(tmp_path / "sub" / "table.csv")
-        write_csv(path, ["a", "b", "flag"], [(0.1, 2, True), (float(np.float64(0.25)), -3, False)])
-        text = open(path).read()
+        text = csv_text(["a", "b", "flag"], [(0.1, 2, True), (float(np.float64(0.25)), -3, False)])
         assert text == "a,b,flag\n0.1,2,1\n0.25,-3,0\n"
+        _write_text(path, text)
+        assert open(path).read() == text
         assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path / "sub"))
 
     def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
@@ -458,7 +464,7 @@ class TestCsvWriter:
 
         monkeypatch.setattr(cli.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            write_csv(str(tmp_path / "table.csv"), ["a"], [(1,)])
+            _write_text(str(tmp_path / "table.csv"), csv_text(["a"], [(1,)]))
         assert os.listdir(tmp_path) == []
 
 
@@ -595,6 +601,27 @@ class TestCommandLine:
         assert captured.err == ("configuration error:\n"
                                 f"  - {key}.h: grid step h = 0.03 does not divide the cell length ell = 0.1\n")
         assert captured.out == "" and not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("ell", [1e-200, 1e-160])
+    def test_a_default_grid_step_too_small_for_the_band_exits_two(self, tmp_path, capsys, ell):
+        # at ell / 8 the square of h underflows to 0 (ell 1e-200) or 2/h^2 overflows (ell 1e-160); the band
+        # then failed with a traceback, and the commands that build no restriction still run
+        path = write_config(tmp_path, ell=ell, ids={"n_samples": 1}, localize={"ref_steps": 10})
+        assert main(["interval", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        for command in ("ids", "localize"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (f"error: grid step h = {ell / 8!r} is too small: "
+                                               "the kinetic term 2/h^2 is not a finite float\n")
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", ["interval", "certify", "critical", "lyapunov", "ids", "localize", "report"])
+    def test_a_given_grid_step_too_small_for_the_band_runs_no_command(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, ell=1e-150, ids={"h": 1e-155})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("configuration error:\n  - ids.h: grid step h = 1e-155 is too small: "
+                                           "the kinetic term 2/h^2 is not a finite float\n")
+        assert not os.path.exists(tmp_path / "o")
 
     def test_localize_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)

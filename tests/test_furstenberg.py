@@ -612,7 +612,7 @@ class TestCriticalScan:
         window = energy_interval(params)
         assert result.status == EXIT_OK
         assert result.data.full and result.data.target_dim == 3
-        assert [t.rows for t in result.tables] == [[]]
+        assert result.files == {"critical.csv": "E_lo,E_hi,E_mid,dim_reached,target_dim,tol\n"}
         assert result.stdout == f"0 critical energies in [{window.lo:.6g}, {window.hi:.6g}]\n"
 
     def test_tridiagonal_witness_clean(self, monkeypatch):
@@ -632,7 +632,7 @@ class TestCriticalScan:
         result = critical(make_params(2, np.zeros((2, 2))))
         assert result.status == EXIT_NON_GENERIC
         assert not result.data.full and result.data.dim_reached == 6
-        assert [t.rows for t in result.tables] == [[]]
+        assert result.files == {"critical.csv": "E_lo,E_hi,E_mid,dim_reached,target_dim,tol\n"}
         assert result.stdout == ""
 
     def test_empty_window_rejected(self):

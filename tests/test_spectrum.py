@@ -1,5 +1,7 @@
 """Finite-volume checks: discretization, inertia counting, shooting, IDS, decay."""
 
+import importlib.machinery
+import importlib.util
 import math
 import re
 import tracemalloc
@@ -66,6 +68,14 @@ def dirichlet_laplacian_eigs(domain, n_interior):
 
 
 class TestDiscretize:
+    def test_a_step_too_small_for_the_kinetic_term_is_refused(self):
+        # 2/h^2 overflows below about h = 1.06e-154, and h^2 underflows to 0 below about 1.5e-162
+        path = np.zeros((2, 1))
+        assert FiniteRestriction(1, "dirichlet", 1.06e-154, path).h == 1.06e-154
+        for h in (1.05e-154, 1e-200, 5e-324):
+            with pytest.raises(GridError, match=rf"^grid step h = {h!r} is too small: the kinetic term 2/h\^2 is not"):
+                FiniteRestriction(1, "dirichlet", h, path)
+
     def test_free_dirichlet_closed_form(self):
         # domain [-2, 2], ell = 1, 4 cells of 8 points
         params = make_params(ell=1.0)
@@ -747,6 +757,22 @@ class TestEigenDecay:
         self.with_lapack(monkeypatch, dgbsv=lambda kl, ku, ab, b, **kwargs: (ab, None, b, -3))
         with pytest.raises(FactorizationError, match=r"^LAPACK dgbsv failed with info = -3 on the matrix of order 318;"):
             eigen_decay(make_params(n=2, ell=1.0), free_restriction(20, 0.25, n=2), window)
+
+    def test_a_missing_scipy_or_extension_module_is_an_import_error(self, monkeypatch, tmp_path):
+        # the undecorated loader leaves the cached real module in place for the other tests
+        load = spectrum._lapack.__wrapped__
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError) as exc:
+            load()
+        assert str(exc.value) == "scipy is not installed; localize needs its LAPACK extension module linalg/_flapack"
+        empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        empty.submodule_search_locations.append(str(tmp_path))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+        with pytest.raises(ImportError) as exc:
+            load()
+        suffixes = ",".join(importlib.machinery.EXTENSION_SUFFIXES)
+        assert str(exc.value) == (f"scipy's LAPACK extension module was not found at "
+                                  f"{tmp_path / 'linalg' / '_flapack'}{{{suffixes}}}")
 
     @staticmethod
     def public_scipy_pairs(matrix, window):

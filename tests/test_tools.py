@@ -1,4 +1,5 @@
-"""The repository tools: the code-line counter, the unreached-line lister and the benchmark runner's pair verdicts."""
+"""The repository tools: the code-line counter, the unreached-line lister, the benchmark runner's pair verdicts
+and the output comparison."""
 
 import importlib.util
 from pathlib import Path
@@ -13,6 +14,9 @@ _spec.loader.exec_module(bench_pairs)
 _spec = importlib.util.spec_from_file_location("uncovered", ROOT / "tools" / "uncovered.py")
 uncovered = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(uncovered)
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
 
 SYNTHETIC = '''"""Module docstring,
 over two lines."""
@@ -143,3 +147,22 @@ def test_bench_failed_share_compares_failed_over_attempted():
     for pair in pairs:  # no operation attempted on either side reads a share of 0
         pair["parent"]["attempted"] = pair["change"]["attempted"] = 0
     assert bench_pairs.failed_share(bench_pairs.summarize(pairs, better)) == "ok"
+
+
+def test_same_outputs_compares_two_trees_byte_for_byte(tmp_path):
+    for side in ("parent", "change"):
+        run = tmp_path / side / "report-seed0"
+        (run / "out").mkdir(parents=True)
+        (run / "exit_status").write_text("0\n")
+        (run / "stdout").write_text("lambda_min = -1\n")
+        (run / "out" / "ids.csv").write_text("E,N_hat\n0.5,0.25\n")
+        (run / "out" / "decay.csv").write_text("eigenvalue\n")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert same_outputs.compare(parent, change) == ([], 4)
+    (change / "report-seed0" / "out" / "ids.csv").write_text("E,N_hat\n0.5,0.26\n")
+    (parent / "report-seed0" / "out" / "decay.csv").unlink()
+    (change / "report-seed0" / "stdout").write_text("lambda_min = -1")
+    assert same_outputs.compare(parent, change) == (
+        ["report-seed0/out/decay.csv: only in the change",
+         "report-seed0/out/ids.csv: line 2 differs: b'0.5,0.25' -> b'0.5,0.26'",
+         "report-seed0/stdout: line 2 differs: b'' -> None"], 4)
