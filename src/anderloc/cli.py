@@ -183,8 +183,8 @@ def cmd_lyapunov(cfg: RunConfig, seed: int) -> CommandResult:
     )
     scan = separability_scan(cfg.model, cfg.lyapunov.grid.resolve(cfg.model), est)
     rows = (
-        (r.spectrum.energy, *r.spectrum.gammas, *r.spectrum.stderrs,
-         est.n_steps, est.n_replicas, r.spectrum.config.master_seed)
+        (r.energy, *r.spectrum.gammas, *r.spectrum.stderrs,
+         est.n_steps, est.n_replicas, r.seed)
         for r in scan
     )
     return CommandResult(
@@ -195,24 +195,25 @@ def cmd_lyapunov(cfg: RunConfig, seed: int) -> CommandResult:
 
 
 def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
+    ids = cfg.ids
     curve = estimate_ids(
         cfg.model,
-        cfg.ids.grid.resolve(cfg.model),
-        length_cells=cfg.ids.length_cells,
-        h=cfg.ids.h,
-        n_samples=cfg.ids.n_samples,
+        ids.grid.resolve(cfg.model),
+        length_cells=ids.length_cells,
+        h=ids.h,
+        n_samples=ids.n_samples,
         master_seed=derive_seed(seed, CMD_IDS),
-        boundary=cfg.ids.boundary,
+        boundary=ids.boundary,
     )
     text = csv_text(
         ["E", "N_hat", "stderr", "L", "h", "n_samples", "boundary"],
         (
-            (e, v, s, curve.length_cells, curve.h, curve.n_samples, curve.boundary)
+            (e, v, s, ids.length_cells, ids.h, ids.n_samples, ids.boundary)
             for e, v, s in zip(curve.energies, curve.values, curve.stderrs)
         ),
     )
     return CommandResult(
-        stdout=f"IDS sampled at {len(curve.energies)} energies, {curve.n_samples} disorder paths\n",
+        stdout=f"IDS sampled at {len(curve.energies)} energies, {ids.n_samples} disorder paths\n",
         files={"ids.csv": text},
     )
 
@@ -220,10 +221,9 @@ def cmd_ids(cfg: RunConfig, seed: int) -> CommandResult:
 def cmd_localize(cfg: RunConfig, seed: int) -> CommandResult:
     loc = cfg.localize
     window = loc.resolve_window(cfg.model)
-    center = 0.5 * (window.lo + window.hi)
     ref = lyapunov_spectrum(
         cfg.model,
-        center,
+        window.midpoint,
         EstimatorConfig(n_steps=loc.ref_steps, master_seed=derive_seed(seed, CMD_LOCALIZE, 0)),
     )
     gamma_ref = float(ref.gammas[cfg.model.n - 1])

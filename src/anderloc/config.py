@@ -134,9 +134,8 @@ class LocalizeSettings:
         if self.window is not None:
             return EnergyInterval(*self.window)
         full = certified_window(params)
-        center = 0.5 * (full.lo + full.hi)
         half = full.length / 8.0
-        return EnergyInterval(center - half, center + half)
+        return EnergyInterval(full.midpoint - half, full.midpoint + half)
 
 
 @dataclass(frozen=True)

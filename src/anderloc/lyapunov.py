@@ -88,19 +88,27 @@ class EstimatorConfig:
 
 @dataclass
 class LyapunovSpectrum:
-    """Estimated exponents (per unit length), nonincreasing, with replica standard errors."""
+    """Estimated exponents (per unit length), nonincreasing, with replica standard errors.
+
+    Only what the estimate produced: the energy and the estimator settings
+    stay with the caller (``SeparabilityResult`` holds a scan's energy and
+    seed).
+    """
 
     gammas: np.ndarray
     stderrs: np.ndarray
-    energy: float
-    config: EstimatorConfig
 
 
 @dataclass
 class SeparabilityResult:
-    """Statistical verdict on gamma_1 > ... > gamma_N > 0 at one energy."""
+    """Statistical verdict on gamma_1 > ... > gamma_N > 0 at one energy.
+
+    ``seed`` is the master seed that ``separability_scan`` derived for this
+    energy and passed to ``lyapunov_spectrum``.
+    """
 
     energy: float
+    seed: int
     spectrum: LyapunovSpectrum
     separated: bool
 
@@ -175,7 +183,7 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
 
     means, stderrs = _mean_stderr(acc / (config.n_steps * params.ell))
     order = np.argsort(-means, kind="stable")
-    return LyapunovSpectrum(gammas=means[order], stderrs=stderrs[order], energy=float(energy), config=config)
+    return LyapunovSpectrum(gammas=means[order], stderrs=stderrs[order])
 
 
 def qr_log_diag_sums(matrices: list[np.ndarray]) -> np.ndarray:
@@ -247,17 +255,18 @@ def separability_scan(
     standard error of 0 means there is no spread to measure, so the verdict
     is False (inconclusive): ``seeding._mean_stderr`` gives 0 for a single
     replica, and replicas that do not spread give 0 too.  These are
-    statistical verdicts about strict inequalities, never proofs; grid
-    energies are independent tasks seeded from (master_seed, index).
+    statistical verdicts about strict inequalities, never proofs.  Grid
+    energies are independent tasks: grid index i runs at the master seed
+    derive_seed(master_seed, i), which its result holds as ``seed``.
     """
     n = params.n
     results = []
     for i, energy in enumerate(reals(energy_grid, "energy_grid")):
-        cfg = replace(config, master_seed=derive_seed(config.master_seed, i))
-        spec = lyapunov_spectrum(params, energy, cfg)
+        seed = derive_seed(config.master_seed, i)
+        spec = lyapunov_spectrum(params, energy, replace(config, master_seed=seed))
         g, se = spec.gammas, spec.stderrs
         ok = bool(np.all(se[:n] > 0)) and g[n - 1] > 3.0 * se[n - 1]  # one replica reads se = 0
         for k in range(n - 1):
             ok = ok and (g[k] - g[k + 1] > 3.0 * (se[k] + se[k + 1]))
-        results.append(SeparabilityResult(energy=float(energy), spectrum=spec, separated=bool(ok)))
+        results.append(SeparabilityResult(energy=float(energy), seed=seed, spectrum=spec, separated=bool(ok)))
     return results

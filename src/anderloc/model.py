@@ -281,7 +281,10 @@ class SpectralBounds:
 
 @dataclass(frozen=True)
 class EnergyInterval:
-    """Closed interval [lo, hi]; lo > hi encodes the empty interval."""
+    """Closed interval [lo, hi]; lo > hi encodes the empty interval.
+
+    ``length`` reads 0 for the empty interval; ``midpoint`` is NaN there.
+    """
 
     lo: float
     hi: float
@@ -297,6 +300,11 @@ class EnergyInterval:
     @property
     def length(self) -> float:
         return 0.0 if self.is_empty else self.hi - self.lo
+
+    @property
+    def midpoint(self) -> float:
+        """(lo + hi) / 2, halved before the sum so that it stays finite wherever lo and hi are."""
+        return 0.5 * self.lo + 0.5 * self.hi
 
     def contains(self, energy: float) -> bool:
         return not self.is_empty and self.lo <= energy <= self.hi

@@ -56,8 +56,15 @@ def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over axis 0 of independent samples, and its standard error.
 
     The error is the sample standard deviation (ddof 1) over sqrt(n).  One
-    sample has no spread to measure, and its error reads 0.
+    sample has no spread to measure, and its error reads 0.  The spread is
+    taken of each column divided by a power of two at or above its largest
+    magnitude, then multiplied back: the scaling is exact, so the squares
+    cannot overflow and every error whose own value is a finite float comes
+    out finite, bit for bit the unscaled one wherever that was finite.
     """
     mean = samples.mean(axis=0)
     n = len(samples)
-    return mean, (samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean))
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    _, exponent = np.frexp(np.max(np.abs(samples), axis=0))
+    return mean, np.ldexp(np.ldexp(samples, -exponent).std(axis=0, ddof=1) / math.sqrt(n), exponent)

@@ -152,15 +152,16 @@ class BandedSymmetric:
 
 @dataclass
 class IDSCurve:
-    """Sampled eigenvalue-counting function per unit length, nondecreasing in E."""
+    """Sampled eigenvalue-counting function per unit length, nondecreasing in E.
+
+    ``values`` and ``stderrs`` are the mean over disorder paths at each of
+    the sorted ``energies`` and its standard error; the restriction's
+    settings stay with the caller.
+    """
 
     energies: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray
-    length_cells: int
-    h: float
-    n_samples: int
-    boundary: str
 
 
 @dataclass
@@ -400,7 +401,8 @@ def estimate_ids(
     Sample s draws one path from the stream (master_seed, s), builds the
     restriction once and counts the whole grid in one ``count_below``
     call, so the curve is nondecreasing sample by sample and each sample
-    is independent of the others.
+    is independent of the others.  The curve holds the sorted grid, the
+    means and their standard errors, not the arguments.
     """
     count(n_samples, "n_samples")
     master_seed = as_seed(master_seed)
@@ -413,10 +415,6 @@ def estimate_ids(
         energies=grid,
         values=mean,
         stderrs=stderr,
-        length_cells=length_cells,
-        h=h,
-        n_samples=n_samples,
-        boundary=boundary,
     )
 
 

@@ -274,7 +274,7 @@ def test_library_accepts_numpy_integers():
     restriction = FiniteRestriction(np.int64(1), "neumann", np.float32(0.0125), np.zeros((2, 1)))
     assert restriction.length_cells == 1 and restriction.h == float(np.float32(0.0125))
     curve = estimate_ids(params, [0.0], np.int64(2), 0.0125, n_samples=np.int64(2))
-    assert curve.n_samples == 2
+    assert curve.values.shape == (1,)
     assert np.array_equal(estimate_ids(params, [0.0], 2, 0.0125, n_samples=2, master_seed=np.uint64(0)).values,
                           curve.values)
     # numpy integer and float arrays pass the number rule
@@ -622,6 +622,23 @@ class TestCommandLine:
         assert capsys.readouterr().err == ("configuration error:\n  - ids.h: grid step h = 1e-155 is too small: "
                                            "the kinetic term 2/h^2 is not a finite float\n")
         assert not os.path.exists(tmp_path / "o")
+
+    def test_localize_takes_the_midpoint_of_a_window_near_the_float_limit(self, tmp_path, capsys):
+        # 0.5 * (lo + hi) overflowed to inf here, and the reference exponent crashed with exit 1
+        path = write_config(tmp_path, V=[[1e308]])
+        assert main(["localize", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: decay window [1e+308, 1e+308] has zero width\n"
+
+    def test_lyapunov_near_the_float_range_writes_finite_errors(self, tmp_path):
+        # the default grid spans +-6.9e299: the replica spread used to square to inf, with a RuntimeWarning
+        path = write_config(tmp_path, ell=1e-300, lyapunov={"n_steps": 200})
+        out = tmp_path / "o"
+        fresh_python("-W", "error", "-m", "anderloc.cli", "lyapunov", "--config", path, "--out", str(out))
+        with open(out / "lyapunov.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21
+        assert all(math.isfinite(float(value)) for row in rows for value in row.values())
+        assert any(float(row["stderr_1"]) > 1e280 for row in rows)
 
     def test_localize_schema(self, tmp_path, capsys):
         path = write_config(tmp_path, **SMALL_BLOCKS)

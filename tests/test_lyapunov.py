@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from anderloc.model import (
     transfer,
     transfer_table,
 )
-from anderloc.seeding import derive_seed, stream
+from anderloc.seeding import _mean_stderr, derive_seed, stream
 
 
 def make_params(n=1, v=None, c=None, ell=0.1, disorder=None):
@@ -393,9 +394,34 @@ class TestSeparabilityScan:
         with pytest.raises(ValueError, match="^energy_grid entries must be finite real numbers"):
             separability_scan(make_params(), [0.3, bad], EstimatorConfig(10))
 
+    def test_each_result_holds_the_seed_of_its_spectrum(self):
+        params = make_params()
+        cfg = EstimatorConfig(500, master_seed=5)
+        for i, r in enumerate(separability_scan(params, [0.3, 0.5], cfg)):
+            assert r.seed == derive_seed(5, i)
+            alone = lyapunov_spectrum(params, r.energy, replace(cfg, master_seed=r.seed))
+            assert np.array_equal(alone.gammas, r.spectrum.gammas)
+            assert np.array_equal(alone.stderrs, r.spectrum.stderrs)
+
     def test_energies_use_independent_streams(self):
         params = make_params()
         r1 = separability_scan(params, [0.3], EstimatorConfig(2000, master_seed=5))
         r2 = separability_scan(params, [0.5, 0.3], EstimatorConfig(2000, master_seed=5))
         # same energy lands at a different grid index, hence a different stream
         assert r1[0].spectrum.gammas[0] != r2[1].spectrum.gammas[0]
+
+
+class TestMeanStderr:
+    def test_scaling_by_a_power_of_two_is_exact(self):
+        x = stream(11).normal(size=(8, 3))
+        mean, err = _mean_stderr(x)
+        assert np.array_equal(err, x.std(axis=0, ddof=1) / math.sqrt(8))
+        # at 2^900 the unscaled squares overflow to inf
+        big_mean, big_err = _mean_stderr(x * 2.0**900)
+        assert np.array_equal(big_mean, mean * 2.0**900)
+        assert np.array_equal(big_err, err * 2.0**900)
+
+    def test_columns_without_spread_read_zero(self):
+        x = np.array([[0.0, 1e300, 2.0], [0.0, 1e300, 2.0]])
+        assert np.array_equal(_mean_stderr(x)[1], np.zeros(3))
+        assert np.array_equal(_mean_stderr(x[:1])[1], np.zeros(3))

@@ -483,6 +483,11 @@ class TestEnergyIntervalType:
         assert e.length == 0.0
         assert not e.contains(0.0)
 
+    def test_midpoint_is_finite_wherever_the_ends_are(self):
+        assert EnergyInterval(-1.0, 2.0).midpoint == 0.5
+        assert EnergyInterval(1e308, 1.7e308).midpoint == 1.35e308
+        assert EnergyInterval(-1.7e308, 1.7e308).midpoint == 0.0
+
     def test_contains(self):
         e = EnergyInterval(-1.0, 2.0)
         assert e.contains(-1.0) and e.contains(2.0) and e.contains(0.5)

@@ -2,7 +2,10 @@
 and the output comparison."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from anderloc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
@@ -166,3 +169,14 @@ def test_same_outputs_compares_two_trees_byte_for_byte(tmp_path):
         ["report-seed0/out/decay.csv: only in the change",
          "report-seed0/out/ids.csv: line 2 differs: b'0.5,0.25' -> b'0.5,0.26'",
          "report-seed0/stdout: line 2 differs: b'' -> None"], 4)
+
+
+def test_same_outputs_diagonal_configuration_reads_uncertified(tmp_path):
+    # DESK certifies every energy, so only this configuration writes the false branch of a boolean column
+    config = tmp_path / "diagonal.json"
+    config.write_text(json.dumps(same_outputs.DIAGONAL))
+    assert cli.main(["certify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "certificates.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 8 and all(row[-1] == "0" for row in rows)
+    assert [row[1] for row in rows] == ["0", "1", "1", "1", "1", "1", "1", "0"]
+    assert cli.main(["critical", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_NON_GENERIC

@@ -5,11 +5,14 @@ Usage: python tools/same_outputs.py REV
 
 Run from the root of the repository.  REV is exported with
 ``bench_pairs.export`` into a temporary directory.  Each of the seven
-commands then runs on perfbench's DESK configuration (read from the working
-tree's ``perfbench/run.py``, which is imported without writing bytecode) at
-``--seed`` 0 and 3, in a fresh ``python -m anderloc.cli`` process against
-each tree's ``src``, with the same arguments and working-directory layout
-on both sides.  The exit status, stdout, stderr and every output file are
+commands then runs on two configurations at ``--seed`` 0 and 3: perfbench's
+DESK (read from the working tree's ``perfbench/run.py``, which is imported
+without writing bytecode) and ``DIAGONAL`` below, where the channels never
+couple, so ``critical`` exits 3 and every certificate reads 0.  perfbench's
+``shooting.py`` runs on the inputs that ``run.py``'s ``shooting_oracle``
+builds at the same two seeds.  Every run is a fresh process against each
+tree's ``src``, with the same arguments and working-directory layout on
+both sides.  The exit status, stdout, stderr and every output file are
 compared byte for byte.  Prints each difference and exits 1; otherwise
 prints the number of runs and files compared and exits 0.  Standard
 library only.
@@ -29,13 +32,22 @@ from pathlib import Path
 
 COMMANDS = ("interval", "certify", "critical", "lyapunov", "ids", "localize", "report")
 SEEDS = (0, 3)
+# A diagonal V leaves the two channels uncoupled; the certificate grid reaches past both ends of the
+# certified window [-4.93, 6.93], and ids takes Neumann ends and a given h.
+DIAGONAL = {
+    "N": 2, "V": [[0.0, 0.0], [0.0, 1.0]], "c": [1.0, 1.0], "ell": 0.1,
+    "certify": {"grid": {"lo": -6.0, "hi": 8.0, "count": 8}},
+    "lyapunov": {"grid": {"lo": -2.0, "hi": 0.0, "count": 3}, "n_steps": 500, "n_replicas": 4},
+    "ids": {"grid": {"lo": 0.0, "hi": 4.0, "count": 5}, "L": 20, "h": 0.025, "n_samples": 3, "boundary": "neumann"},
+    "localize": {"window": [0.0, 2.0], "L": 30, "ref_steps": 1000},
+}
 
 
-def run(src: Path, config: Path, command: str, seed: int, into: Path) -> None:
-    """One CLI process against the package in ``src``, in ``into``: its files go to out/, its streams beside it."""
-    into.mkdir(parents=True)
-    argv = [sys.executable, "-m", "anderloc.cli", command, "--config", str(config), "--out", "out", "--seed", str(seed)]
-    done = subprocess.run(argv, cwd=into, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+def run(src: Path, argv: list[str], into: Path) -> None:
+    """``python *argv`` against the package in ``src``, in ``into``: its files go to out/, its streams beside it."""
+    (into / "out").mkdir(parents=True)
+    done = subprocess.run([sys.executable, *argv], cwd=into, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True)
     (into / "exit_status").write_text(f"{done.returncode}\n")
     (into / "stdout").write_bytes(done.stdout)
     (into / "stderr").write_bytes(done.stderr)
@@ -69,17 +81,27 @@ def main(argv: list[str] | None = None) -> int:
     perfbench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perfbench)
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
-        tree, config = Path(tmp, "tree"), Path(tmp, "desk.json")
+        tree, inputs = Path(tmp, "tree"), Path(tmp, "inputs")
         tree.mkdir()
+        inputs.mkdir()
         short = export(rev, str(tree))
-        config.write_text(json.dumps(perfbench.DESK))
-        for side, root in (("parent", tree), ("change", Path.cwd())):
+        runs = {}  # run directory name -> argv, the same on both sides
+        for name, doc in (("desk", perfbench.DESK), ("diagonal", DIAGONAL)):
+            config = inputs / f"{name}.json"
+            config.write_text(json.dumps(doc))
             for command, seed in itertools.product(COMMANDS, SEEDS):
-                run(root / "src", config, command, seed, Path(tmp, side, f"{command}-seed{seed}"))
+                runs[f"{name}-{command}-seed{seed}"] = perfbench._cli(command, str(config), "out", seed)
+        for seed in SEEDS:
+            work = inputs / f"shooting-seed{seed}"
+            work.mkdir()
+            steps, _ = perfbench.shooting_oracle(seed, str(work), "out")
+            runs[f"shooting-seed{seed}"] = steps[0]
+        for side, root in (("parent", tree), ("change", Path.cwd())):
+            for name, argv in runs.items():
+                run(root / "src", argv, Path(tmp, side, name))
         differences, n_files = compare(Path(tmp, "parent"), Path(tmp, "change"))
-    runs = len(COMMANDS) * len(SEEDS)
-    print("\n".join(differences + [f"{len(differences)} differences from {short} in {runs} runs and {n_files} files "
-                                   "(exit status, stdout, stderr and output files of each run)"]))
+    print("\n".join(differences + [f"{len(differences)} differences from {short} in {len(runs)} runs and {n_files} "
+                                   "files (exit status, stdout, stderr and output files of each run)"]))
     return 1 if differences else 0
 
 
