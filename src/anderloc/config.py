@@ -25,9 +25,10 @@ from end to end, and ``localize.window`` to its middle quarter.  Both
 defaults read ``model.certified_window``, which refuses an empty window,
 so they stay lazy: a command that needs neither runs on an empty window.
 A grid ``count`` whose energies would outgrow physical memory
-(``_GRID_ENERGY_BYTES`` each) is refused through
-``model._guard_memory``, naming ``<block>.grid.count``, before any energy
-is made.  Each command
+(``_GRID_ENERGY_BYTES`` each; for ``lyapunov``, once N is valid,
+``_LYAPUNOV_FIELD_BYTES`` per field of its 4 N + 4 field rows when that
+is more) is refused through ``model._guard_memory``, naming
+``<block>.grid.count``, before any energy is made.  Each command
 block, "disorder" and each "grid" must be a JSON object (``_object``):
 any other value gives one violation, "'<name>' block must be a JSON
 object", and none about its keys; a null "disorder" or block is refused
@@ -76,9 +77,13 @@ __all__ = [
 DEFAULT_GRID_COUNT = 21
 # Bytes per grid energy that a command and its CSV text hold, rounded up from
 # the largest measured peak (tracemalloc, 6000 to 10^5 energies, the write
-# included): about 340 for certify, 410 for ids, 1.2 K for lyapunov at N = 2
-# and 1.6 K at N = 4.
+# included): about 340 for certify, 410 for ids.
 _GRID_ENERGY_BYTES = 2000
+# lyapunov's rows have 4 N + 4 fields.  Per field, its measured peak per grid
+# energy (tracemalloc, 30 000 energies, the write included) is 105 B at N = 2
+# (1264 B a row), 91 at N = 4 (1817) and 80 at N = 8 (2884); the scan's energy
+# chunk adds a constant of about 16 MB (lyapunov._HELD_BYTES).
+_LYAPUNOV_FIELD_BYTES = 112
 
 
 @dataclass(frozen=True)
@@ -178,8 +183,8 @@ def _object(violations: list[str], value: Any, where: str, keys: set[str]) -> di
     return value
 
 
-def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
-    """The grid of a block that holds "energies" or "grid"."""
+def _parse_grid(block: dict, where: str, violations: list[str], energy_bytes: int) -> GridSpec:
+    """The grid of a block that holds "energies" or "grid"; a count costs ``energy_bytes`` per energy."""
     if "energies" in block and "grid" in block:
         violations.append(f"{where} takes 'energies' or 'grid', not both")
         return GridSpec()
@@ -191,7 +196,8 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
         return GridSpec()
     lo = _checked(violations, real, g.get("lo"), f"{where}.grid.lo")
     hi = _checked(violations, real, g.get("hi"), f"{where}.grid.hi")
-    n_points = _checked(violations, _grid_count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count")
+    n_points = _checked(violations, _grid_count, g.get("count", DEFAULT_GRID_COUNT), f"{where}.grid.count",
+                        energy_bytes)
     if None in (lo, hi, n_points):
         return GridSpec()
     if lo > hi:
@@ -200,11 +206,18 @@ def _parse_grid(block: dict, where: str, violations: list[str]) -> GridSpec:
     return GridSpec(energies=tuple(np.linspace(lo, hi, n_points).tolist()))
 
 
-def _grid_count(val: Any, name: str) -> int:
+def _grid_count(val: Any, name: str, energy_bytes: int) -> int:
     """A grid count by the count rule, refused by ``model._guard_memory`` when its energies outgrow memory."""
     n_points = count(val, name)
-    _guard_memory(_GRID_ENERGY_BYTES * n_points, f"{name} = {n_points}", f"decrease {name}")
+    _guard_memory(energy_bytes * n_points, f"{name} = {n_points}", f"decrease {name}")
     return n_points
+
+
+def _grid_energy_bytes(name: str, n: int | None) -> int:
+    """Bytes per grid energy of the command block ``name``; lyapunov's grow with N once N is valid."""
+    if name == "lyapunov" and n is not None:
+        return max(_GRID_ENERGY_BYTES, _LYAPUNOV_FIELD_BYTES * (4 * n + 4))
+    return _GRID_ENERGY_BYTES
 
 
 def _energies(val: Any, name: str) -> tuple[float, ...]:
@@ -264,14 +277,17 @@ def _block_keys(name: str) -> set[str]:
     return table.keys() | (_GRID_KEYS if "grid" in settings.__dataclass_fields__ else set())
 
 
-def _parse_block(name: str, block: Any, violations: list[str]) -> Any:
-    """Settings of one command block; every key left out keeps its dataclass default."""
+def _parse_block(name: str, block: Any, violations: list[str], n: int | None) -> Any:
+    """Settings of one command block; every key left out keeps its dataclass default.
+
+    ``n`` is the channel count, or None when it is not valid.
+    """
     settings, table = _BLOCKS[name]
     known = _block_keys(name)
     block = _object(violations, block, name, known) or {}
     values = {}
     if known & block.keys() & _GRID_KEYS:
-        values["grid"] = _parse_grid(block, name, violations)
+        values["grid"] = _parse_grid(block, name, violations, _grid_energy_bytes(name, n))
     for key, entry in table.items():
         if entry is not None and key in block:
             attr, check = entry
@@ -320,7 +336,7 @@ def parse_config(text: str) -> RunConfig:
             )
 
     seed = _checked(violations, as_seed, doc.get("seed", 0))
-    settings = {name: _parse_block(name, doc.get(name, {}), violations) for name in _BLOCKS}
+    settings = {name: _parse_block(name, doc.get(name, {}), violations, n) for name in _BLOCKS}
 
     if not violations:
         model = _checked(violations, ModelParams, n, arrays["V"], arrays["c"], ell, rho, disorder)

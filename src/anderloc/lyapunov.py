@@ -8,7 +8,16 @@ recursion (Benettin; Geist, Parlitz & Lauterborn 1990): propagate an
 orthogonal frame through k cells, re-orthogonalize it and accumulate the
 logs of the R diagonal, with k bounded by the conditioning of the block
 product; the exterior power only survives here as a direct small-scale
-oracle built from compound matrices.
+oracle built from compound matrices, and ``qr_log_diag_sums`` is the
+per-cell recursion, the oracle of the blocked one.
+
+``_spectra`` is the one recursion.  It runs a chunk of energies in
+lockstep: each energy's disorder is drawn as atom indices and coded by one
+row sort, each block product is a pairwise tree over its cells, and round
+r renormalises block r of every energy and replica with one stacked QR.
+``lyapunov_spectrum`` calls it at one energy and ``separability_scan``
+once per chunk of energies, so an energy's result is the same alone, in
+any chunk and at any place in the grid.
 
 Exponents are reported per unit length (the accumulated logs are divided
 by n * ell), so they are directly comparable with eigenfunction decay
@@ -29,7 +38,8 @@ import numpy as np
 
 from .errors import InstabilityError, OracleRangeError, SingularMatrixError
 from .linalg import qr_pos
-from .model import _GROWTH_ADVICE, ModelParams, _guard_memory, count, path_table, reals, sample_path
+from .model import (_GROWTH_ADVICE, ModelParams, _distinct_rows, _guard_memory, count, reals, sample_indices,
+                    transfer_table)
 from .seeding import _mean_stderr, as_seed, derive_seed, stream
 
 __all__ = [
@@ -61,6 +71,15 @@ _LOG_SPREAD = 13.0
 # factor k in the product's rounding small and bounds the per-block gather
 # to _MAX_BLOCK matrices per replica.
 _MAX_BLOCK = 256
+# A chunk of rounds holds at most _ROUND_BYTES of block products and of one
+# energy's gathered cells (at least one round), as spectrum._inertia chunks its
+# energies under _BAND_BYTES.  Larger chunks call numpy less often but raise the
+# peak RSS: perfbench report-desk read 44.3 MB at 1 MB, 43.0 at 256 KB.
+_ROUND_BYTES = 2**18
+# separability_scan runs its energies in chunks whose row indices, transfer
+# tables and frames (``_energy_bytes``) take at most _HELD_BYTES together (at
+# least one energy): criterion 07's 20 energies of 80 100 cells fit in one.
+_HELD_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -140,50 +159,141 @@ def _block_length(table: np.ndarray) -> int:
     return max(1, int(_LOG_SPREAD / (2.0 * g)))
 
 
+def _energy_bytes(params: ModelParams, n_replicas: int, cells: int) -> int:
+    """Bytes that ``_spectra`` holds per energy of ``cells`` drawn cells until its recursion ends.
+
+    That is the row index of every cell, in the smallest unsigned dtype that
+    numbers the distinct ones (at most len(atoms)^N), their transfer table,
+    and eight frames per replica: the frame, its block product and the
+    stacked QR's temporaries.
+    """
+    distinct = min(len(params.disorder.atoms) ** params.n, cells)
+    return (np.min_scalar_type(distinct - 1).itemsize * cells
+            + 8 * (2 * params.n) ** 2 * (distinct + 8 * n_replicas))
+
+
+def _block_products(table: np.ndarray, index: np.ndarray, k: int, starts: np.ndarray,
+                    stops: np.ndarray) -> np.ndarray:
+    """Products T_(stop-1) ... T_start of each block [start, stop) of at most k cells and each replica.
+
+    ``index`` (cells, replicas) numbers each cell's row of ``table``.  Each
+    block is gathered as k matrices, a short one padded at its end with
+    identities, which multiply exactly; a pairwise tree then multiplies
+    neighbouring pairs of every block and replica at once, level by level,
+    and carries an odd last entry up a level, so a block's product does not
+    depend on the blocks gathered with it.  Returns (blocks, replicas, 2N, 2N).
+    """
+    pos = starts[:, None] + np.arange(k)
+    x = table[index[np.minimum(pos, stops[:, None] - 1)]]
+    x[pos >= stops[:, None]] = np.eye(table.shape[-1])
+    while x.shape[1] > 1:
+        pairs = x.shape[1] // 2
+        y = x[:, 1:2 * pairs:2] @ x[:, 0:2 * pairs:2]
+        x = np.concatenate([y, x[:, 2 * pairs:]], axis=1) if x.shape[1] % 2 else y
+    return x[:, 0]
+
+
+def _spectra(params: ModelParams, energies: np.ndarray, configs: list[EstimatorConfig]) -> list[LyapunovSpectrum]:
+    """The blocked QR recursion at each energy, all energies in lockstep.
+
+    Every energy keeps its own seed (``configs``, which share ``n_steps``,
+    ``n_replicas`` and ``burn_in``), path, transfer table, block length k
+    and block bounds, so its result does not depend on the other energies.
+    Replica r draws the atom indices of its cells from the stream derived
+    from (master_seed, r) (``model.sample_indices``); one row sort over
+    all replicas (``model._distinct_rows``) finds the distinct cells, and
+    only those are mapped to atom values and transferred.  Round r
+    multiplies block r of every energy and replica into its frame and
+    renormalises all frames with one stacked ``qr_pos``; an energy whose
+    blocks are done gets the identity and adds nothing to its sums.  The
+    block products of a chunk of rounds are built at once, within
+    ``_ROUND_BYTES`` of gathered transfer matrices.  A stacked
+    renormalisation that fails is repeated energy by energy in grid order,
+    so its ``InstabilityError`` names the first energy whose frames fail in
+    that round, "at E=... (blocks of k cells)".
+    """
+    config = configs[0]
+    n_replicas, burn_in = config.n_replicas, config.burn_in
+    two_n = 2 * params.n
+    total = burn_in + config.n_steps
+    cells = total * n_replicas
+    widest = min(_MAX_BLOCK, max(burn_in, config.n_steps))  # k beyond it would only pad every block
+    # the measured peak: 25 + 2 N bytes per cell and replica to draw and sort one energy's rows; the index
+    # and table of every energy, and transfer_table's temporaries at one energy (three tables); a chunk
+    # of rounds and its tree (twice the budget, or twice a round at the longest block)
+    _guard_memory((25 + 2 * params.n) * cells + (len(energies) + 3) * _energy_bytes(params, n_replicas, cells)
+                  + 2 * max(_ROUND_BYTES, 8 * two_n * two_n * n_replicas * (len(energies) + widest)),
+                  f"the Lyapunov estimate at n_steps = {config.n_steps}, burn_in = {burn_in}, "
+                  f"n_replicas = {n_replicas}", "decrease n_steps, burn_in or n_replicas")
+    values = params.disorder.values
+    runs = []  # per energy: its table, each cell's row of it, k, and the block starts and stops
+    for energy, cfg in zip(energies, configs):
+        streams = (stream(derive_seed(cfg.master_seed, r)) for r in range(n_replicas))
+        distinct, index = _distinct_rows(np.stack([sample_indices(params, total, rng) for rng in streams], axis=1))
+        table = transfer_table(params, values[distinct], energy)
+        k = min(_block_length(table), widest)
+        starts = np.array([*range(0, burn_in, k), *range(burn_in, total, k)])
+        runs.append((table, index, k, starts, np.append(starts[1:], total)))
+    ks = [k for _, _, k, _, _ in runs]
+    rounds = np.array([len(starts) for _, _, _, starts, _ in runs])
+    first = np.array([-(-burn_in // k) for k in ks])  # the first round after the burn-in
+    n_rounds = int(rounds.max())
+
+    eye = np.eye(two_n)
+    q = np.broadcast_to(eye, (len(energies), n_replicas, two_n, two_n)).copy()
+    acc = np.zeros((len(energies), n_replicas, two_n))
+    # a round holds the products of every energy and one energy's k gathered cells
+    step = max(1, _ROUND_BYTES // (8 * two_n * two_n * n_replicas * (len(energies) + max(ks))))
+    for r0 in range(0, n_rounds, step):
+        products = np.broadcast_to(eye, (min(step, n_rounds - r0), *q.shape)).copy()
+        for e, (table, index, k, starts, stops) in enumerate(runs):
+            if r0 < rounds[e]:
+                products[:rounds[e] - r0, e] = _block_products(table, index, k, starts[r0:r0 + step],
+                                                               stops[r0:r0 + step])
+        for r, product in enumerate(products, r0):
+            z = product @ q
+            try:
+                q, log_d = _renormalise(z)
+            except InstabilityError:
+                for e, (energy, k) in enumerate(zip(energies, ks)):  # name the first failing energy in grid order
+                    _renormalise(z[e], f" at E={energy:g} (blocks of {k} cells)")
+                raise
+            live = (r >= first) & (r < rounds)
+            acc[live] += log_d[live]
+
+    spectra = []
+    for sums in acc:
+        means, stderrs = _mean_stderr(sums / (config.n_steps * params.ell))
+        order = np.argsort(-means, kind="stable")
+        spectra.append(LyapunovSpectrum(gammas=means[order], stderrs=stderrs[order]))
+    return spectra
+
+
 def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfig) -> LyapunovSpectrum:
-    """Estimate all 2N exponents at one energy by the blocked QR recursion.
+    """Estimate all 2N exponents at one energy by the blocked QR recursion (``_spectra`` at one energy).
 
     Each replica propagates an orthogonal frame: sample cells, multiply by
-    the transfer matrices of a block of k cells, re-factor with ``qr_pos``
-    and accumulate log diag(R) after the burn-in.  The factorisation of
-    the block product gives the same log-diagonal sums as k per-cell
-    steps, up to rounding; k is the largest length, at most 256, whose
-    worst-case condition number stays within ``exp(_LOG_SPREAD)``, and
-    block boundaries fall on the burn-in.  Replica r draws from the stream
-    derived from (master_seed, r), so runs are reproducible and replicas
-    independent.  Partial sums of the sorted estimates approximate the
-    exterior-power limits.
+    the product of a block of k cells, re-factor with ``qr_pos`` and
+    accumulate log diag(R) after the burn-in.  The factorisation of the
+    block product gives the same log-diagonal sums as k per-cell steps, up
+    to rounding; k is the largest length, at most 256, whose worst-case
+    condition number stays within ``exp(_LOG_SPREAD)``, block boundaries
+    fall on the burn-in, and each block's product is a pairwise tree over
+    its cells.  Replica r draws from the stream derived from
+    (master_seed, r), so runs are reproducible and replicas independent.
+    Partial sums of the sorted estimates approximate the exterior-power
+    limits.
 
-    Before anything is drawn, an estimate of 8 (3N + 5) bytes per cell and
-    replica (the measured tracemalloc peak, N = 1-4: 57 to 129 bytes) above
-    the physical memory raises ``SizeGuardError`` (``model._guard_memory``)
-    naming ``n_steps``, ``burn_in``, ``n_replicas``, the estimate and the
-    memory.
+    Before anything is drawn, ``_spectra`` refuses an estimate of its peak
+    above the physical memory with ``SizeGuardError``
+    (``model._guard_memory``), naming ``n_steps``, ``burn_in``,
+    ``n_replicas``, the estimate and the memory.  Per cell and replica it
+    counts 25 + 2 N bytes to draw and sort the rows plus the index of every
+    energy of the chunk: the measured tracemalloc peak at one energy is 27,
+    29, 31 and 33 bytes at N = 1-4 (41 at N = 8), where the estimate reads 31
+    to 37.  It adds the transfer tables, the frames and one chunk of rounds.
     """
-    two_n = 2 * params.n
-    total = config.burn_in + config.n_steps
-    _guard_memory(8 * (3 * params.n + 5) * total * config.n_replicas,
-                  f"the Lyapunov estimate at n_steps = {config.n_steps}, burn_in = {config.burn_in}, "
-                  f"n_replicas = {config.n_replicas}", "decrease n_steps, burn_in or n_replicas")
-    streams = (stream(derive_seed(config.master_seed, r)) for r in range(config.n_replicas))
-    paths = np.stack([sample_path(params, total, rng) for rng in streams], axis=1)  # (total, n_replicas, N)
-    table, inverse = path_table(params, paths, energy)
-    k = _block_length(table)
-    where = f" at E={energy:g} (blocks of {k} cells)"
-    starts = [*range(0, config.burn_in, k), *range(config.burn_in, total, k)]
-
-    q = np.broadcast_to(np.eye(two_n), (config.n_replicas, two_n, two_n)).copy()
-    acc = np.zeros((config.n_replicas, two_n))
-    for start, stop in zip(starts, [*starts[1:], total]):
-        for cells in table[inverse[start:stop]]:
-            q = cells @ q
-        q, log_d = _renormalise(q, where)
-        if start >= config.burn_in:
-            acc += log_d
-
-    means, stderrs = _mean_stderr(acc / (config.n_steps * params.ell))
-    order = np.argsort(-means, kind="stable")
-    return LyapunovSpectrum(gammas=means[order], stderrs=stderrs[order])
+    return _spectra(params, [energy], [config])[0]
 
 
 def qr_log_diag_sums(matrices: list[np.ndarray]) -> np.ndarray:
@@ -260,13 +370,18 @@ def separability_scan(
     derive_seed(master_seed, i), which its result holds as ``seed``.
     """
     n = params.n
+    energies = reals(energy_grid, "energy_grid")
+    seeds = [derive_seed(config.master_seed, i) for i in range(len(energies))]
+    size = max(1, _HELD_BYTES // _energy_bytes(params, config.n_replicas,
+                                                (config.burn_in + config.n_steps) * config.n_replicas))
     results = []
-    for i, energy in enumerate(reals(energy_grid, "energy_grid")):
-        seed = derive_seed(config.master_seed, i)
-        spec = lyapunov_spectrum(params, energy, replace(config, master_seed=seed))
-        g, se = spec.gammas, spec.stderrs
-        ok = bool(np.all(se[:n] > 0)) and g[n - 1] > 3.0 * se[n - 1]  # one replica reads se = 0
-        for k in range(n - 1):
-            ok = ok and (g[k] - g[k + 1] > 3.0 * (se[k] + se[k + 1]))
-        results.append(SeparabilityResult(energy=float(energy), seed=seed, spectrum=spec, separated=bool(ok)))
+    for c0 in range(0, len(energies), size):
+        chunk = slice(c0, c0 + size)
+        spectra = _spectra(params, energies[chunk], [replace(config, master_seed=seed) for seed in seeds[chunk]])
+        for energy, seed, spec in zip(energies[chunk], seeds[chunk], spectra):
+            g, se = spec.gammas, spec.stderrs
+            ok = bool(np.all(se[:n] > 0)) and g[n - 1] > 3.0 * se[n - 1]  # one replica reads se = 0
+            for k in range(n - 1):
+                ok = ok and (g[k] - g[k + 1] > 3.0 * (se[k] + se[k + 1]))
+            results.append(SeparabilityResult(energy=float(energy), seed=seed, spectrum=spec, separated=bool(ok)))
     return results

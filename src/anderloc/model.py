@@ -19,7 +19,8 @@ window is made here: ``energy_interval`` is its one formula, which the
 density certificates read, and ``certified_window`` is the one refusal
 of an empty window where a command needs energies inside it.  A disorder
 path becomes transfer matrices here too: ``path_table`` finds the path's
-distinct cells with one row sort, transfers each once and indexes every
+distinct cells with one row sort (``_distinct_rows``, which the Lyapunov
+recursion runs on atom indices), transfers each once and indexes every
 cell into that table.  Every number the module takes, paths included,
 passes one rule: ``real`` for a scalar, ``reals`` for an array.
 """
@@ -53,6 +54,7 @@ __all__ = [
     "energy_interval",
     "certified_window",
     "sample_cell",
+    "sample_indices",
     "sample_path",
     "binary_cells",
 ]
@@ -373,25 +375,38 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
     return t
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (..., N) stack, and each row's place among them: ``distinct[index]`` is ``rows``.
+
+    One stable lexicographic sort of the rows, first column most
+    significant, puts equal rows side by side; ``distinct`` holds them in
+    that order, and ``index`` (shape ``rows.shape[:-1]``, the smallest
+    unsigned dtype that holds it) numbers each row by its run.  Rows are
+    compared by value, so -0.0 and 0.0 are one value; the first row of a
+    run in stack order is the one kept.  No code is formed from a row, so
+    any N and any number of distinct values work.
+    """
+    flat = rows.reshape(-1, rows.shape[-1])
+    order = np.lexsort(flat.T[::-1])
+    flat = flat[order]
+    new = np.ones(len(flat), dtype=bool)
+    new[1:] = np.any(flat[1:] != flat[:-1], axis=1)
+    runs = np.cumsum(new) - 1
+    index = np.empty(len(flat), dtype=np.min_scalar_type(runs[-1] if len(runs) else 0))
+    index[order] = runs
+    return flat[new], index.reshape(rows.shape[:-1])
+
+
 def path_table(params: ModelParams, path: object, energy: float) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices of a path's distinct cells, and each cell's row of the table: ``table[index]``.
 
     ``path`` is a (..., N) stack of cell configurations whose entries pass
-    ``reals``.  One stable lexicographic sort of its cells, first channel
-    most significant, puts equal cells side by side; the table holds the
-    distinct cells in that order, and ``index`` (shape ``path.shape[:-1]``)
-    numbers each cell by its run.  -0.0 and 0.0 are one value; the first
-    cell of a run in path order is the one the table transfers.
+    ``reals``.  ``_distinct_rows`` finds its distinct cells with one row
+    sort; the table transfers each of them once, in that order, and
+    ``index`` has shape ``path.shape[:-1]``.
     """
-    path = np.atleast_2d(reals(path, "path"))
-    cells = path.reshape(-1, path.shape[-1])
-    order = np.lexsort(cells.T[::-1])
-    cells = cells[order]
-    new = np.ones(len(cells), dtype=bool)
-    new[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    index = np.empty(len(cells), dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return transfer_table(params, cells[new], energy), index.reshape(path.shape[:-1])
+    cells, index = _distinct_rows(np.atleast_2d(reals(path, "path")))
+    return transfer_table(params, cells, energy), index
 
 
 def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> float:
@@ -459,11 +474,20 @@ def sample_cell(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     return sample_path(params, 1, rng)[0]
 
 
+def sample_indices(params: ModelParams, n_cells: int, rng: np.random.Generator) -> np.ndarray:
+    """Atom indices of ``n_cells`` independent cell configurations, shape (n_cells, N).
+
+    One ``rng.choice`` over the atoms of the disorder law; the indices come
+    in the smallest unsigned dtype that holds them (``uint8`` up to 256 atoms).
+    """
+    n_atoms = len(params.disorder.atoms)
+    idx = rng.choice(n_atoms, size=(n_cells, params.n), p=params.disorder.probabilities)
+    return idx.astype(np.min_scalar_type(n_atoms - 1))
+
+
 def sample_path(params: ModelParams, n_cells: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n_cells`` independent cell configurations, shape (n_cells, N)."""
-    values = params.disorder.values
-    idx = rng.choice(len(values), size=(n_cells, params.n), p=params.disorder.probabilities)
-    return values[idx]
+    """Stack of ``n_cells`` independent cell configurations, shape (n_cells, N): the atoms of ``sample_indices``."""
+    return params.disorder.values[sample_indices(params, n_cells, rng)]
 
 
 def binary_cells(n: int) -> np.ndarray:

@@ -720,6 +720,24 @@ class TestCommandLine:
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_lyapunov_grid_count_guard_grows_with_n(self):
+        # a lyapunov row has 4 N + 4 fields: at N = 50 a count that 2000 B per energy admits outgrows memory
+        n = 50
+        n_points = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 10_000
+        grid = {"grid": {"lo": 0.0, "hi": 1.0, "count": n_points}}
+        wide = dict(N=n, V=tridiagonal_witness(n).tolist(), c=[1.0] * n)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_with(**wide, lyapunov=grid))
+        assert len(exc.value.violations) == 1
+        assert exc.value.violations[0].startswith(f"lyapunov.grid.count = {n_points} needs about ")
+        assert exc.value.violations[0].endswith("decrease lyapunov.grid.count")
+        # the other grids keep 2000 B per energy; so does lyapunov at N = 1, or where N is not valid
+        assert len(parse_config(config_with(**wide, ids=grid)).ids.grid.energies) == n_points
+        assert len(parse_config(config_with(lyapunov=grid)).lyapunov.grid.energies) == n_points
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_with(**dict(wide, N=0), lyapunov=grid))
+        assert not any(v.startswith("lyapunov.grid.count") for v in exc.value.violations)
+
     def test_output_that_cannot_be_written_exits_two(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("a regular file where the output directory should go\n")

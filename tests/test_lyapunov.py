@@ -118,7 +118,7 @@ class TestSpectrumStructure:
     def test_a_draw_beyond_physical_memory_is_refused_before_drawing(self, monkeypatch, n_steps, n_replicas):
         # numpy used to fail allocating 10^12 steps (14.6 TiB); 10^12 replicas ran on for minutes
         drawn = []
-        monkeypatch.setattr(anderloc.lyapunov, "sample_path", lambda *args: drawn.append(args))
+        monkeypatch.setattr(anderloc.lyapunov, "sample_indices", lambda *args: drawn.append(args))
         cfg = EstimatorConfig(n_steps=n_steps, n_replicas=n_replicas)
         tracemalloc.start()
         try:
@@ -277,7 +277,7 @@ class TestBlockedRecursion:
             seen.append(configs)
             return transfer_table(p, configs, energy)
 
-        monkeypatch.setattr(anderloc.model, "transfer_table", recorded)
+        monkeypatch.setattr(anderloc.lyapunov, "transfer_table", recorded)
         lyapunov_spectrum(params, 0.5, cfg)
         assert len(seen) == 1 and np.array_equal(seen[0], values[uniq])
 
@@ -296,20 +296,90 @@ class TestBlockedRecursion:
         three_atoms = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
         params = make_params(n=2, v=tridiagonal_witness(2), disorder=three_atoms)
         cfg = EstimatorConfig(n_steps=40, n_replicas=3, burn_in=5, master_seed=12)
-        original = anderloc.lyapunov.path_table
+        original = anderloc.lyapunov._distinct_rows
         seen = []
 
-        def recorded(p, path, energy):
-            seen.append(path)
-            return original(p, path, energy)
+        def recorded(rows):
+            seen.append(rows)
+            return original(rows)
 
-        monkeypatch.setattr(anderloc.lyapunov, "path_table", recorded)
+        monkeypatch.setattr(anderloc.lyapunov, "_distinct_rows", recorded)
         lyapunov_spectrum(params, 0.5, cfg)
         total = cfg.burn_in + cfg.n_steps
+        assert len(seen) == 1 and seen[0].dtype == np.uint8
         for r in range(cfg.n_replicas):
             drawn = params.disorder.values[replica_draws(params, cfg, r)]
-            assert np.array_equal(seen[0][:, r], drawn)
+            assert np.array_equal(params.disorder.values[seen[0][:, r]], drawn)
             assert np.array_equal(sample_path(params, total, stream(derive_seed(cfg.master_seed, r))), drawn)
+
+
+class TestLockstep:
+    """``_spectra`` runs every energy in lockstep; each energy's result must not depend on the others."""
+
+    DESK = dict(n=2, v=tridiagonal_witness(2), c=np.ones(2))
+
+    def test_every_energy_alone_batched_and_reversed_is_bit_identical(self, monkeypatch):
+        params = make_params(**self.DESK)
+        energies = np.array([-4.5, 0.0, -2.0])
+        configs = [EstimatorConfig(600, 4, burn_in=30, master_seed=derive_seed(9, i)) for i in range(3)]
+        ks = []
+        original = anderloc.lyapunov._block_length
+        monkeypatch.setattr(anderloc.lyapunov, "_block_length", lambda table: ks.append(original(table)) or ks[-1])
+        batched = anderloc.lyapunov._spectra(params, energies, configs)
+        assert ks == [17, 43, 26]
+        reversed_ = anderloc.lyapunov._spectra(params, energies[::-1], configs[::-1])[::-1]
+        for energy, config, a, b in zip(energies, configs, batched, reversed_):
+            alone = lyapunov_spectrum(params, energy, config)
+            for spec in (a, b):
+                assert np.array_equal(spec.gammas, alone.gammas) and np.array_equal(spec.stderrs, alone.stderrs)
+
+    def test_energy_chunks_leave_every_energy_unchanged(self, monkeypatch):
+        params = make_params(**self.DESK)
+        grid = [-4.5, 0.0, -2.0, -1.0, -3.0]
+        cfg = EstimatorConfig(400, 4, burn_in=20, master_seed=13)
+        whole = separability_scan(params, grid, cfg)
+        chunks = []
+        original = anderloc.lyapunov._spectra
+        monkeypatch.setattr(anderloc.lyapunov, "_spectra", lambda p, e, c: chunks.append(len(e)) or original(p, e, c))
+        held = anderloc.lyapunov._energy_bytes(params, cfg.n_replicas, (cfg.burn_in + cfg.n_steps) * cfg.n_replicas)
+        monkeypatch.setattr(anderloc.lyapunov, "_HELD_BYTES", 2 * held + 1)
+        chunked = separability_scan(params, grid, cfg)
+        assert chunks == [2, 2, 1]
+        for a, b in zip(whole, chunked):
+            assert (a.energy, a.seed, a.separated) == (b.energy, b.seed, b.separated)
+            assert np.array_equal(a.spectrum.gammas, b.spectrum.gammas)
+            assert np.array_equal(a.spectrum.stderrs, b.spectrum.stderrs)
+
+    def test_the_first_failing_energy_in_grid_order_is_named(self, monkeypatch):
+        # tables scaled by 1e-300 make every block product underflow to the zero matrix
+        def scaled(p, configs, energy):
+            table = transfer_table(p, configs, energy)
+            return table * 1e-300 if energy in (2.0, 3.0) else table
+
+        monkeypatch.setattr(anderloc.lyapunov, "transfer_table", scaled)
+        params = make_params()
+        cfg = EstimatorConfig(n_steps=10, n_replicas=2, burn_in=0)
+        for grid, named in (([0.3, 2.0], "2"), ([0.3, 3.0, 2.0], "3"), ([2.0, 0.3, 3.0], "2")):
+            with pytest.raises(InstabilityError, match=rf"^propagated frame became numerically singular at "
+                                                        rf"E={named} \(blocks of 10 cells\): .*decrease ell"):
+                separability_scan(params, grid, cfg)
+        assert separability_scan(params, [0.3], cfg)[0].spectrum.gammas[0] > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("atoms", [2, 3])
+    def test_matches_the_per_cell_recursion_on_the_same_draws(self, n, atoms):
+        law = DisorderSpec.bernoulli() if atoms == 2 else DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
+        params = make_params(n=n, v=tridiagonal_witness(n), c=np.linspace(1.0, 1.5, n), disorder=law)
+        cfg = EstimatorConfig(n_steps=1000, n_replicas=2, burn_in=40, master_seed=17)
+        spec = lyapunov_spectrum(params, 0.3, cfg)
+        sums = []
+        for r in range(cfg.n_replicas):
+            mats = [transfer(params, params.disorder.values[row], 0.3) for row in replica_draws(params, cfg, r)]
+            sums.append(qr_log_diag_sums(mats) - qr_log_diag_sums(mats[:cfg.burn_in]))
+        means, stderrs = _mean_stderr(np.array(sums) / (cfg.n_steps * params.ell))
+        order = np.argsort(-means, kind="stable")
+        assert np.max(np.abs(spec.gammas - means[order])) <= 1e-12
+        assert np.max(np.abs(spec.stderrs - stderrs[order])) <= 1e-12
 
 
 class TestComponentUnion:
@@ -328,7 +398,7 @@ class TestComponentUnion:
         components = [list(k) for k in model_closure(params).components]
         assert components == [[0, 1], [2]]
         cfg = EstimatorConfig(n_steps=2000, n_replicas=4, burn_in=50, master_seed=5)
-        original = anderloc.lyapunov.sample_path
+        original = anderloc.lyapunov.sample_indices
         for energy in (-2.0, 0.7, 3.0):
             draws = []
 
@@ -336,13 +406,13 @@ class TestComponentUnion:
                 draws.append(original(p, n_cells, rng))
                 return draws[-1]
 
-            monkeypatch.setattr(anderloc.lyapunov, "sample_path", recorded)
+            monkeypatch.setattr(anderloc.lyapunov, "sample_indices", recorded)
             full = lyapunov_spectrum(params, energy, cfg)
             assert len(draws) == cfg.n_replicas
             parts = []
             for ix in components:
                 replay = iter(draws)
-                monkeypatch.setattr(anderloc.lyapunov, "sample_path", lambda p, n_cells, rng: next(replay)[:, ix])
+                monkeypatch.setattr(anderloc.lyapunov, "sample_indices", lambda p, n_cells, rng: next(replay)[:, ix])
                 sub = make_params(n=len(ix), v=v[np.ix_(ix, ix)], c=params.c[ix])
                 spec = lyapunov_spectrum(sub, energy, cfg)
                 parts.extend(zip(spec.gammas, spec.stderrs))

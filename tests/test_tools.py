@@ -167,8 +167,25 @@ def test_same_outputs_compares_two_trees_byte_for_byte(tmp_path):
     (change / "report-seed0" / "stdout").write_text("lambda_min = -1")
     assert same_outputs.compare(parent, change) == (
         ["report-seed0/out/decay.csv: only in the change",
-         "report-seed0/out/ids.csv: line 2 differs: b'0.5,0.25' -> b'0.5,0.26'",
+         "report-seed0/out/ids.csv: line 2 differs: b'0.5,0.25' -> b'0.5,0.26'; numeric cells differ by at most "
+         "0.01 absolute, 0.0385 relative",
          "report-seed0/stdout: line 2 differs: b'' -> None"], 4)
+
+
+def test_same_outputs_reports_the_largest_numeric_difference_of_a_csv(tmp_path):
+    old = "E,gamma_1,boundary\n-1.0,0.5,dirichlet\n0.0,-2e-3,dirichlet\n"
+    new = "E,gamma_1,boundary\n-1.0,0.5000001,neumann\n0.0,-2.2e-3,dirichlet\n"
+    absolute, relative = same_outputs.numeric_spread(old.encode(), new.encode())
+    assert abs(absolute - 2e-4) < 1e-15 and abs(relative - 2e-4 / 2.2e-3) < 1e-15
+    assert same_outputs.numeric_spread(old.encode(), old.encode()) == (0.0, 0.0)
+    for side, text in (("parent", old), ("change", new)):
+        (tmp_path / side / "lyapunov-seed0" / "out").mkdir(parents=True)
+        (tmp_path / side / "lyapunov-seed0" / "out" / "lyapunov.csv").write_text(text)
+        (tmp_path / side / "lyapunov-seed0" / "stdout").write_text("estimated spectra at 2 energies\n")
+    # only the numbers moved: still a difference, so main exits 1
+    assert same_outputs.compare(tmp_path / "parent", tmp_path / "change") == (
+        ["lyapunov-seed0/out/lyapunov.csv: line 2 differs: b'-1.0,0.5,dirichlet' -> b'-1.0,0.5000001,neumann'; "
+         "numeric cells differ by at most 0.0002 absolute, 0.0909 relative"], 2)
 
 
 def test_same_outputs_diagonal_configuration_reads_uncertified(tmp_path):

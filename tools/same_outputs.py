@@ -13,14 +13,16 @@ couple, so ``critical`` exits 3 and every certificate reads 0.  perfbench's
 builds at the same two seeds.  Every run is a fresh process against each
 tree's ``src``, with the same arguments and working-directory layout on
 both sides.  The exit status, stdout, stderr and every output file are
-compared byte for byte.  Prints each difference and exits 1; otherwise
-prints the number of runs and files compared and exits 0.  Standard
-library only.
+compared byte for byte.  Prints each difference, with the largest absolute
+and relative difference over the numeric cells of a CSV file that differs,
+and exits 1; otherwise prints the number of runs and files compared and
+exits 0.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
 import itertools
 import json
@@ -53,6 +55,25 @@ def run(src: Path, argv: list[str], into: Path) -> None:
     (into / "stderr").write_bytes(done.stderr)
 
 
+def numeric_spread(old: bytes, new: bytes) -> tuple[float, float]:
+    """Largest absolute and relative difference over the cells, in the same place, that read as numbers in both CSVs.
+
+    The relative difference of two cells is |a - b| / max(|a|, |b|); cells
+    that are equal count 0.
+    """
+    largest = [0.0, 0.0]
+    rows = zip(csv.reader(old.decode().splitlines()), csv.reader(new.decode().splitlines()))
+    for a, b in itertools.chain.from_iterable(zip(*pair) for pair in rows):
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            continue
+        if x != y:
+            diff = abs(x - y)
+            largest = [max(largest[0], diff), max(largest[1], diff / max(abs(x), abs(y)))]
+    return largest[0], largest[1]
+
+
 def compare(parent: Path, change: Path) -> tuple[list[str], int]:
     """Each difference between two directory trees, byte for byte, and the number of files compared."""
     names = sorted({path.relative_to(root) for root in (parent, change) for path in root.rglob("*") if path.is_file()})
@@ -65,7 +86,11 @@ def compare(parent: Path, change: Path) -> tuple[list[str], int]:
             # split, unlike splitlines, keeps every byte, so two different files differ in some line
             pairs = itertools.zip_longest(old.read_bytes().split(b"\n"), new.read_bytes().split(b"\n"))
             k, (a, b) = next((k, pair) for k, pair in enumerate(pairs, 1) if pair[0] != pair[1])
-            differences.append(f"{name}: line {k} differs: {a!r} -> {b!r}")
+            line = f"{name}: line {k} differs: {a!r} -> {b!r}"
+            if name.suffix == ".csv":
+                line += "; numeric cells differ by at most {:.3g} absolute, {:.3g} relative".format(
+                    *numeric_spread(old.read_bytes(), new.read_bytes()))
+            differences.append(line)
     return differences, len(names)
 
 
