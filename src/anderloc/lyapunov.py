@@ -14,7 +14,8 @@ per-cell recursion, the oracle of the blocked one.
 ``_spectra`` is the one recursion.  It runs a chunk of energies in
 lockstep: each energy's disorder is drawn as atom indices and coded by one
 row sort, each block product is a pairwise tree over its cells, and round
-r renormalises block r of every energy and replica with one stacked QR.
+r renormalises block r of every energy still running, all its replicas
+together, with one stacked QR.
 ``lyapunov_spectrum`` calls it at one energy and ``separability_scan``
 once per chunk of energies, so an energy's result is the same alone, in
 any chunk and at any place in the grid.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,17 +160,18 @@ def _block_length(table: np.ndarray) -> int:
     return max(1, int(_LOG_SPREAD / (2.0 * g)))
 
 
-def _energy_bytes(params: ModelParams, n_replicas: int, cells: int) -> int:
-    """Bytes that ``_spectra`` holds per energy of ``cells`` drawn cells until its recursion ends.
+def _energy_bytes(params: ModelParams, config: EstimatorConfig) -> int:
+    """Bytes that ``_spectra`` holds per energy under ``config`` until its recursion ends.
 
-    That is the row index of every cell, in the smallest unsigned dtype that
-    numbers the distinct ones (at most len(atoms)^N), their transfer table,
-    and eight frames per replica: the frame, its block product and the
-    stacked QR's temporaries.
+    That is the row index of every drawn cell, in the smallest unsigned dtype
+    that numbers the distinct ones (at most len(atoms)^N), their transfer
+    table, and eight frames per replica: the frame, its block product and
+    the stacked QR's temporaries.
     """
+    cells = (config.burn_in + config.n_steps) * config.n_replicas
     distinct = min(len(params.disorder.atoms) ** params.n, cells)
     return (np.min_scalar_type(distinct - 1).itemsize * cells
-            + 8 * (2 * params.n) ** 2 * (distinct + 8 * n_replicas))
+            + 8 * (2 * params.n) ** 2 * (distinct + 8 * config.n_replicas))
 
 
 def _block_products(table: np.ndarray, index: np.ndarray, k: int, starts: np.ndarray,
@@ -193,42 +195,42 @@ def _block_products(table: np.ndarray, index: np.ndarray, k: int, starts: np.nda
     return x[:, 0]
 
 
-def _spectra(params: ModelParams, energies: np.ndarray, configs: list[EstimatorConfig]) -> list[LyapunovSpectrum]:
-    """The blocked QR recursion at each energy, all energies in lockstep.
+def _spectra(params: ModelParams, energies: np.ndarray, config: EstimatorConfig,
+             seeds: list[int]) -> list[LyapunovSpectrum]:
+    """The blocked QR recursion under ``config`` at each energy, all energies in lockstep.
 
-    Every energy keeps its own seed (``configs``, which share ``n_steps``,
-    ``n_replicas`` and ``burn_in``), path, transfer table, block length k
-    and block bounds, so its result does not depend on the other energies.
-    Replica r draws the atom indices of its cells from the stream derived
-    from (master_seed, r) (``model.sample_indices``); one row sort over
-    all replicas (``model._distinct_rows``) finds the distinct cells, and
-    only those are mapped to atom values and transferred.  Round r
-    multiplies block r of every energy and replica into its frame and
-    renormalises all frames with one stacked ``qr_pos``; an energy whose
-    blocks are done gets the identity and adds nothing to its sums.  The
-    block products of a chunk of rounds are built at once, within
-    ``_ROUND_BYTES`` of gathered transfer matrices.  A stacked
-    renormalisation that fails is repeated energy by energy in grid order,
-    so its ``InstabilityError`` names the first energy whose frames fail in
-    that round, "at E=... (blocks of k cells)".
+    Energy i runs at master seed ``seeds[i]`` (``config.master_seed`` is
+    not read); every energy keeps its own path, transfer table, block
+    length k and block bounds, so its result does not depend on the other
+    energies.  Replica r draws the atom indices of its cells from the
+    stream derived from (seed, r) (``model.sample_indices``); one row sort
+    over all replicas (``model._distinct_rows``) finds the distinct cells,
+    and only those are mapped to atom values and transferred.  Round r
+    multiplies block r of every energy still running, in grid order, into
+    its frames and renormalises them all with one stacked ``qr_pos``; an
+    energy whose blocks are done leaves the round.  The block products of
+    a chunk of rounds are built at once, within ``_ROUND_BYTES`` of
+    gathered transfer matrices.  A stacked renormalisation that fails is
+    repeated energy by energy in grid order, so its ``InstabilityError``
+    names the first energy, in grid order, among those whose frames fail in
+    the earliest failing round, "at E=... (blocks of k cells)"; an energy
+    that has not failed by then is not run on.
     """
-    config = configs[0]
     n_replicas, burn_in = config.n_replicas, config.burn_in
     two_n = 2 * params.n
     total = burn_in + config.n_steps
-    cells = total * n_replicas
     widest = min(_MAX_BLOCK, max(burn_in, config.n_steps))  # k beyond it would only pad every block
     # the measured peak: 25 + 2 N bytes per cell and replica to draw and sort one energy's rows; the index
     # and table of every energy, and transfer_table's temporaries at one energy (three tables); a chunk
     # of rounds and its tree (twice the budget, or twice a round at the longest block)
-    _guard_memory((25 + 2 * params.n) * cells + (len(energies) + 3) * _energy_bytes(params, n_replicas, cells)
+    _guard_memory((25 + 2 * params.n) * total * n_replicas + (len(energies) + 3) * _energy_bytes(params, config)
                   + 2 * max(_ROUND_BYTES, 8 * two_n * two_n * n_replicas * (len(energies) + widest)),
                   f"the Lyapunov estimate at n_steps = {config.n_steps}, burn_in = {burn_in}, "
                   f"n_replicas = {n_replicas}", "decrease n_steps, burn_in or n_replicas")
     values = params.disorder.values
     runs = []  # per energy: its table, each cell's row of it, k, and the block starts and stops
-    for energy, cfg in zip(energies, configs):
-        streams = (stream(derive_seed(cfg.master_seed, r)) for r in range(n_replicas))
+    for energy, seed in zip(energies, seeds):
+        streams = (stream(derive_seed(seed, r)) for r in range(n_replicas))
         distinct, index = _distinct_rows(np.stack([sample_indices(params, total, rng) for rng in streams], axis=1))
         table = transfer_table(params, values[distinct], energy)
         k = min(_block_length(table), widest)
@@ -239,27 +241,26 @@ def _spectra(params: ModelParams, energies: np.ndarray, configs: list[EstimatorC
     first = np.array([-(-burn_in // k) for k in ks])  # the first round after the burn-in
     n_rounds = int(rounds.max())
 
-    eye = np.eye(two_n)
-    q = np.broadcast_to(eye, (len(energies), n_replicas, two_n, two_n)).copy()
+    q = np.broadcast_to(np.eye(two_n), (len(energies), n_replicas, two_n, two_n)).copy()
     acc = np.zeros((len(energies), n_replicas, two_n))
     # a round holds the products of every energy and one energy's k gathered cells
     step = max(1, _ROUND_BYTES // (8 * two_n * two_n * n_replicas * (len(energies) + max(ks))))
     for r0 in range(0, n_rounds, step):
-        products = np.broadcast_to(eye, (min(step, n_rounds - r0), *q.shape)).copy()
-        for e, (table, index, k, starts, stops) in enumerate(runs):
-            if r0 < rounds[e]:
-                products[:rounds[e] - r0, e] = _block_products(table, index, k, starts[r0:r0 + step],
-                                                               stops[r0:r0 + step])
+        products = np.empty((min(step, n_rounds - r0), *q.shape))  # a finished energy's rows are never read
+        for e in np.flatnonzero(r0 < rounds):
+            table, index, k, starts, stops = runs[e]
+            products[:rounds[e] - r0, e] = _block_products(table, index, k, starts[r0:r0 + step], stops[r0:r0 + step])
         for r, product in enumerate(products, r0):
-            z = product @ q
+            live = np.flatnonzero(r < rounds)
+            z = product[live] @ q[live]
             try:
-                q, log_d = _renormalise(z)
+                q[live], log_d = _renormalise(z)
             except InstabilityError:
-                for e, (energy, k) in enumerate(zip(energies, ks)):  # name the first failing energy in grid order
-                    _renormalise(z[e], f" at E={energy:g} (blocks of {k} cells)")
+                for e, frames in zip(live, z):  # name the first failing energy in grid order
+                    _renormalise(frames, f" at E={energies[e]:g} (blocks of {ks[e]} cells)")
                 raise
-            live = (r >= first) & (r < rounds)
-            acc[live] += log_d[live]
+            counted = r >= first[live]
+            acc[live[counted]] += log_d[counted]
 
     spectra = []
     for sums in acc:
@@ -292,8 +293,12 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
     energy of the chunk: the measured tracemalloc peak at one energy is 27,
     29, 31 and 33 bytes at N = 1-4 (41 at N = 8), where the estimate reads 31
     to 37.  It adds the transfer tables, the frames and one chunk of rounds.
+    The first round whose frames fail raises ``InstabilityError`` "at E=...
+    (blocks of k cells)"; in a scan over several energies it names the
+    first energy, in grid order, among those that fail in the earliest
+    failing round (``separability_scan``).
     """
-    return _spectra(params, [energy], [config])[0]
+    return _spectra(params, [energy], config, [config.master_seed])[0]
 
 
 def qr_log_diag_sums(matrices: list[np.ndarray]) -> np.ndarray:
@@ -368,16 +373,21 @@ def separability_scan(
     statistical verdicts about strict inequalities, never proofs.  Grid
     energies are independent tasks: grid index i runs at the master seed
     derive_seed(master_seed, i), which its result holds as ``seed``.
+
+    A chunk of energies runs in lockstep (``_spectra``), so a failing scan
+    raises the ``InstabilityError`` of the first energy, in grid order,
+    among those whose frames fail in the earliest round where any frame
+    fails; an energy that would fail only in a later round is not named,
+    since the scan stops at that round.
     """
     n = params.n
     energies = reals(energy_grid, "energy_grid")
     seeds = [derive_seed(config.master_seed, i) for i in range(len(energies))]
-    size = max(1, _HELD_BYTES // _energy_bytes(params, config.n_replicas,
-                                                (config.burn_in + config.n_steps) * config.n_replicas))
+    size = max(1, _HELD_BYTES // _energy_bytes(params, config))
     results = []
     for c0 in range(0, len(energies), size):
         chunk = slice(c0, c0 + size)
-        spectra = _spectra(params, energies[chunk], [replace(config, master_seed=seed) for seed in seeds[chunk]])
+        spectra = _spectra(params, energies[chunk], config, seeds[chunk])
         for energy, seed, spec in zip(energies[chunk], seeds[chunk], spectra):
             g, se = spec.gammas, spec.stderrs
             ok = bool(np.all(se[:n] > 0)) and g[n - 1] > 3.0 * se[n - 1]  # one replica reads se = 0

@@ -321,15 +321,16 @@ class TestLockstep:
     def test_every_energy_alone_batched_and_reversed_is_bit_identical(self, monkeypatch):
         params = make_params(**self.DESK)
         energies = np.array([-4.5, 0.0, -2.0])
-        configs = [EstimatorConfig(600, 4, burn_in=30, master_seed=derive_seed(9, i)) for i in range(3)]
+        cfg = EstimatorConfig(600, 4, burn_in=30)
+        seeds = [derive_seed(9, i) for i in range(3)]
         ks = []
         original = anderloc.lyapunov._block_length
         monkeypatch.setattr(anderloc.lyapunov, "_block_length", lambda table: ks.append(original(table)) or ks[-1])
-        batched = anderloc.lyapunov._spectra(params, energies, configs)
+        batched = anderloc.lyapunov._spectra(params, energies, cfg, seeds)
         assert ks == [17, 43, 26]
-        reversed_ = anderloc.lyapunov._spectra(params, energies[::-1], configs[::-1])[::-1]
-        for energy, config, a, b in zip(energies, configs, batched, reversed_):
-            alone = lyapunov_spectrum(params, energy, config)
+        reversed_ = anderloc.lyapunov._spectra(params, energies[::-1], cfg, seeds[::-1])[::-1]
+        for energy, seed, a, b in zip(energies, seeds, batched, reversed_):
+            alone = lyapunov_spectrum(params, energy, replace(cfg, master_seed=seed))
             for spec in (a, b):
                 assert np.array_equal(spec.gammas, alone.gammas) and np.array_equal(spec.stderrs, alone.stderrs)
 
@@ -340,8 +341,9 @@ class TestLockstep:
         whole = separability_scan(params, grid, cfg)
         chunks = []
         original = anderloc.lyapunov._spectra
-        monkeypatch.setattr(anderloc.lyapunov, "_spectra", lambda p, e, c: chunks.append(len(e)) or original(p, e, c))
-        held = anderloc.lyapunov._energy_bytes(params, cfg.n_replicas, (cfg.burn_in + cfg.n_steps) * cfg.n_replicas)
+        monkeypatch.setattr(anderloc.lyapunov, "_spectra",
+                            lambda p, e, c, s: chunks.append(len(e)) or original(p, e, c, s))
+        held = anderloc.lyapunov._energy_bytes(params, cfg)
         monkeypatch.setattr(anderloc.lyapunov, "_HELD_BYTES", 2 * held + 1)
         chunked = separability_scan(params, grid, cfg)
         assert chunks == [2, 2, 1]
@@ -364,6 +366,32 @@ class TestLockstep:
                                                         rf"E={named} \(blocks of 10 cells\): .*decrease ell"):
                 separability_scan(params, grid, cfg)
         assert separability_scan(params, [0.3], cfg)[0].spectrum.gammas[0] > 0
+
+    def test_the_earliest_failing_round_names_its_first_failing_energy(self, monkeypatch):
+        # k = 10 at both energies: E = 2 passes its 2-cell burn-in block (1e-80) and underflows in round 2 (1e-400),
+        # E = 3 already underflows in round 1 (1e-600), so the scan stops there and never runs E = 2 on
+        def scaled(p, configs, energy):
+            return transfer_table(p, configs, energy) * {2.0: 1e-40, 3.0: 1e-300}.get(energy, 1.0)
+
+        monkeypatch.setattr(anderloc.lyapunov, "transfer_table", scaled)
+        cfg = EstimatorConfig(n_steps=10, n_replicas=2, burn_in=2)
+        for grid, named in (([2.0, 3.0], "3"), ([2.0], "2")):
+            with pytest.raises(InstabilityError, match=rf"^propagated frame became numerically singular at "
+                                                        rf"E={named} \(blocks of 10 cells\): "):
+                separability_scan(make_params(), grid, cfg)
+
+    def test_finished_energies_leave_the_stacked_qr(self, monkeypatch):
+        params = make_params(**self.DESK)
+        cfg = EstimatorConfig(600, 4, burn_in=30)
+        shapes = []  # (energies, replicas) of each stacked renormalisation
+        original = anderloc.lyapunov._renormalise
+        monkeypatch.setattr(anderloc.lyapunov, "_renormalise", lambda z, where="": shapes.append(z.shape[:2]) or
+                            original(z, where))
+        separability_scan(params, [-4.5, 0.0, -2.0], cfg)
+        # k = 17, 43, 26: ceil(30 / k) burn-in blocks and ceil(600 / k) counted ones
+        rounds = np.array([2 + 36, 1 + 14, 2 + 24])
+        assert [energies for energies, _ in shapes] == [int(np.sum(r < rounds)) for r in range(rounds.max())]
+        assert sum(energies * replicas for energies, replicas in shapes) == rounds.sum() * cfg.n_replicas
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("atoms", [2, 3])

@@ -197,3 +197,13 @@ def test_same_outputs_diagonal_configuration_reads_uncertified(tmp_path):
     assert len(rows) == 8 and all(row[-1] == "0" for row in rows)
     assert [row[1] for row in rows] == ["0", "1", "1", "1", "1", "1", "1", "0"]
     assert cli.main(["critical", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_NON_GENERIC
+
+
+def test_same_outputs_refusal_configuration_stops_the_scan(tmp_path, capsys):
+    # the stacked renormalisation fails in the first round, so each frame stack is repeated alone to name E = -400
+    config = tmp_path / "refusal.json"
+    config.write_text(json.dumps(same_outputs.REFUSAL))
+    assert cli.main(["lyapunov", "--config", str(config), "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith(
+        "error: propagated frame became numerically singular at E=-400 (blocks of 1 cells): ")
+    assert not (tmp_path / "lyapunov.csv").exists()

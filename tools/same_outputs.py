@@ -10,13 +10,14 @@ DESK (read from the working tree's ``perfbench/run.py``, which is imported
 without writing bytecode) and ``DIAGONAL`` below, where the channels never
 couple, so ``critical`` exits 3 and every certificate reads 0.  perfbench's
 ``shooting.py`` runs on the inputs that ``run.py``'s ``shooting_oracle``
-builds at the same two seeds.  Every run is a fresh process against each
-tree's ``src``, with the same arguments and working-directory layout on
-both sides.  The exit status, stdout, stderr and every output file are
-compared byte for byte.  Prints each difference, with the largest absolute
-and relative difference over the numeric cells of a CSV file that differs,
-and exits 1; otherwise prints the number of runs and files compared and
-exits 0.  Standard library only.
+builds at the same two seeds, and ``lyapunov`` on ``REFUSAL`` at both
+seeds, where the scan stops with exit status 4.  Every run is a fresh
+process against each tree's ``src``, with the same arguments and
+working-directory layout on both sides.  The exit status, stdout, stderr
+and every output file are compared byte for byte.  Prints each difference,
+with the largest absolute and relative difference over the numeric cells
+of a CSV file that differs, and exits 1; otherwise prints the number of
+runs and files compared and exits 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ DIAGONAL = {
     "lyapunov": {"grid": {"lo": -2.0, "hi": 0.0, "count": 3}, "n_steps": 500, "n_replicas": 4},
     "ids": {"grid": {"lo": 0.0, "hi": 4.0, "count": 5}, "L": 20, "h": 0.025, "n_samples": 3, "boundary": "neumann"},
     "localize": {"window": [0.0, 2.0], "L": 30, "ref_steps": 1000},
+}
+# The witness V at ell = 1: E = -400 takes blocks of 1 cell and its frames still turn singular in the first
+# round, so the scan fails through the energy-by-energy repeat of the stacked renormalisation.
+REFUSAL = {
+    "N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [1.0, 1.0], "ell": 1.0,
+    "lyapunov": {"energies": [0.5, -400.0, -1.0], "n_steps": 300, "n_replicas": 4},
 }
 
 
@@ -116,7 +123,10 @@ def main(argv: list[str] | None = None) -> int:
             config.write_text(json.dumps(doc))
             for command, seed in itertools.product(COMMANDS, SEEDS):
                 runs[f"{name}-{command}-seed{seed}"] = perfbench._cli(command, str(config), "out", seed)
+        config = inputs / "refusal.json"
+        config.write_text(json.dumps(REFUSAL))
         for seed in SEEDS:
+            runs[f"refusal-lyapunov-seed{seed}"] = perfbench._cli("lyapunov", str(config), "out", seed)
             work = inputs / f"shooting-seed{seed}"
             work.mkdir()
             steps, _ = perfbench.shooting_oracle(seed, str(work), "out")
