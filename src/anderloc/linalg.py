@@ -15,6 +15,8 @@ against scipy's ``expm``.  This module loads numpy only.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError, SingularMatrixError
@@ -44,6 +46,14 @@ def standard_form(n: int) -> np.ndarray:
     return j
 
 
+@functools.cache
+def _form(n: int) -> np.ndarray:
+    """``standard_form(n)``, read-only: the one J of each order that the symplectic and Hamiltonian tests reuse."""
+    j = standard_form(n)
+    j.setflags(write=False)
+    return j
+
+
 def _square(m: np.ndarray, what: str, stack: bool = False, even: bool = False) -> np.ndarray:
     """``m`` as a float square matrix, or a stack (..., k, k) of them when ``stack``, of even order k when ``even``.
 
@@ -59,14 +69,14 @@ def _square(m: np.ndarray, what: str, stack: bool = False, even: bool = False) -
 def is_symplectic(m: np.ndarray, tol: float | np.ndarray = 1e-10) -> bool:
     """True when ||t(m) J m - J||_F <= tol for every matrix of a stack (..., 2n, 2n); ``tol`` broadcasts."""
     m = _square(m, "symplectic candidate", stack=True, even=True)
-    j = standard_form(m.shape[-1] // 2)
+    j = _form(m.shape[-1] // 2)
     return bool(np.all(np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1)) <= tol))
 
 
 def is_hamiltonian(x: np.ndarray, tol: float = 1e-10) -> bool:
     """True when ||J x + t(x) J||_F <= tol, i.e. J x is symmetric."""
     x = _square(x, "Hamiltonian candidate", even=True)
-    j = standard_form(x.shape[0] // 2)
+    j = _form(x.shape[0] // 2)
     return bool(np.linalg.norm(j @ x + x.T @ j) <= tol)
 
 

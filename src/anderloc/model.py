@@ -21,8 +21,13 @@ of an empty window where a command needs energies inside it.  A disorder
 path becomes transfer matrices here too: ``path_table`` finds the path's
 distinct cells with one row sort (``_distinct_rows``, which the Lyapunov
 recursion runs on atom indices), transfers each once and indexes every
-cell into that table.  Every number the module takes, paths included,
-passes one rule: ``real`` for a scalar, ``reals`` for an array.
+cell into that table.  Only kappa = mu - E depends on the energy, so it
+remembers one path, the last float64 array it coded, with its read-only
+index and its cells' eigendecomposition (``_coded_path``); at each further
+energy on it only the closed form (``_transfers``) runs.  Every number the
+module takes, paths included, passes one rule: ``real`` for a scalar,
+``reals`` for an array, except a remembered path's bytes when they come
+again, which passed it before.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ _GROWTH_ADVICE = (
     "the per-cell growth exceeds double precision; decrease ell, "
     "or move E closer to [lambda_min, lambda_max]"
 )
+
+# (key, coded) of the last float64 ndarray path that ``_coded_path`` coded; one assignment replaces it whole
+_remembered: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -346,7 +354,9 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
 
     where, channel by channel with x = ell sqrt|kappa|, C is cosh x or
     cos x and S is ell sinh(x)/x or ell sin(x)/x as kappa is positive or
-    not.  Returns shape (K, 2N, 2N) for K rows.
+    not.  Returns shape (K, 2N, 2N) for K rows.  The eigendecomposition is
+    the only step that does not depend on E; ``_transfers`` takes it from
+    there.
 
     Raises
     ------
@@ -355,9 +365,14 @@ def transfer_table(params: ModelParams, configs: np.ndarray, energy: float) -> n
     InstabilityError
         If a matrix overflows or fails the symplecticity check.
     """
+    mu, u = np.linalg.eigh(cell_matrix(params, configs, 0.0))
+    return _transfers(params, mu, u, energy)
+
+
+def _transfers(params: ModelParams, mu: np.ndarray, u: np.ndarray, energy: float) -> np.ndarray:
+    """``transfer_table`` from the cells' eigendecomposition U diag(mu) t(U) at energy zero; same errors."""
     n = params.n
     energy = real(energy, "energy")
-    mu, u = np.linalg.eigh(cell_matrix(params, configs, 0.0))
     kappa = mu - energy
     x = params.ell * np.sqrt(np.abs(kappa))
     grow = kappa > 0
@@ -397,16 +412,50 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat[new], index.reshape(rows.shape[:-1])
 
 
+def _coded_path(params: ModelParams, path: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``path_table`` needs of a path at every energy: its index, and mu and U of its distinct cells.
+
+    ``_distinct_rows`` finds the path's distinct cells with one row sort,
+    and U diag(mu) t(U) is the eigendecomposition of their cell matrices
+    at energy zero, which ``_transfers`` turns into the table at any
+    energy.  The three arrays are read-only.  The last float64 ndarray
+    path is remembered, keyed by its shape and bytes and by n and the
+    bytes of V and c (not ell: mu and U do not depend on it), so a run of
+    calls on one path codes it once.  On a hit the number rule is skipped:
+    identical bytes passed it before, and a path that fails it is never
+    remembered.  Any other path (a list, an integer array) is coded at
+    every call and not remembered.
+    """
+    global _remembered
+    key = None
+    if type(path) is np.ndarray and path.dtype == np.float64:
+        key = (path.shape, path.tobytes(), params.n, params.v.tobytes(), params.c.tobytes())
+        entry = _remembered  # read once: another thread may replace it
+        if entry is not None and entry[0] == key:
+            return entry[1]
+    cells, index = _distinct_rows(np.atleast_2d(reals(path, "path")))
+    mu, u = np.linalg.eigh(cell_matrix(params, cells, 0.0))
+    coded = (index, mu, u)
+    for array in coded:
+        array.setflags(write=False)
+    if key is not None:
+        _remembered = (key, coded)
+    return coded
+
+
 def path_table(params: ModelParams, path: object, energy: float) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices of a path's distinct cells, and each cell's row of the table: ``table[index]``.
 
     ``path`` is a (..., N) stack of cell configurations whose entries pass
     ``reals``.  ``_distinct_rows`` finds its distinct cells with one row
     sort; the table transfers each of them once, in that order, and
-    ``index`` has shape ``path.shape[:-1]``.
+    ``index`` (read-only) has shape ``path.shape[:-1]``.  The coding and
+    the cells' eigendecomposition are remembered for the last float64
+    array path (``_coded_path``; the number rule is skipped when its bytes
+    come again), so only ``_transfers`` runs at each further energy.
     """
-    cells, index = _distinct_rows(np.atleast_2d(reals(path, "path")))
-    return transfer_table(params, cells, energy), index
+    index, mu, u = _coded_path(params, path)
+    return _transfers(params, mu, u, energy), index
 
 
 def generator_norm(params: ModelParams, omega: np.ndarray, energy: float) -> float:

@@ -367,19 +367,29 @@ def boundary_block(params: ModelParams, omega_path: np.ndarray, energy: float) -
     For Cauchy data starting as (0, u') at the left edge, this block maps
     u' to the value at the right edge, so the energy is a Dirichlet
     eigenvalue of the continuum restriction exactly when it is singular.
+    The path has shape (cells, N), or (N,) for one cell; a stack of paths
+    with more axes raises ``DimensionError``.
 
     The finished product is tested once: an entry above ``_OVERFLOW_ENTRY``
     in magnitude, an inf or a NaN raises ``InstabilityError``.  An entry that
     overflowed the float range on the way stays inf or NaN through every
     later product, so it always raises; a partial product whose entries
     passed 1e300 but that later cells shrank back below it does not.
+
+    ``model.path_table`` remembers the last float64 array path it coded,
+    so a run of calls on one path only transfers its distinct cells at
+    each energy; their rows are multiplied in path order with
+    ``ndarray.dot``, the same dgemm as ``@`` at less cost per call.
     """
     n = params.n
     table, index = path_table(params, omega_path, energy)
+    if index.ndim != 1:
+        raise DimensionError(f"the path must have shape (cells, {n}), got {np.shape(omega_path)}")
+    rows = list(table)
     prod = np.eye(2 * n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for cell in table[index]:
-            prod = cell @ prod
+        for k in index.tolist():
+            prod = rows[k].dot(prod)
     if not np.max(np.abs(prod)) <= _OVERFLOW_ENTRY:
         raise InstabilityError(
             "transfer product overflow; use a shorter restriction or shift the energy"

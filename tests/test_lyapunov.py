@@ -287,7 +287,17 @@ class TestBlockedRecursion:
         rng = stream(derive_seed(41, n))
         idx = rng.integers(0, 3, size=(60, n))[rng.integers(0, 60, size=rows)]
         want_uniq, want_inverse = np.unique(idx, axis=0, return_inverse=True)
-        monkeypatch.setattr(anderloc.model, "transfer_table", lambda p, configs, energy: configs)
+        cell_matrix = anderloc.model.cell_matrix
+        seen = []
+
+        def recorded(p, cells, energy):
+            seen.append(cells)
+            return cell_matrix(p, cells, energy)
+
+        # the table reads back the cells whose matrices the coding diagonalised, on a path coded afresh
+        monkeypatch.setattr(anderloc.model, "_remembered", None)
+        monkeypatch.setattr(anderloc.model, "cell_matrix", recorded)
+        monkeypatch.setattr(anderloc.model, "_transfers", lambda p, mu, u, energy: seen[-1])
         got_uniq, got_index = path_table(make_params(n=n), idx.astype(float), 0.5)
         assert np.array_equal(got_uniq, want_uniq)
         assert got_index.shape == (rows,) and np.array_equal(got_index, want_inverse.ravel())

@@ -280,6 +280,14 @@ class TestPathTable:
         assert np.array_equal(index, [0, 0, 1])
         assert np.array_equal(table, transfer_table(p, [[-0.0, 1.0], [1.0, -0.0]], 0.7))
 
+    def test_the_index_is_read_only_on_every_call(self):
+        p = make_params(n=2, v=V0_2, c=np.array([1.0, 1.5]), disorder=THREE_ATOMS)
+        path = sample_path(p, 30, stream(6))
+        for energy in (0.7, 0.9):  # coded, then remembered
+            _, index = path_table(p, path, energy)
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+
 
 class TestGeneratorNorm:
     def test_unit_floor(self):

@@ -6,12 +6,14 @@ import math
 import re
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import eig_banded, expm
 
+import anderloc.model
 from anderloc import spectrum
 from anderloc.cli import exit_code_for, main
 from anderloc.errors import (
@@ -53,6 +55,24 @@ def make_params(n=1, v=None, c=None, ell=1.0, disorder=None):
     c = np.ones(n) if c is None else c
     disorder = DisorderSpec.point(0.0) if disorder is None else disorder
     return ModelParams(n=n, v=v, c=c, ell=ell, disorder=disorder)
+
+
+def explicit_chain(params, path, energy):
+    """Top-right block of the product of ``transfer`` over the path's cells, one ``@`` per cell."""
+    prod = np.eye(2 * params.n)
+    for omega in np.atleast_2d(np.asarray(path, dtype=float)):
+        prod = transfer(params, omega, energy) @ prod
+    return prod[: params.n, params.n :]
+
+
+THREE_ATOMS = DisorderSpec(((0.0, 0.3), (1.0, 0.3), (2.5, 0.4)))
+
+
+def criterion_09():
+    """The model and 40-cell path of acceptance criterion 09."""
+    params = make_params(n=2, v=tridiagonal_witness(2), c=np.array([1.0, 1.5]), ell=0.5,
+                         disorder=DisorderSpec.bernoulli())
+    return params, params.disorder.values[stream(424242).integers(0, 2, size=(40, 2))]
 
 
 def free_restriction(length_cells, h, boundary="dirichlet", n=1):
@@ -470,15 +490,46 @@ class TestShooting:
         assert np.max(np.abs(boundary_block(params, path[:34], 0.0))) < 1e300
 
     def test_product_is_the_explicit_transfer_chain_bit_for_bit(self):
-        # the criterion-09 path
-        params = make_params(n=2, v=tridiagonal_witness(2), c=np.array([1.0, 1.5]), ell=0.5,
-                             disorder=DisorderSpec.bernoulli())
-        path = params.disorder.values[stream(424242).integers(0, 2, size=(40, 2))]
+        # the criterion-09 path, and three-atom paths at N = 1 and N = 3
+        models = [criterion_09()]
+        for n, c in ((1, [1.5]), (3, [1.0, 1.5, 2.0])):
+            params = make_params(n=n, v=tridiagonal_witness(n), c=np.array(c), ell=0.5, disorder=THREE_ATOMS)
+            models.append((params, sample_path(params, 40, stream(derive_seed(69, n)))))
+        for params, path in models:
+            for e in np.linspace(0.4, 1.9, 50):
+                assert np.array_equal(boundary_block(params, path, float(e)), explicit_chain(params, path, float(e))), \
+                    (params.n, e)
+
+    def test_a_path_is_coded_once_for_all_its_energies(self, monkeypatch):
+        params, path = criterion_09()
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(anderloc.model, "_remembered", None, raising=False)
+        monkeypatch.setattr(anderloc.model, "_distinct_rows", counted("rows", anderloc.model._distinct_rows))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         for e in np.linspace(0.4, 1.9, 50):
-            prod = np.eye(4)
-            for omega in path:
-                prod = transfer(params, omega, float(e)) @ prod
-            assert np.array_equal(boundary_block(params, path, float(e)), prod[:2, 2:]), e
+            boundary_block(params, path, float(e))
+        assert calls == ["rows", "eigh"]
+
+    def test_a_remembered_path_gives_the_explicit_chain(self):
+        params = make_params(n=2, v=tridiagonal_witness(2), c=np.array([1.0, 1.5]), ell=0.5, disorder=THREE_ATOMS)
+        a, b = (sample_path(params, 30, stream(seed)) for seed in (70, 71))  # one shape, two paths
+        one_cell = a.copy()
+        one_cell[7, 0] = 2.5 if a[7, 0] != 2.5 else 0.0
+        signed = np.where(a == 0.0, -0.0, a)  # other bytes, the same cells
+        assert np.any(np.signbit(signed)) and not np.any(np.signbit(a))
+        cases = [(params, a), (params, b), (params, a), (params, one_cell), (params, a), (params, signed),
+                 (params, a), (replace(params, v=np.array([[0.5, 1.0], [1.0, 0.0]])), a),
+                 (replace(params, c=np.array([1.0, -1.5])), a), (replace(params, ell=0.25), a), (params, a.tolist())]
+        for k, (p, path) in enumerate(cases):
+            for e in (0.4, 1.15, 1.9):
+                assert np.array_equal(boundary_block(p, path, e), explicit_chain(p, path, e)), (k, e)
 
     @pytest.mark.parametrize("channels", [1, 3, 4])
     def test_path_with_the_wrong_channel_count_is_a_dimension_error(self, channels):
@@ -486,6 +537,12 @@ class TestShooting:
         path = stream(68).integers(0, 2, size=(40, channels)).astype(float)
         with pytest.raises(DimensionError, match="cell configuration must have length 2"):
             boundary_block(params, path, 0.5)
+
+    def test_a_stack_of_paths_is_a_dimension_error(self):
+        params = make_params(n=2, v=np.array([[0.0, 1.0], [1.0, 0.0]]), disorder=DisorderSpec.bernoulli())
+        with pytest.raises(DimensionError, match=re.escape("the path must have shape (cells, 2), got (3, 4, 2)")):
+            boundary_block(params, np.zeros((3, 4, 2)), 0.5)
+        assert np.array_equal(boundary_block(params, np.zeros(2), 0.5), explicit_chain(params, np.zeros((1, 2)), 0.5))
 
     # a NaN entry used to raise InstabilityError advising a smaller ell, and True and "1" passed as 1
     @pytest.mark.parametrize("form", [list, np.array])

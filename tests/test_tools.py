@@ -3,6 +3,9 @@ and the output comparison."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from anderloc import cli
@@ -207,3 +210,15 @@ def test_same_outputs_refusal_configuration_stops_the_scan(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: propagated frame became numerically singular at E=-400 (blocks of 1 cells): ")
     assert not (tmp_path / "lyapunov.csv").exists()
+
+
+def test_same_outputs_three_channel_shooting_run_counts_agree(tmp_path):
+    # the 6 x 6 chains that the byte check compares: at both seeds the script exits 0 and all four counts agree
+    for seed in same_outputs.SEEDS:
+        config = tmp_path / f"shooting3-seed{seed}.json"
+        config.write_text(json.dumps(same_outputs.shooting_input(same_outputs.SHOOTING_3, seed)))
+        done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "shooting.py"), str(config), "shooting.json"],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True)
+        assert done.returncode == 0, done.stderr
+        result = json.loads((tmp_path / "shooting.json").read_text())
+        assert result["shooting_count"] > 0 and result["inertia_counts"] == [result["shooting_count"]] * 3, seed

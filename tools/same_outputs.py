@@ -10,7 +10,8 @@ DESK (read from the working tree's ``perfbench/run.py``, which is imported
 without writing bytecode) and ``DIAGONAL`` below, where the channels never
 couple, so ``critical`` exits 3 and every certificate reads 0.  perfbench's
 ``shooting.py`` runs on the inputs that ``run.py``'s ``shooting_oracle``
-builds at the same two seeds, and ``lyapunov`` on ``REFUSAL`` at both
+builds at the same two seeds, and on ``SHOOTING_3``, its three-channel
+counterpart, at both seeds; ``lyapunov`` runs on ``REFUSAL`` at both
 seeds, where the scan stops with exit status 4.  Every run is a fresh
 process against each tree's ``src``, with the same arguments and
 working-directory layout on both sides.  The exit status, stdout, stderr
@@ -28,6 +29,7 @@ import importlib.util
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -50,6 +52,19 @@ REFUSAL = {
     "N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [1.0, 1.0], "ell": 1.0,
     "lyapunov": {"energies": [0.5, -400.0, -1.0], "n_steps": 300, "n_replicas": 4},
 }
+
+# perfbench's shooting script on three channels, so that the byte check covers chains of 6 x 6 transfer matrices;
+# over this range the shooting and inertia counts agree at both seeds (6 and 8 eigenvalues).
+SHOOTING_3 = {
+    "N": 3, "V": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "c": [1.0, 1.5, 2.0], "ell": 0.5,
+    "cells": 30, "lo": -1.0, "hi": 1.0, "count": 400, "refinements": [8, 16, 32],
+}
+
+
+def shooting_input(doc: dict, seed: int) -> dict:
+    """``doc`` with a Bernoulli path of ``doc["cells"]`` cells, drawn as perfbench's ``shooting_oracle`` draws one."""
+    rng = random.Random(seed)
+    return dict(doc, path=[[float(rng.random() < 0.5) for _ in range(doc["N"])] for _ in range(doc["cells"])])
 
 
 def run(src: Path, argv: list[str], into: Path) -> None:
@@ -131,6 +146,9 @@ def main(argv: list[str] | None = None) -> int:
             work.mkdir()
             steps, _ = perfbench.shooting_oracle(seed, str(work), "out")
             runs[f"shooting-seed{seed}"] = steps[0]
+            config = inputs / f"shooting3-seed{seed}.json"
+            config.write_text(json.dumps(shooting_input(SHOOTING_3, seed)))
+            runs[f"shooting3-seed{seed}"] = [steps[0][0], str(config), os.path.join("out", "shooting.json")]
         for side, root in (("parent", tree), ("change", Path.cwd())):
             for name, argv in runs.items():
                 run(root / "src", argv, Path(tmp, side, name))
