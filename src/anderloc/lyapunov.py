@@ -12,8 +12,9 @@ oracle built from compound matrices, and ``qr_log_diag_sums`` is the
 per-cell recursion, the oracle of the blocked one.
 
 ``_spectra`` is the one recursion.  It runs a chunk of energies in
-lockstep: each energy's disorder is drawn as atom indices and coded by one
-row sort, each block product is a pairwise tree over its cells, and round
+lockstep: each energy's disorder is drawn as atom indices, one comparison
+per atom, and coded by radix (``model._distinct_rows``), each block
+product is a pairwise tree over its cells, and round
 r renormalises block r of every energy still running, all its replicas
 together, with one stacked QR.
 ``lyapunov_spectrum`` calls it at one energy and ``separability_scan``
@@ -203,9 +204,10 @@ def _spectra(params: ModelParams, energies: np.ndarray, config: EstimatorConfig,
     not read); every energy keeps its own path, transfer table, block
     length k and block bounds, so its result does not depend on the other
     energies.  Replica r draws the atom indices of its cells from the
-    stream derived from (seed, r) (``model.sample_indices``); one row sort
-    over all replicas (``model._distinct_rows``) finds the distinct cells,
-    and only those are mapped to atom values and transferred.  Round r
+    stream derived from (seed, r) (``model.sample_indices``); one coding of
+    the rows of all replicas (``model._distinct_rows``: by radix, or by the
+    row sort when the code space outnumbers the rows) finds the distinct
+    cells, and only those are mapped to atom values and transferred.  Round r
     multiplies block r of every energy still running, in grid order, into
     its frames and renormalises them all with one stacked ``qr_pos``; an
     energy whose blocks are done leaves the round.  The block products of
@@ -220,9 +222,9 @@ def _spectra(params: ModelParams, energies: np.ndarray, config: EstimatorConfig,
     two_n = 2 * params.n
     total = burn_in + config.n_steps
     widest = min(_MAX_BLOCK, max(burn_in, config.n_steps))  # k beyond it would only pad every block
-    # the measured peak: 25 + 2 N bytes per cell and replica to draw and sort one energy's rows; the index
-    # and table of every energy, and transfer_table's temporaries at one energy (three tables); a chunk
-    # of rounds and its tree (twice the budget, or twice a round at the longest block)
+    # 25 + 2 N bytes per cell and replica to draw and code one energy's rows (the row sort's measured peak;
+    # radix coding peaks lower); the index and table of every energy, and transfer_table's temporaries at one
+    # energy (three tables); a chunk of rounds and its tree (twice the budget, or twice a round at the longest block)
     _guard_memory((25 + 2 * params.n) * total * n_replicas + (len(energies) + 3) * _energy_bytes(params, config)
                   + 2 * max(_ROUND_BYTES, 8 * two_n * two_n * n_replicas * (len(energies) + widest)),
                   f"the Lyapunov estimate at n_steps = {config.n_steps}, burn_in = {burn_in}, "
@@ -289,10 +291,14 @@ def lyapunov_spectrum(params: ModelParams, energy: float, config: EstimatorConfi
     above the physical memory with ``SizeGuardError``
     (``model._guard_memory``), naming ``n_steps``, ``burn_in``,
     ``n_replicas``, the estimate and the memory.  Per cell and replica it
-    counts 25 + 2 N bytes to draw and sort the rows plus the index of every
-    energy of the chunk: the measured tracemalloc peak at one energy is 27,
-    29, 31 and 33 bytes at N = 1-4 (41 at N = 8), where the estimate reads 31
-    to 37.  It adds the transfer tables, the frames and one chunk of rounds.
+    counts 25 + 2 N bytes to draw and code the rows plus the index of every
+    energy of the chunk and of three more: 31 to 37 bytes at N = 1-4 for one
+    energy.  The tracemalloc peak of the row sort at one energy is 29, 29, 31
+    and 33 bytes at N = 1-4 (41 at N = 8); radix coding, which binary atoms
+    take whenever their 2^N codes fit in the rows, peaks at 5, 4, 6 and 9
+    bytes (17 at N = 8, where the draw's uniforms peak; 50 000 steps, 8
+    replicas), so there the guard is conservative.  It adds the transfer
+    tables, the frames and one chunk of rounds.
     The first round whose frames fail raises ``InstabilityError`` "at E=...
     (blocks of k cells)"; in a scan over several energies it names the
     first energy, in grid order, among those that fail in the earliest

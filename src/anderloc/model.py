@@ -19,9 +19,10 @@ window is made here: ``energy_interval`` is its one formula, which the
 density certificates read, and ``certified_window`` is the one refusal
 of an empty window where a command needs energies inside it.  A disorder
 path becomes transfer matrices here too: ``path_table`` finds the path's
-distinct cells with one row sort (``_distinct_rows``, which the Lyapunov
-recursion runs on atom indices), transfers each once and indexes every
-cell into that table.  Only kappa = mu - E depends on the energy, so it
+distinct cells with one row sort (``_distinct_rows``, which codes the
+Lyapunov recursion's atom indices by radix instead when their codes fit
+in their count), transfers each once and indexes every cell into that
+table.  Only kappa = mu - E depends on the energy, so it
 remembers one path, the last float64 array it coded, with its read-only
 index and its cells' eigendecomposition (``_coded_path``); at each further
 energy on it only the closed form (``_transfers``) runs.  Every number the
@@ -393,15 +394,34 @@ def _transfers(params: ModelParams, mu: np.ndarray, u: np.ndarray, energy: float
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a (..., N) stack, and each row's place among them: ``distinct[index]`` is ``rows``.
 
-    One stable lexicographic sort of the rows, first column most
-    significant, puts equal rows side by side; ``distinct`` holds them in
-    that order, and ``index`` (shape ``rows.shape[:-1]``, the smallest
-    unsigned dtype that holds it) numbers each row by its run.  Rows are
-    compared by value, so -0.0 and 0.0 are one value; the first row of a
-    run in stack order is the one kept.  No code is formed from a row, so
-    any N and any number of distinct values work.
+    ``distinct`` holds the rows in lexicographic order, first column most
+    significant, and ``index`` (shape ``rows.shape[:-1]``, the smallest
+    unsigned dtype that holds it) numbers each row by its place there.  Rows
+    of an unsigned integer dtype whose code space (max + 1)^N is no larger
+    than their count, as the Lyapunov recursion's atom indices, are coded
+    by radix: each row's base-(max + 1) code, first column most
+    significant, and a presence mask over the code space with its running
+    count give ``distinct`` and ``index`` without a sort.  Every other
+    stack, float paths among them, takes one stable lexicographic sort that
+    puts equal rows side by side; there rows are compared by value, so -0.0
+    and 0.0 are one value and the first row of a run in stack order is the
+    one kept.  Neither way forms a code that could overflow, so any N and
+    any number of distinct values work.
     """
     flat = rows.reshape(-1, rows.shape[-1])
+    base = int(flat.max()) + 1 if flat.dtype.kind == "u" and flat.size else 0
+    space = base ** flat.shape[1]
+    if base and space <= len(flat):
+        code = flat[:, 0].astype(np.min_scalar_type(space - 1))
+        for column in flat.T[1:]:
+            code *= base
+            code += column
+        present = np.zeros(space, dtype=bool)
+        present[code] = True
+        distinct = np.stack(np.unravel_index(np.flatnonzero(present), (base,) * flat.shape[1]), axis=-1)
+        runs = np.cumsum(present) - 1
+        index = runs.astype(np.min_scalar_type(runs[-1]))[code]
+        return distinct.astype(flat.dtype), index.reshape(rows.shape[:-1])
     order = np.lexsort(flat.T[::-1])
     flat = flat[order]
     new = np.ones(len(flat), dtype=bool)
@@ -526,12 +546,22 @@ def sample_cell(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
 def sample_indices(params: ModelParams, n_cells: int, rng: np.random.Generator) -> np.ndarray:
     """Atom indices of ``n_cells`` independent cell configurations, shape (n_cells, N).
 
-    One ``rng.choice`` over the atoms of the disorder law; the indices come
-    in the smallest unsigned dtype that holds them (``uint8`` up to 256 atoms).
+    One ``rng.random`` draw u per entry; its index counts the edges of the
+    normalised cumulative law (all but the last) that u reaches, one
+    comparison per atom.  That is how ``rng.choice(n_atoms, size, p=p)``
+    maps the same draw (numpy's ``searchsorted``, side "right"), so the
+    indices and the stream's state after the draw are the same as its.  The
+    indices come in the smallest unsigned dtype that holds them (``uint8``
+    up to 256 atoms).
     """
     n_atoms = len(params.disorder.atoms)
-    idx = rng.choice(n_atoms, size=(n_cells, params.n), p=params.disorder.probabilities)
-    return idx.astype(np.min_scalar_type(n_atoms - 1))
+    cdf = params.disorder.probabilities.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random((n_cells, params.n))
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(n_atoms - 1))
+    for edge in cdf[:-1]:
+        idx += u >= edge
+    return idx
 
 
 def sample_path(params: ModelParams, n_cells: int, rng: np.random.Generator) -> np.ndarray:

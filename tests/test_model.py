@@ -1,5 +1,6 @@
 """Model-level checks: cell objects, spectral constants, the certified window."""
 
+import itertools
 import math
 import re
 import warnings
@@ -15,6 +16,7 @@ from anderloc.model import (
     DisorderSpec,
     EnergyInterval,
     ModelParams,
+    _distinct_rows,
     binary_cells,
     cell_matrix,
     energy_interval,
@@ -25,6 +27,7 @@ from anderloc.model import (
     reals,
     path_table,
     sample_cell,
+    sample_indices,
     sample_path,
     spectral_bounds,
     transfer,
@@ -289,6 +292,41 @@ class TestPathTable:
                 index[0] = 1
 
 
+class TestDistinctRows:
+    """Index rows whose codes fit in their count are coded by radix; the row sort of their floats is the oracle."""
+
+    @pytest.mark.parametrize("dtype, n, atoms, rows, pool, radix", [
+        (np.uint8, 1, 2, 50, 50, True),
+        (np.uint8, 2, 2, 400, 400, True),
+        (np.uint8, 3, 3, 400, 5, True),  # at most 5 of the 27 codes occur
+        (np.uint8, 4, 3, 2400, 2400, True),
+        (np.uint8, 8, 2, 2400, 2400, True),
+        (np.uint8, 8, 2, 2400, 20, True),
+        (np.uint8, 9, 3, 2400, 2400, False),  # 3^9 codes outnumber the rows
+        (np.uint8, 4, 256, 2400, 2400, False),
+        (np.uint16, 1, 1000, 3000, 3000, True),
+        (np.uint16, 2, 300, 100_000, 60, True),
+        (np.uint16, 3, 300, 2400, 2400, False),
+        (np.uint8, 3, 3, 0, 1, False),  # an empty stack
+    ])
+    def test_index_rows_equal_the_row_sort_of_their_float_values(self, monkeypatch, dtype, n, atoms, rows, pool,
+                                                                   radix):
+        rng = np.random.default_rng(rows + n + atoms)
+        cells = rng.integers(0, atoms, size=(pool, n))
+        stack = cells[rng.integers(0, pool, size=rows)].astype(dtype).reshape(rows // 2, 2, n)
+        want_rows, want_index = _distinct_rows(stack.astype(float))
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+        got_rows, got_index = _distinct_rows(stack)
+        assert len(sorts) == (0 if radix else 1)
+        assert got_rows.dtype == dtype and got_rows.shape == want_rows.shape
+        assert np.array_equal(got_rows, want_rows)
+        assert got_index.dtype == want_index.dtype and got_index.shape == (rows // 2, 2)
+        assert np.array_equal(got_index, want_index)
+        assert np.array_equal(got_rows[got_index], stack)
+
+
 class TestGeneratorNorm:
     def test_unit_floor(self):
         p = make_params(v=np.array([[0.3]]))
@@ -467,6 +505,18 @@ class TestSampling:
             want = p.disorder.values[stream(seed).choice(3, size=(1, 3), p=p.disorder.probabilities)]
             assert np.array_equal(sample_path(p, 1, stream(seed)), want)
             assert np.array_equal(sample_cell(p, stream(seed)), want[0])
+
+    @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.2, 0.3, 0.5), tuple(np.arange(1, 11) / 55)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_indices_and_stream_state_are_generator_choice_s(self, probs, n):
+        # the draw repeats numpy's choice on the same uniforms: a numpy that maps them another way fails here
+        p = make_params(n=n, v=np.eye(n), c=np.ones(n), disorder=DisorderSpec(tuple(enumerate(probs))))
+        for seed, n_cells in itertools.product(range(10), (0, 1, 500)):
+            ours, oracle = stream(seed), stream(seed)
+            got = sample_indices(p, n_cells, ours)
+            want = oracle.choice(len(probs), size=(n_cells, n), p=p.disorder.probabilities)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+            assert ours.random() == oracle.random()
 
 
 class TestBinaryCells:

@@ -12,7 +12,10 @@ couple, so ``critical`` exits 3 and every certificate reads 0.  perfbench's
 ``shooting.py`` runs on the inputs that ``run.py``'s ``shooting_oracle``
 builds at the same two seeds, and on ``SHOOTING_3``, its three-channel
 counterpart, at both seeds; ``lyapunov`` runs on ``REFUSAL`` at both
-seeds, where the scan stops with exit status 4.  Every run is a fresh
+seeds, where the scan stops with exit status 4.  ``lyapunov``, ``ids`` and
+``localize`` run on ``THREE_ATOMS``, which draws three atoms on three
+channels, and ``lyapunov`` on ``FEW_ROWS``, whose 3^3 atom-index codes
+outnumber its 24 drawn rows, at both seeds.  Every run is a fresh
 process against each tree's ``src``, with the same arguments and
 working-directory layout on both sides.  The exit status, stdout, stderr
 and every output file are compared byte for byte.  Prints each difference,
@@ -52,6 +55,18 @@ REFUSAL = {
     "N": 2, "V": [[0.0, 1.0], [1.0, 0.0]], "c": [1.0, 1.0], "ell": 1.0,
     "lyapunov": {"energies": [0.5, -400.0, -1.0], "n_steps": 300, "n_replicas": 4},
 }
+# Three unequally weighted atoms on three channels: the disorder draw compares each entry with two cumulative edges,
+# and the Lyapunov recursion codes its atom-index rows in base 3.
+THREE_ATOMS = {
+    "N": 3, "V": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], "c": [1.0, 1.5, 2.0], "ell": 0.1,
+    "disorder": {"atoms": [[0.0, 0.2], [1.0, 0.3], [2.5, 0.5]]},
+    "lyapunov": {"grid": {"lo": -2.0, "hi": 1.0, "count": 3}, "n_steps": 500, "n_replicas": 4},
+    "ids": {"grid": {"lo": 0.0, "hi": 8.0, "count": 5}, "L": 20, "h": 0.025, "n_samples": 3},
+    "localize": {"window": [0.0, 2.0], "L": 30, "ref_steps": 1000},
+}
+# The same model with (3 + 5) x 3 = 24 drawn rows, fewer than the 27 codes of three atoms on three channels, so the
+# recursion finds its distinct rows by the row sort.
+FEW_ROWS = dict(THREE_ATOMS, lyapunov={"energies": [-1.0, 0.5], "n_steps": 5, "burn_in": 3, "n_replicas": 3})
 
 # perfbench's shooting script on three channels, so that the byte check covers chains of 6 x 6 transfer matrices;
 # over this range the shooting and inertia counts agree at both seeds (6 and 8 eigenvalues).
@@ -133,15 +148,15 @@ def main(argv: list[str] | None = None) -> int:
         inputs.mkdir()
         short = export(rev, str(tree))
         runs = {}  # run directory name -> argv, the same on both sides
-        for name, doc in (("desk", perfbench.DESK), ("diagonal", DIAGONAL)):
+        cases = (("desk", perfbench.DESK, COMMANDS), ("diagonal", DIAGONAL, COMMANDS),
+                 ("refusal", REFUSAL, ("lyapunov",)), ("three-atoms", THREE_ATOMS, ("lyapunov", "ids", "localize")),
+                 ("few-rows", FEW_ROWS, ("lyapunov",)))
+        for name, doc, commands in cases:
             config = inputs / f"{name}.json"
             config.write_text(json.dumps(doc))
-            for command, seed in itertools.product(COMMANDS, SEEDS):
+            for command, seed in itertools.product(commands, SEEDS):
                 runs[f"{name}-{command}-seed{seed}"] = perfbench._cli(command, str(config), "out", seed)
-        config = inputs / "refusal.json"
-        config.write_text(json.dumps(REFUSAL))
         for seed in SEEDS:
-            runs[f"refusal-lyapunov-seed{seed}"] = perfbench._cli("lyapunov", str(config), "out", seed)
             work = inputs / f"shooting-seed{seed}"
             work.mkdir()
             steps, _ = perfbench.shooting_oracle(seed, str(work), "out")
